@@ -2,26 +2,26 @@
 
 BM25 runs over an in-memory inverted index. The dense baseline is a
 two-tower encoder pair (shared weights by default) trained with softmax
-cross-entropy over in-batch negatives; its document vectors double as the
-initializer for the docid matrix, and dense retrieval literally scores
-through the same code path as the docid retriever, so the two agree
-bit-for-bit at initialization.
+cross-entropy over in-batch negatives. It has no retriever of its own:
+retriever.init_overdense turns its encoded corpus into a docid matrix, so
+dense retrieval is DocidRetriever(query tower, init_overdense(index)),
+the model that init-from-dense fine-tuning starts from.
 """
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus, Query, UNK_ID
-from .nn import Encoder, EncoderConfig, adamw_init, adamw_step
-from .retriever import RankedList, init_overdense, score_all, top_k
-from .training import EpochLog, PlateauStopper, TrainConfig, stage_rng
+from .nn import Encoder, EncoderConfig, softmax_xent
+from .nn import adamw_step  # noqa: F401 -- perfbench's traced run shims baselines.adamw_step
+from .retriever import RankedList, run_stage
+from .training import EpochLog, TrainConfig, batches, stage_rng
 
-log = logging.getLogger(__name__)
+K1, B = 1.2, 0.75  # Okapi BM25 defaults
 
 
 @dataclass
@@ -62,60 +62,39 @@ def _idf(index: InvertedIndex, token: int) -> float:
     return float(np.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5)))
 
 
+def _add_term(scores: dict[int, float], index: InvertedIndex, token: int, postings,
+              k1: float, b: float) -> None:
+    """Add token's BM25 contribution to scores[docid] for each (docid, tf) posting."""
+    idf = _idf(index, token)
+    for docid, tf in postings:
+        dl = float(index.doc_len[docid])
+        norm = k1 * (1.0 - b + b * dl / index.avgdl)
+        scores[docid] = scores.get(docid, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
+
+
 def bm25_score(
-    index: InvertedIndex, query_tokens, docid: int, k1: float = 1.2, b: float = 0.75
+    index: InvertedIndex, query_tokens, docid: int, k1: float = K1, b: float = B
 ) -> float:
     """Okapi score of one document for a query (distinct terms, +1-in-log idf)."""
-    dl = float(index.doc_len[docid])
-    norm = k1 * (1.0 - b + b * dl / index.avgdl)
-    score = 0.0
+    scores: dict[int, float] = {}
     for t in set(query_tokens):
-        plist = index.postings.get(t)
-        if not plist:
-            continue
-        # (docid, 0) sorts just before the (docid, tf) entry, if any
+        plist = index.postings.get(t, [])
+        # (docid, 0) sorts just before the (docid, tf) entry, if any; the entry
+        # at pos may belong to another document, whose score is never read
         pos = bisect_left(plist, (docid, 0))
-        if pos == len(plist) or plist[pos][0] != docid:
-            continue
-        tf = plist[pos][1]
-        score += _idf(index, t) * tf * (k1 + 1.0) / (tf + norm)
-    return score
+        _add_term(scores, index, t, plist[pos : pos + 1], k1, b)
+    return scores.get(docid, 0.0)
 
 
 def bm25_retrieve(index: InvertedIndex, query: Query, k: int) -> RankedList:
     """Top-k by BM25; only documents sharing a term with the query appear."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    k1, b = 1.2, 0.75
     scores: dict[int, float] = {}
     for t in set(query.tokens):
-        plist = index.postings.get(t)
-        if not plist:
-            continue
-        idf = _idf(index, t)
-        for docid, tf in plist:
-            dl = float(index.doc_len[docid])
-            norm = k1 * (1.0 - b + b * dl / index.avgdl)
-            scores[docid] = scores.get(docid, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
+        _add_term(scores, index, t, index.postings.get(t, ()), K1, B)
     ranked = sorted(scores.items(), key=lambda e: (-e[1], e[0]))[:k]
     return RankedList(query.qid, [(d, float(s)) for d, s in ranked])
-
-
-def _in_batch_loss(q_vec: np.ndarray, d_vec: np.ndarray) -> tuple[float, np.ndarray]:
-    """Cross entropy of each query against its batch of candidate documents.
-
-    Returns the mean loss and the gradient with respect to the score matrix.
-    """
-    scores = q_vec @ d_vec.T
-    n = scores.shape[0]
-    zmax = scores.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(scores - zmax).sum(axis=1, keepdims=True)) + zmax
-    losses = lse[:, 0] - scores[np.arange(n), np.arange(n)]
-    probs = np.exp(scores - lse)
-    dscores = probs
-    dscores[np.arange(n), np.arange(n)] -= 1.0
-    dscores /= n
-    return float(losses.mean()), dscores.astype(q_vec.dtype)
 
 
 def train_two_tower(
@@ -139,51 +118,45 @@ def train_two_tower(
         raise ValueError("two-tower training needs at least 2 labeled queries")
     q_enc = Encoder.init(enc_cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 10])))
     if shared:
-        d_enc = q_enc
-        trainable = dict(q_enc.params)
+        d_enc, towers = q_enc, {"q.": q_enc}
     else:
         d_enc = Encoder.init(enc_cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 11])))
-        trainable = {f"q.{k}": v for k, v in q_enc.params.items()}
-        trainable.update({f"d.{k}": v for k, v in d_enc.params.items()})
-    state = adamw_init(trainable)
-    hyper = cfg.hyper()
-    stopper = PlateauStopper(cfg.plateau_min_delta, cfg.plateau_patience)
-    logs: list[EpochLog] = []
-    for epoch in range(cfg.finetune_epochs):
+        towers = {"q.": q_enc, "d.": d_enc}
+    trainable = {p + k: v for p, enc in towers.items() for k, v in enc.params.items()}
+
+    def load(params):
+        for p, enc in towers.items():
+            enc.params = {k: params[p + k] for k in enc.params}
+
+    def epoch_batches(epoch):
         order = stage_rng(cfg.seed, 1, epoch).permutation(len(pairs))
-        chunks = [order[i : i + cfg.batch_size] for i in range(0, len(order), cfg.batch_size)]
+        chunks = list(batches([pairs[i] for i in order], cfg.batch_size))
         if len(chunks) > 1 and len(chunks[-1]) == 1:
-            chunks[-2] = np.concatenate([chunks[-2], chunks[-1]])
-            chunks.pop()
-        total, count = 0.0, 0
-        for chunk in chunks:
-            batch = [pairs[i] for i in chunk]
-            q_vec, q_cache = q_enc.forward_batch([q for q, _ in batch])
-            d_vec, d_cache = d_enc.forward_batch([corpus.doc(d).tokens for _, d in batch])
-            loss, dscores = _in_batch_loss(q_vec, d_vec)
-            gq = q_enc.backward_batch(q_cache, dscores @ d_vec)
-            gd = d_enc.backward_batch(d_cache, dscores.T @ q_vec)
-            if shared:
-                grads = {k: gq[k] + gd[k] for k in gq}
-            else:
-                grads = {f"q.{k}": v for k, v in gq.items()}
-                grads.update({f"d.{k}": v for k, v in gd.items()})
-            trainable, state = adamw_step(trainable, grads, state, hyper)
-            if shared:
-                q_enc.params = dict(trainable)
-            else:
-                q_enc.params = {k[2:]: v for k, v in trainable.items() if k.startswith("q.")}
-                d_enc.params = {k[2:]: v for k, v in trainable.items() if k.startswith("d.")}
-            total += loss * len(batch)
-            count += len(batch)
-        mean_loss = total / count
-        logs.append(EpochLog("two_tower", epoch, mean_loss))
-        log.info("two_tower epoch %d: loss %.6f", epoch, mean_loss)
-        if stopper.update(mean_loss):
-            log.info("two_tower: loss plateau, stopping after epoch %d", epoch)
-            break
-    if shared:
-        d_enc = q_enc
+            chunks[-2] += chunks.pop()
+        return chunks
+
+    # Each tower's activations stay referenced until its next forward pass.
+    # Freeing both towers' at once after every batch lets glibc malloc return
+    # the pages to the OS and fault them back in: 3.8x the page faults and
+    # about 15% slower two-tower training on the dense benchmark workload
+    # (2-core Xeon, one BLAS thread).
+    cache: dict[str, tuple] = {}
+
+    def loss_and_grad(params, batch):
+        load(params)
+        q_vec, cache["q"] = q_enc.forward_batch([q for q, _ in batch])
+        d_vec, cache["d"] = d_enc.forward_batch([corpus.doc(d).tokens for _, d in batch])
+        # in-batch negatives: query i's positive is document i of the batch
+        loss, dscores = softmax_xent(q_vec @ d_vec.T, np.arange(len(batch)))
+        gq = q_enc.backward_batch(cache["q"], dscores @ d_vec)
+        gd = d_enc.backward_batch(cache["d"], dscores.T @ q_vec)
+        if shared:
+            return loss, {"q." + k: gq[k] + gd[k] for k in gq}
+        return loss, {**{"q." + k: v for k, v in gq.items()}, **{"d." + k: v for k, v in gd.items()}}
+
+    logs: list[EpochLog] = []
+    load(run_stage("two_tower", trainable, epoch_batches, loss_and_grad,
+                   cfg.finetune_epochs, cfg, logs))
     return q_enc, d_enc, logs
 
 
@@ -195,28 +168,3 @@ def dense_encode_corpus(doc_encoder: Encoder, corpus: Corpus, batch_size: int = 
         vec, _ = doc_encoder.forward_batch(chunk, need_cache=False)
         rows.append(vec)
     return np.concatenate(rows, axis=0).astype(np.float32)
-
-
-class DenseRetriever:
-    """Dot-product retrieval over precomputed document vectors.
-
-    Internally the index is transposed into a docid matrix and scored by
-    the exact same routine as the docid retriever, which makes the
-    zero-fine-tuning equivalence between the two exact rather than
-    approximate.
-    """
-
-    def __init__(self, query_encoder: Encoder, dense_index: np.ndarray):
-        self.encoder = query_encoder
-        self.w = init_overdense(dense_index)
-
-    def retrieve(self, query: Query, k: int) -> RankedList:
-        logits, _ = score_all(self.encoder.encode(query.tokens), self.w)
-        return RankedList(query.qid, top_k(logits, k))
-
-    def retrieve_all(self, queries: list[Query], k: int) -> list[RankedList]:
-        return [self.retrieve(q, k) for q in queries]
-
-
-def dense_retrieve(query_encoder: Encoder, dense_index: np.ndarray, query: Query, k: int) -> RankedList:
-    return DenseRetriever(query_encoder, dense_index).retrieve(query, k)

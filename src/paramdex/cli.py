@@ -265,6 +265,8 @@ def _load_shard_models(shards_dir: Path, corp, plan) -> list[DocidRetriever]:
         if not path.exists():
             raise ValueError(f"missing model for group {gid}: {path}")
         ck_cfg, params, w_doc = checkpoint.load_model(path)
+        if ck_cfg.vocab_size != len(corp.vocab):
+            raise ValueError(f"group {gid} model vocabulary does not match the corpus")
         if w_doc is None or w_doc.shape[1] != len(plan.groups[gid]):
             raise ValueError(f"group {gid} checkpoint does not match the shard plan")
         models.append(DocidRetriever(Encoder(ck_cfg, params), w_doc))

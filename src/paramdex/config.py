@@ -38,43 +38,46 @@ def _unit(x):  # [0, 1)
     return 0.0 <= x < 1.0
 
 
+# Encoder and training defaults are the dataclasses' own (class attributes).
+_E, _T = EncoderConfig, TrainConfig
+
 # name -> (parser, default, validator or None, description)
 FIELDS: dict[str, tuple] = {
     "corpus_dir": (str, "", None, "prepared corpus directory"),
     "queries": (str, "", None, "queries tsv path"),
     "qrels": (str, "", None, "qrels tsv path"),
-    "d_model": (int, 64, _pos, "encoder width"),
-    "n_layers": (int, 2, _pos, "encoder depth"),
-    "n_heads": (int, 4, _pos, "attention heads (must divide d_model)"),
-    "d_ff": (int, 256, _pos, "feed-forward width"),
-    "max_len": (int, 128, lambda x: x > 1, "max sequence length incl. CLS"),
+    "d_model": (int, _E.d_model, _pos, "encoder width"),
+    "n_layers": (int, _E.n_layers, _pos, "encoder depth"),
+    "n_heads": (int, _E.n_heads, _pos, "attention heads (must divide d_model)"),
+    "d_ff": (int, _E.d_ff, _pos, "feed-forward width"),
+    "max_len": (int, _E.max_len, lambda x: x > 1, "max sequence length incl. CLS"),
     "min_freq": (int, 1, _pos, "vocabulary frequency threshold"),
     "window": (int, 128, _pos, "passage window size"),
     "m_samples": (int, 10, _pos, "term-set samples per document"),
     "ngram_n": (int, 3, _pos, "n-gram order"),
     "ngram_min_df": (int, 2, _pos, "minimum n-gram document frequency"),
     "max_ngrams": (int, 0, _nonneg, "n-gram cap (0 = 10 * corpus size)"),
-    "weight_passage": (float, 1.0, _nonneg, "passage task sampling weight"),
-    "weight_terms": (float, 1.0, _nonneg, "term-set task sampling weight"),
-    "weight_ngram": (float, 1.0, _nonneg, "n-gram task sampling weight"),
-    "lr": (float, 5e-5, _pos, "AdamW learning rate"),
-    "beta1": (float, 0.9, _unit, "AdamW beta1"),
-    "beta2": (float, 0.999, _unit, "AdamW beta2"),
-    "adam_eps": (float, 1e-8, _pos, "AdamW epsilon"),
-    "weight_decay": (float, 0.01, _nonneg, "decoupled weight decay"),
-    "batch_size": (int, 32, _pos, "training batch size"),
-    "pretrain_epochs": (int, 10, _nonneg, "max pre-training epochs"),
-    "finetune_epochs": (int, 20, _nonneg, "max fine-tuning epochs"),
-    "plateau_patience": (int, 3, _nonneg, "epochs without improvement before stop"),
-    "plateau_min_delta": (float, 1e-4, _nonneg, "loss improvement threshold"),
-    "seed": (int, 0, None, "master random seed"),
+    "weight_passage": (float, _T.task_weights[0], _nonneg, "passage task sampling weight"),
+    "weight_terms": (float, _T.task_weights[1], _nonneg, "term-set task sampling weight"),
+    "weight_ngram": (float, _T.task_weights[2], _nonneg, "n-gram task sampling weight"),
+    "lr": (float, _T.lr, _pos, "AdamW learning rate"),
+    "beta1": (float, _T.beta1, _unit, "AdamW beta1"),
+    "beta2": (float, _T.beta2, _unit, "AdamW beta2"),
+    "adam_eps": (float, _T.eps, _pos, "AdamW epsilon"),
+    "weight_decay": (float, _T.weight_decay, _nonneg, "decoupled weight decay"),
+    "batch_size": (int, _T.batch_size, _pos, "training batch size"),
+    "pretrain_epochs": (int, _T.pretrain_epochs, _nonneg, "max pre-training epochs"),
+    "finetune_epochs": (int, _T.finetune_epochs, _nonneg, "max fine-tuning epochs"),
+    "plateau_patience": (int, _T.plateau_patience, _nonneg, "epochs without improvement before stop"),
+    "plateau_min_delta": (float, _T.plateau_min_delta, _nonneg, "loss improvement threshold"),
+    "seed": (int, _T.seed, None, "master random seed"),
     "n_groups": (int, 4, _pos, "shard count"),
     "per_group_k": (int, 100, _pos, "per-shard retrieval depth"),
     "merge_mode": (str, "raw", lambda s: s in ("raw", "zscore"), "shard merge mode"),
     "k": (int, 100, _pos, "retrieval depth"),
     "mrr_cutoff": (int, 100, _pos, "MRR rank cutoff"),
     "eval_ks": (str, "1,20,100", None, "comma-separated recall cutoffs"),
-    "freeze_encoder": (_bool, False, None, "train only the docid matrix"),
+    "freeze_encoder": (_bool, _T.freeze_encoder, None, "train only the docid matrix"),
     "separate_towers": (_bool, False, None, "untie the two-tower weights"),
     "run_tag": (str, "paramdex", None, "tag column for run files"),
 }

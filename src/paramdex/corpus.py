@@ -288,9 +288,16 @@ def load_corpus(in_dir: str | Path) -> Corpus:
     if tuple(id_to_token[:3]) != RESERVED_TOKENS:
         raise ValueError("vocab.tsv does not start with the reserved tokens")
     vocab = Vocabulary(id_to_token[3:])
+    valid_ids = frozenset(range(len(vocab)))  # one hash lookup per token: cheaper than min + max
     docs: list[Document] = []
     with open(src / "docs.jsonl", encoding="utf-8") as f:
         for i, line in enumerate(f):
             rec = json.loads(line)
-            docs.append(Document(i, str(rec["docid"]), list(rec["token_ids"]), int(rec.get("clicks", 0))))
+            tokens = list(rec["token_ids"])
+            if not valid_ids.issuperset(tokens):
+                raise ValueError(
+                    f"docs.jsonl line {i + 1} (docid '{rec['docid']}'): "
+                    f"token id outside the vocabulary [0, {len(vocab)})"
+                )
+            docs.append(Document(i, str(rec["docid"]), tokens, int(rec.get("clicks", 0))))
     return Corpus(docs, vocab)

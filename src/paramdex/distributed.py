@@ -195,7 +195,10 @@ def read_manifest(path: str | Path, corpus: Corpus) -> ShardPlan:
             gid_s, ext = line.split("\t")
             if ext not in corpus.by_external:
                 raise ValueError(f"line {lineno}: unknown docid '{ext}'")
-            group_of[corpus.by_external[ext]] = int(gid_s)
+            gid = int(gid_s)
+            if not 0 <= gid < g:
+                raise ValueError(f"line {lineno}: group id {gid} outside [0, {g})")
+            group_of[corpus.by_external[ext]] = gid
     if (group_of < 0).any():
         raise ValueError("manifest does not cover the corpus")
     groups = [np.flatnonzero(group_of == gid) for gid in range(g)]

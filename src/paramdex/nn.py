@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import CLS_ID, PAD_ID
+from .training import TrainConfig
 
 LN_EPS = 1e-5
 _GELU_K = math.sqrt(2.0 / math.pi)
@@ -275,6 +276,22 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def softmax_xent(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross entropy of targets[i] under row i's softmax, and its gradient
+    with respect to logits."""
+    rows = np.arange(len(targets))
+    zmax = logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True)) + zmax
+    losses = lse[:, 0] - logits[rows, targets]
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        raise FloatingPointError(f"non-finite loss at batch index {int(bad[0])}")
+    dlogits = np.exp(logits - lse)
+    dlogits[rows, targets] -= 1.0
+    dlogits /= len(targets)
+    return float(losses.mean()), dlogits
+
+
 def forward_backward(
     encoder: Encoder,
     w_doc: np.ndarray,
@@ -296,16 +313,7 @@ def forward_backward(
     cls_vec, cache = encoder.forward_batch(
         [p.tokens for p in batch], need_cache=not freeze_encoder
     )
-    logits = cls_vec @ w_doc
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True)) + zmax
-    losses = lse[:, 0] - logits[np.arange(len(batch)), targets]
-    bad = np.flatnonzero(~np.isfinite(losses))
-    if bad.size:
-        raise FloatingPointError(f"non-finite loss at batch index {int(bad[0])}")
-    dlogits = np.exp(logits - lse)
-    dlogits[np.arange(len(batch)), targets] -= 1.0
-    dlogits /= len(batch)
+    loss, dlogits = softmax_xent(cls_vec @ w_doc, targets)
     dlogits = dlogits.astype(encoder.dtype)
     gw = cls_vec.T @ dlogits
     if freeze_encoder:
@@ -313,16 +321,7 @@ def forward_backward(
     else:
         grads = encoder.backward_batch(cache, dlogits @ w_doc.T)
     grads["w_doc"] = gw
-    return float(losses.mean()), grads
-
-
-@dataclass
-class AdamWHyper:
-    lr: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
+    return loss, grads
 
 
 @dataclass
@@ -344,9 +343,10 @@ def adamw_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamWState,
-    hyper: AdamWHyper,
+    cfg: TrainConfig,
 ) -> tuple[dict[str, np.ndarray], AdamWState]:
-    """One decoupled-weight-decay Adam update with bias correction.
+    """One decoupled-weight-decay Adam update with bias correction, using
+    cfg's lr, beta1, beta2, eps and weight_decay.
 
     Pure function: inputs are left untouched and fresh arrays are returned,
     so repeating the call with the same inputs is bit-identical.
@@ -354,17 +354,17 @@ def adamw_step(
     if set(grads) != set(params):
         raise ValueError("gradient keys do not match parameter keys")
     t = state.step + 1
-    c1 = 1.0 - hyper.beta1 ** t
-    c2 = 1.0 - hyper.beta2 ** t
+    c1 = 1.0 - cfg.beta1 ** t
+    c2 = 1.0 - cfg.beta2 ** t
     new_p, new_m, new_v = {}, {}, {}
     for k, p in params.items():
         gk = grads[k]
         if gk.shape != p.shape:
             raise ValueError(f"gradient shape mismatch for '{k}'")
-        m = hyper.beta1 * state.m[k] + (1.0 - hyper.beta1) * gk
-        v = hyper.beta2 * state.v[k] + (1.0 - hyper.beta2) * gk * gk
-        update = (m / c1) / (np.sqrt(v / c2) + hyper.eps) + hyper.weight_decay * p
-        new_p[k] = (p - hyper.lr * update).astype(p.dtype)
+        m = cfg.beta1 * state.m[k] + (1.0 - cfg.beta1) * gk
+        v = cfg.beta2 * state.v[k] + (1.0 - cfg.beta2) * gk * gk
+        update = (m / c1) / (np.sqrt(v / c2) + cfg.eps) + cfg.weight_decay * p
+        new_p[k] = (p - cfg.lr * update).astype(p.dtype)
         new_m[k] = m.astype(p.dtype)
         new_v[k] = v.astype(p.dtype)
     return new_p, AdamWState(step=t, m=new_m, v=new_v)

@@ -1,5 +1,6 @@
-"""Docid scoring over the trainable index matrix, top-k retrieval, and the
-two training pipelines (from-scratch and init-from-dense-vectors).
+"""Docid scoring over the trainable index matrix, top-k retrieval, the AdamW
+stage loop every trainer shares, and the two docid training pipelines
+(from-scratch and init-from-dense-vectors).
 
 The index is a d_model x n_docs matrix whose column i is the embedding of
 internal docid i. Scoring a query is one matrix-vector product; ranking
@@ -104,29 +105,24 @@ def _validate_targets(pairs: list[TrainingPair], n_docs: int) -> None:
             raise ValueError(f"pair targets docid {p.target} outside corpus of size {n_docs}")
 
 
-def _run_stage(
+def run_stage(
     stage: str,
-    encoder: Encoder,
-    w_doc: np.ndarray,
-    epoch_pairs,  # callable epoch -> list[TrainingPair]
+    trainable: dict[str, np.ndarray],
+    epoch_batches,  # callable epoch -> list of batches
+    loss_and_grad,  # callable (params, batch) -> (mean batch loss, grads keyed like params)
     n_epochs: int,
     cfg: TrainConfig,
     logs: list[EpochLog],
-) -> np.ndarray:
-    """AdamW epochs over batches produced per epoch; returns the new w_doc."""
-    trainable = {"w_doc": w_doc} if cfg.freeze_encoder else dict(encoder.params, w_doc=w_doc)
+) -> dict[str, np.ndarray]:
+    """AdamW epochs with plateau stopping; returns the trained parameters.
+    loss_and_grad must load the parameters it is given into its model."""
     state = adamw_init(trainable)
-    hyper = cfg.hyper()
     stopper = PlateauStopper(cfg.plateau_min_delta, cfg.plateau_patience)
     for epoch in range(n_epochs):
         total, count = 0.0, 0
-        for batch in batches(epoch_pairs(epoch), cfg.batch_size):
-            loss, grads = forward_backward(
-                encoder, trainable["w_doc"], batch, freeze_encoder=cfg.freeze_encoder
-            )
-            trainable, state = adamw_step(trainable, grads, state, hyper)
-            if not cfg.freeze_encoder:
-                encoder.params = {k: trainable[k] for k in encoder.params}
+        for batch in epoch_batches(epoch):
+            loss, grads = loss_and_grad(trainable, batch)
+            trainable, state = adamw_step(trainable, grads, state, cfg)
             total += loss * len(batch)
             count += len(batch)
         mean_loss = total / max(count, 1)
@@ -135,7 +131,27 @@ def _run_stage(
         if stopper.update(mean_loss):
             log.info("%s: loss plateau, stopping after epoch %d", stage, epoch)
             break
-    return trainable["w_doc"]
+    return trainable
+
+
+def _train_docid(stage: str, encoder: Encoder, w_doc: np.ndarray, epoch_pairs, n_epochs: int,
+                 cfg: TrainConfig, logs: list[EpochLog]) -> np.ndarray:
+    """run_stage on the docid loss over the pairs epoch_pairs(epoch) gives;
+    trains encoder in place and returns the new w_doc."""
+    freeze = cfg.freeze_encoder
+
+    def loss_and_grad(params, batch):
+        if not freeze:
+            encoder.params = {k: params[k] for k in encoder.params}
+        return forward_backward(encoder, params["w_doc"], batch, freeze_encoder=freeze)
+
+    trained = run_stage(
+        stage, {"w_doc": w_doc} if freeze else dict(encoder.params, w_doc=w_doc),
+        lambda ep: batches(epoch_pairs(ep), cfg.batch_size), loss_and_grad, n_epochs, cfg, logs,
+    )
+    if not freeze:
+        encoder.params = {k: trained[k] for k in encoder.params}
+    return trained["w_doc"]
 
 
 def train_vanilla(
@@ -159,7 +175,7 @@ def train_vanilla(
     if not skip_pretrain and cfg.pretrain_epochs > 0:
         if not pretrain_pairs:
             raise ValueError("pre-training requested but no pairs were provided")
-        w_doc = _run_stage(
+        w_doc = _train_docid(
             "pretrain", encoder, w_doc,
             lambda ep: mixed_task_epoch(pretrain_pairs, cfg.task_weights, stage_rng(cfg.seed, 2, ep)),
             cfg.pretrain_epochs, cfg, logs,
@@ -167,7 +183,7 @@ def train_vanilla(
     if not skip_finetune and cfg.finetune_epochs > 0:
         if not fine_pairs:
             raise ValueError("fine-tuning requested but no labeled queries were provided")
-        w_doc = _run_stage(
+        w_doc = _train_docid(
             "finetune", encoder, w_doc,
             lambda ep: [fine_pairs[i] for i in stage_rng(cfg.seed, 3, ep).permutation(len(fine_pairs))],
             cfg.finetune_epochs, cfg, logs,
@@ -198,7 +214,7 @@ def train_overdense(
     if not skip_finetune and cfg.finetune_epochs > 0:
         if not fine_pairs:
             raise ValueError("fine-tuning requested but no labeled queries were provided")
-        w_doc = _run_stage(
+        w_doc = _train_docid(
             "finetune", encoder, w_doc,
             lambda ep: [fine_pairs[i] for i in stage_rng(cfg.seed, 3, ep).permutation(len(fine_pairs))],
             cfg.finetune_epochs, cfg, logs,

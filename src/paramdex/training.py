@@ -7,7 +7,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .nn import AdamWHyper
 from .pairs import TrainingPair
 
 
@@ -27,12 +26,6 @@ class TrainConfig:
     # relative sampling weights for the passage / terms / ngram tasks
     task_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     freeze_encoder: bool = False
-
-    def hyper(self) -> AdamWHyper:
-        return AdamWHyper(
-            lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-            eps=self.eps, weight_decay=self.weight_decay,
-        )
 
 
 def stage_rng(seed: int, stage: int, epoch: int) -> np.random.Generator:

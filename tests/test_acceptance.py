@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from paramdex.baselines import (
-    DenseRetriever,
     bm25_score,
     build_inverted_index,
     dense_encode_corpus,
@@ -38,6 +37,7 @@ from paramdex.nn import Encoder, EncoderConfig, finite_diff_check, forward_backw
 from paramdex.pairs import TrainingPair, generate_pretrain_pairs
 from paramdex.retriever import (
     DocidRetriever,
+    init_overdense,
     top_k,
     train_overdense,
     train_vanilla,
@@ -211,7 +211,7 @@ def test_criterion_4_overdense_zero_shot_identity(thousand_doc_overdense, tmp_pa
     fx = thousand_doc_overdense
     corp, queries = fx["corpus"], fx["heldout_q"]
 
-    dense = DenseRetriever(fx["q_tower"], fx["index"])
+    dense = DocidRetriever(fx["q_tower"], init_overdense(fx["index"], len(corp)))
     dense_run = tmp_path / "dense.run"
     write_run(dense_run, dense.retrieve_all(queries, 100), corp.external_id, tag="baseline")
 

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from paramdex.baselines import (
-    DenseRetriever,
     bm25_retrieve,
     bm25_score,
     build_inverted_index,
     dense_encode_corpus,
-    dense_retrieve,
     train_two_tower,
-    _in_batch_loss,
 )
 from paramdex.corpus import Query
-from paramdex.nn import Encoder, EncoderConfig
+from paramdex.nn import Encoder, EncoderConfig, softmax_xent
 from paramdex.retriever import DocidRetriever, init_overdense
 from paramdex.training import TrainConfig
 
@@ -191,7 +188,7 @@ class TestTwoTower:
         rng = np.random.default_rng(0)
         q = rng.normal(size=(6, 8)).astype(np.float32)
         d = rng.normal(size=(6, 8)).astype(np.float32)
-        loss, dscores = _in_batch_loss(q, d)
+        loss, dscores = softmax_xent(q @ d.T, np.arange(6))
         assert dscores.shape == (6, 6)
         assert math.isfinite(loss)
         # rows of the softmax gradient sum to zero
@@ -238,7 +235,7 @@ class TestTwoTower:
             tower = Encoder(cfg, params)
             q_vec, q_cache = tower.forward_batch(q_seqs)
             d_vec, d_cache = tower.forward_batch(d_seqs)
-            loss, dscores = _in_batch_loss(q_vec, d_vec)
+            loss, dscores = softmax_xent(q_vec @ d_vec.T, np.arange(len(q_seqs)))
             gq = tower.backward_batch(q_cache, dscores @ d_vec)
             gd = tower.backward_batch(d_cache, dscores.T @ q_vec)
             return loss, {k: gq[k] + gd[k] for k in gq}
@@ -274,7 +271,7 @@ class TestDenseRetrieve:
         index[1, 1] = 1.0
         q = Query("q", [3, 4])
         v = enc.encode(q.tokens)
-        out = dense_retrieve(enc, index, q, 2)
+        out = DocidRetriever(enc, init_overdense(index)).retrieve(q, 2)
         expected_first = 0 if v[0] >= v[1] else 1
         assert out.items[0][0] == expected_first
 
@@ -282,7 +279,7 @@ class TestDenseRetrieve:
         corp, queries, _, cfg = _two_tower_data()
         enc = Encoder.init(cfg, 4)
         index = np.random.default_rng(5).normal(size=(len(corp), cfg.d_model)).astype(np.float32)
-        r = DenseRetriever(enc, index)
+        r = DocidRetriever(enc, init_overdense(index))
         for q in queries[:5]:
             v = enc.encode(q.tokens)
             got = dict(r.retrieve(q, len(corp)).items)
@@ -290,18 +287,9 @@ class TestDenseRetrieve:
                 expected = float(np.float32(sum(np.float64(v) * np.float64(index[i]))))
                 assert got[i] == pytest.approx(expected, abs=1e-5)
 
-    def test_identity_with_docid_retriever(self):
-        corp, queries, _, cfg = _two_tower_data()
-        enc = Encoder.init(cfg, 6)
-        index = np.random.default_rng(7).normal(size=(len(corp), cfg.d_model)).astype(np.float32)
-        dense = DenseRetriever(enc, index)
-        model = DocidRetriever(enc, init_overdense(index))
-        for q in queries:
-            assert dense.retrieve(q, 10).items == model.retrieve(q, 10).items
-
     def test_k_nonpositive(self):
         corp, queries, _, cfg = _two_tower_data()
         enc = Encoder.init(cfg, 0)
         index = np.zeros((len(corp), cfg.d_model), dtype=np.float32)
         with pytest.raises(ValueError):
-            dense_retrieve(enc, index, queries[0], 0)
+            DocidRetriever(enc, init_overdense(index)).retrieve(queries[0], 0)

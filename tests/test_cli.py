@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from paramdex import checkpoint
 from paramdex.cli import main
+from paramdex.corpus import load_corpus
+from paramdex.distributed import partition, write_manifest
+from paramdex.nn import Encoder, EncoderConfig
 
 
 def run_cli(*argv) -> int:
@@ -199,3 +204,24 @@ def test_eval_error_on_unknown_run_qid(workspace, tmp_path):
     assert run_cli("eval", "--run", bad_run,
                    "--qrels", workspace["data"] / "train_qrels.tsv",
                    "--out-dir", tmp_path, "--config", workspace["cfg"]) == 1
+
+
+def test_shard_merge_rejects_model_with_other_vocabulary(workspace, tmp_path, capsys):
+    corp = load_corpus(workspace["corpus"])
+    plan = partition(len(corp), 2, seed=0)
+    shards_dir = tmp_path / "shards"
+    shards_dir.mkdir()
+    write_manifest(shards_dir / "shards.tsv", plan, corp)
+    for gid, members in enumerate(plan.groups):
+        # group 1's encoder has one token more than the corpus vocabulary
+        cfg = EncoderConfig(vocab_size=len(corp.vocab) + gid, d_model=16, n_layers=1,
+                            n_heads=2, d_ff=32, max_len=32)
+        w_doc = np.zeros((cfg.d_model, len(members)), dtype=np.float32)
+        (shards_dir / f"group{gid:02d}").mkdir()
+        checkpoint.save_model(shards_dir / f"group{gid:02d}" / "model.ckpt", cfg,
+                              Encoder.init(cfg, gid).params, w_doc)
+    assert run_cli("shard-merge", "--shards-dir", shards_dir,
+                   "--corpus-dir", workspace["corpus"],
+                   "--queries", workspace["data"] / "train_queries.tsv",
+                   "--out-dir", tmp_path / "merged", "--config", workspace["cfg"]) == 1
+    assert "group 1 model vocabulary does not match the corpus" in capsys.readouterr().err

@@ -182,3 +182,17 @@ def test_save_load_roundtrip(tmp_path, tiny_corpus):
     assert loaded.vocab.id_to_token == tiny_corpus.vocab.id_to_token
     for a, b in zip(loaded.docs, tiny_corpus.docs):
         assert (a.external_id, a.tokens, a.click_count) == (b.external_id, b.tokens, b.click_count)
+
+
+@pytest.mark.parametrize("bad_id", [-5, 8])
+def test_load_rejects_token_id_outside_vocabulary(tmp_path, tiny_corpus, bad_id):
+    save_corpus(tiny_corpus, tmp_path)
+    assert len(tiny_corpus.vocab) == 8
+    docs = tmp_path / "docs.jsonl"
+    lines = docs.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    rec["token_ids"][0] = bad_id
+    lines[1] = json.dumps(rec) + "\n"
+    docs.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"docs.jsonl line 2 .*outside the vocabulary \[0, 8\)"):
+        load_corpus(tmp_path)

@@ -209,3 +209,16 @@ def test_manifest_roundtrip(tmp_path):
     loaded = read_manifest(path, corp)
     assert loaded.n_groups == 4 and loaded.seed == 3
     assert all(np.array_equal(a, b) for a, b in zip(loaded.groups, plan.groups))
+
+
+@pytest.mark.parametrize("bad_gid", ["7", "2", "-1"])
+def test_manifest_group_id_outside_range_rejected(tmp_path, bad_gid):
+    corp = corpus_from_texts([f"w{i} shared" for i in range(10)])
+    path = tmp_path / "shards.tsv"
+    write_manifest(path, partition(10, 2, seed=0), corp)
+    lines = path.read_text().splitlines(keepends=True)
+    gid, ext = lines[3].split("\t")
+    lines[3] = f"{bad_gid}\t{ext}"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=rf"line 4: group id {bad_gid} outside \[0, 2\)"):
+        read_manifest(path, corp)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from paramdex.nn import (
-    AdamWHyper,
     Encoder,
     EncoderConfig,
     adamw_init,
@@ -14,6 +13,7 @@ from paramdex.nn import (
     softmax,
 )
 from paramdex.pairs import TrainingPair
+from paramdex.training import TrainConfig
 
 TINY = EncoderConfig(vocab_size=30, d_model=16, n_layers=1, n_heads=2, d_ff=32, max_len=32)
 
@@ -176,7 +176,7 @@ class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):
         params = {"w": np.array([1.0, -2.0, 3.0], dtype=np.float32)}
         grads = {"w": np.zeros(3, dtype=np.float32)}
-        hyper = AdamWHyper(lr=1e-3, weight_decay=0.0)
+        hyper = TrainConfig(lr=1e-3, weight_decay=0.0)
         new, state = adamw_step(params, grads, adamw_init(params), hyper)
         assert np.array_equal(new["w"], params["w"])
         assert state.step == 1
@@ -184,7 +184,7 @@ class TestAdamW:
     def test_hand_executed_first_step(self):
         # scalar w=1, g=0.5: m=0.05, v=0.00025, mhat=0.5, vhat=0.25
         # w' = 1 - lr*(0.5/(0.5+eps)) - lr*wd*1
-        hyper = AdamWHyper(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+        hyper = TrainConfig(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([0.5])}
         new, _ = adamw_step(params, grads, adamw_init(params), hyper)
@@ -199,8 +199,8 @@ class TestAdamW:
         grads = {"a": rng.normal(size=(4, 3)).astype(np.float32)}
         before = params["a"].copy()
         state = adamw_init(params)
-        out1, s1 = adamw_step(params, grads, state, AdamWHyper())
-        out2, s2 = adamw_step(params, grads, state, AdamWHyper())
+        out1, s1 = adamw_step(params, grads, state, TrainConfig())
+        out2, s2 = adamw_step(params, grads, state, TrainConfig())
         assert np.array_equal(out1["a"], out2["a"])
         assert np.array_equal(s1.m["a"], s2.m["a"])
         assert np.array_equal(params["a"], before)  # inputs untouched
@@ -210,9 +210,9 @@ class TestAdamW:
         params = {"a": np.zeros(3)}
         grads = {"a": np.zeros(4)}
         with pytest.raises(ValueError, match="shape"):
-            adamw_step(params, grads, adamw_init(params), AdamWHyper())
+            adamw_step(params, grads, adamw_init(params), TrainConfig())
 
     def test_missing_key_rejected(self):
         params = {"a": np.zeros(3), "b": np.zeros(2)}
         with pytest.raises(ValueError, match="keys"):
-            adamw_step(params, {"a": np.zeros(3)}, adamw_init(params), AdamWHyper())
+            adamw_step(params, {"a": np.zeros(3)}, adamw_init(params), TrainConfig())
