@@ -13,12 +13,17 @@ n_docs x d_model rows. The checksum is an 8-byte blake2b of the payload.
 Every artifact gets a deterministic sidecar ``<path>.meta.json`` recording
 the config hash and seed that produced it (no timestamps, so reruns are
 byte-identical).
+
+Checkpoint and dense-index files are written to a temporary file in the
+same directory and then renamed over the target, so a run that dies while
+saving leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -37,10 +42,16 @@ def payload_checksum(payload: bytes) -> int:
 
 def _write(path: Path, header_fields: tuple[int, ...], arrays: list[np.ndarray]) -> None:
     payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays)
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, VERSION, *header_fields))
-        f.write(payload)
-        f.write(struct.pack("<Q", payload_checksum(payload)))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_HEADER.pack(MAGIC, VERSION, *header_fields))
+            f.write(payload)
+            f.write(struct.pack("<Q", payload_checksum(payload)))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read(path: Path) -> tuple[tuple[int, ...], bytes]:

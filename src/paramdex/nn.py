@@ -6,6 +6,15 @@ written by hand and checked coordinate-wise against central finite
 differences (see finite_diff_check). Parameters live in a flat
 name -> array dict whose canonical order is given by param_names().
 
+Batches run in length groups. Padding is masked out of attention, so each
+sequence's encoding is independent of its batch neighbors, and
+Encoder.forward_batch can cut a batch into sub-batches of similar length
+(power-of-two buckets of the clipped length) without changing the math.
+Each group is padded only to its own longest member, so a batch that mixes
+128-token passages with 3-token n-grams no longer pays matmul and
+attention work for the padding. Results differ from one padded batch only
+by float rounding.
+
 No dropout: training is deterministic by construction. Training runs in
 float32; gradient checks construct float64 models.
 """
@@ -181,7 +190,28 @@ class Encoder:
         Sequences are truncated to max_len - 1 and a CLS token is
         prepended. Padding positions are masked out of attention so a
         sequence's encoding does not depend on its batch neighbors' lengths.
+
+        That masking lets the batch run as length groups: sequences whose
+        clipped lengths share a power-of-two bucket (len.bit_length()) run
+        together, padded only to their group's longest member, and the CLS
+        rows are scattered back in input order. The cache is an opaque
+        list of (rows, group cache) pairs for backward_batch; it is None
+        when need_cache is false.
         """
+        cap = self.cfg.max_len - 1
+        groups: dict[int, list[int]] = {}
+        for i, s in enumerate(seqs):
+            groups.setdefault(min(len(s), cap).bit_length(), []).append(i)
+        out = np.empty((len(seqs), self.cfg.d_model), dtype=self.dtype)
+        cache = []
+        for _, rows in sorted(groups.items()):
+            cls_vec, group = self._forward_group([seqs[i] for i in rows], need_cache)
+            out[rows] = cls_vec
+            cache.append((rows, group))
+        return out, (cache if need_cache else None)
+
+    def _forward_group(self, seqs: Sequence[Sequence[int]], need_cache: bool):
+        """Forward pass of one length group, padded to its longest member."""
         cfg, p = self.cfg, self.params
         ids, mask = self._prepare(seqs)
         n = ids.shape[1]
@@ -211,9 +241,8 @@ class Encoder:
             if need_cache:
                 layers.append((a, xhat1, inv1, qh, kh, vh, att, c, xhat2, inv2, fin, act_in, h))
         y, xhat_f, inv_f = _layer_norm(x, p["ln_f.scale"], p["ln_f.shift"])
-        cls_vec = y[:, 0, :].copy()
         cache = (ids, scale, layers, xhat_f, inv_f) if need_cache else None
-        return cls_vec, cache
+        return y[:, 0, :], cache
 
     def encode(self, tokens: Sequence[int]) -> np.ndarray:
         """CLS representation of one token sequence (empty input is valid)."""
@@ -223,32 +252,41 @@ class Encoder:
     def backward_batch(self, cache, d_cls: np.ndarray) -> dict[str, np.ndarray]:
         """Exact reverse-mode gradients of the cached forward pass.
 
-        d_cls is the loss gradient at the CLS output, shape (B, d_model).
-        Returns a dict congruent with the parameter dict.
+        d_cls is the loss gradient at the CLS output, shape (B, d_model),
+        in the input order of forward_batch. Each length group runs its
+        backward pass on its own rows of d_cls, and every group adds into
+        one gradient dict. Returns a dict congruent with the parameter dict.
         """
+        g = {name: np.zeros_like(arr) for name, arr in self.params.items()}
+        for rows, group in cache:
+            self._backward_group(group, d_cls[rows], g)
+        return g
+
+    def _backward_group(self, cache, d_cls: np.ndarray, g: dict[str, np.ndarray]) -> None:
+        """Add one length group's gradients into g."""
         cfg, p = self.cfg, self.params
         ids, scale, layers, xhat_f, inv_f = cache
         b, n = ids.shape
-        g = {name: np.zeros_like(arr) for name, arr in p.items()}
+        gl: dict[str, np.ndarray] = {}  # this group's gradients, added into g at the end
 
         dy = np.zeros((b, n, cfg.d_model), dtype=self.dtype)
         dy[:, 0, :] = d_cls
-        dx, g["ln_f.scale"], g["ln_f.shift"] = _layer_norm_backward(
+        dx, gl["ln_f.scale"], gl["ln_f.shift"] = _layer_norm_backward(
             dy, xhat_f, inv_f, p["ln_f.scale"]
         )
         for i in reversed(range(cfg.n_layers)):
             pre = f"layer{i}."
             a, xhat1, inv1, qh, kh, vh, att, c, xhat2, inv2, fin, act_in, h = layers[i]
             # feed-forward block
-            dh, g[pre + "ffn.w2"], g[pre + "ffn.b2"] = _linear_backward(h, dx, p[pre + "ffn.w2"])
+            dh, gl[pre + "ffn.w2"], gl[pre + "ffn.b2"] = _linear_backward(h, dx, p[pre + "ffn.w2"])
             dact = dh * _gelu_grad(act_in)
-            dfin, g[pre + "ffn.w1"], g[pre + "ffn.b1"] = _linear_backward(fin, dact, p[pre + "ffn.w1"])
-            dln2, g[pre + "ln2.scale"], g[pre + "ln2.shift"] = _layer_norm_backward(
+            dfin, gl[pre + "ffn.w1"], gl[pre + "ffn.b1"] = _linear_backward(fin, dact, p[pre + "ffn.w1"])
+            dln2, gl[pre + "ln2.scale"], gl[pre + "ln2.shift"] = _layer_norm_backward(
                 dfin, xhat2, inv2, p[pre + "ln2.scale"]
             )
             dx = dx + dln2
             # attention block
-            dc, g[pre + "attn.wo"], g[pre + "attn.bo"] = _linear_backward(c, dx, p[pre + "attn.wo"])
+            dc, gl[pre + "attn.wo"], gl[pre + "attn.bo"] = _linear_backward(c, dx, p[pre + "attn.wo"])
             dch = _split_heads(dc, cfg.n_heads)
             datt = dch @ vh.transpose(0, 1, 3, 2)
             dvh = att.transpose(0, 1, 3, 2) @ dch
@@ -257,16 +295,17 @@ class Encoder:
             dqh = ds @ kh
             dkh = ds.transpose(0, 1, 3, 2) @ qh
             dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-            da_q, g[pre + "attn.wq"], g[pre + "attn.bq"] = _linear_backward(a, dq, p[pre + "attn.wq"])
-            da_k, g[pre + "attn.wk"], g[pre + "attn.bk"] = _linear_backward(a, dk, p[pre + "attn.wk"])
-            da_v, g[pre + "attn.wv"], g[pre + "attn.bv"] = _linear_backward(a, dv, p[pre + "attn.wv"])
-            dln1, g[pre + "ln1.scale"], g[pre + "ln1.shift"] = _layer_norm_backward(
+            da_q, gl[pre + "attn.wq"], gl[pre + "attn.bq"] = _linear_backward(a, dq, p[pre + "attn.wq"])
+            da_k, gl[pre + "attn.wk"], gl[pre + "attn.bk"] = _linear_backward(a, dk, p[pre + "attn.wk"])
+            da_v, gl[pre + "attn.wv"], gl[pre + "attn.bv"] = _linear_backward(a, dv, p[pre + "attn.wv"])
+            dln1, gl[pre + "ln1.scale"], gl[pre + "ln1.shift"] = _layer_norm_backward(
                 da_q + da_k + da_v, xhat1, inv1, p[pre + "ln1.scale"]
             )
             dx = dx + dln1
+        for name, grad in gl.items():
+            g[name] += grad
         np.add.at(g["tok_emb"], ids.reshape(-1), dx.reshape(-1, cfg.d_model))
-        g["pos_emb"][:n] = dx.sum(axis=0)
-        return g
+        g["pos_emb"][:n] += dx.sum(axis=0)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paramdex import checkpoint
 from paramdex.checkpoint import (
     load_dense_index,
     load_model,
@@ -53,6 +54,24 @@ def test_corruption_detected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="checksum"):
         load_model(path)
+
+
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    first = Encoder.init(CFG, seed=6)
+    path = tmp_path / "model.ckpt"
+    save_model(path, CFG, first.params)
+
+    def fail(payload):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint, "payload_checksum", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(path, CFG, Encoder.init(CFG, seed=7).params)
+    monkeypatch.undo()
+    _, params, _ = load_model(path)
+    for k in first.params:
+        assert np.array_equal(params[k], first.params[k]), k
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_bad_magic_rejected(tmp_path):

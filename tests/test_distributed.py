@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paramdex.corpus import Query
 from paramdex.distributed import (
@@ -154,6 +155,29 @@ class TestMerge:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             merge_score_lists([[(0, 1.0)]], 1, mode="softmax")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        lists=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 15),
+                    st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 2.0]),
+                              st.floats(-1e6, 1e6, allow_nan=False)),
+                ),
+                max_size=12,
+            ),
+            max_size=5,
+        ),
+        k=st.integers(1, 20),
+    )
+    def test_raw_merge_matches_reference(self, lists, k):
+        flat = [e for entries in lists for e in entries]
+        docids = sorted({d for d, _ in flat})
+        best = [max(s for d2, s in flat if d2 == d) for d in docids]
+        order = np.lexsort((np.array(docids, dtype=np.int64), -np.array(best, dtype=np.float64)))
+        expected = [(docids[i], best[i]) for i in order[:k]]
+        assert merge_score_lists(lists, k, mode="raw") == expected
 
 
 class TestScoreStats:

@@ -69,6 +69,60 @@ class TestEncode:
         np.testing.assert_allclose(batched[0], alone, atol=1e-5)
 
 
+def mixed_length_batch():
+    """Sequences in five length buckets, out of bucket order, with an empty one
+    and one longer than max_len; several sequences share a bucket."""
+    rng = np.random.default_rng(21)
+    lengths = [40, 2, 0, 9, 3, 17, 1, 12, 2]
+    return [list(rng.integers(3, TINY.vocab_size, size=n)) for n in lengths]
+
+
+class TestLengthGroups:
+    def test_rows_match_single_sequence_encoding_in_input_order(self):
+        enc = tiny_encoder(seed=2)
+        seqs = mixed_length_batch()
+        assert len({min(len(s), TINY.max_len - 1).bit_length() for s in seqs}) >= 3
+        batched, _ = enc.forward_batch(seqs, need_cache=False)
+        alone = np.stack([enc.encode(s) for s in seqs])
+        np.testing.assert_allclose(batched, alone, atol=1e-5)
+
+    def test_backward_is_sum_of_single_sequence_backwards(self):
+        enc = tiny_encoder(seed=3, dtype=np.float64)
+        seqs = mixed_length_batch()
+        d_cls = np.random.default_rng(5).normal(size=(len(seqs), TINY.d_model))
+        _, cache = enc.forward_batch(seqs)
+        batched = enc.backward_batch(cache, d_cls)
+        total = {k: np.zeros_like(v) for k, v in enc.params.items()}
+        for i, s in enumerate(seqs):
+            _, one = enc.forward_batch([s])
+            for k, v in enc.backward_batch(one, d_cls[i : i + 1]).items():
+                total[k] += v
+        for k in total:
+            # attn.bk has a true gradient of zero: compare its float noise absolutely
+            np.testing.assert_allclose(batched[k], total[k], rtol=1e-9, atol=1e-12, err_msg=k)
+
+    def test_mixed_batch_matches_finite_differences(self):
+        rng = np.random.default_rng(13)
+        enc = Encoder.init(TINY, rng, dtype=np.float64)
+        w_doc = rng.normal(0, 0.02, size=(TINY.d_model, 8))
+        batch = [TrainingPair(s, i % 8, "terms") for i, s in enumerate(mixed_length_batch())]
+        params = dict(enc.params, w_doc=w_doc)
+
+        def fn(p):
+            return forward_backward(
+                Encoder(TINY, {k: v for k, v in p.items() if k != "w_doc"}), p["w_doc"], batch
+            )
+
+        worst, per_param = finite_diff_check(fn, params, eps=1e-4,
+                                             max_coords_per_param=3,
+                                             rng=np.random.default_rng(1))
+        assert worst < 1e-4, f"worst relative error {worst}: {per_param}"
+
+    def test_empty_batch_encodes_to_zero_rows(self):
+        out, _ = tiny_encoder().forward_batch([])
+        assert out.shape == (0, TINY.d_model)
+
+
 class TestSoftmax:
     def test_normalized_and_nonnegative(self):
         rng = np.random.default_rng(0)

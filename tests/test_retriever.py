@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paramdex.corpus import Query
 from paramdex.nn import Encoder, EncoderConfig
@@ -79,6 +80,23 @@ class TestTopK:
         oracle = sorted(range(200), key=lambda i: (-logits[i], i))
         for k in (1, 5, 10, 200):
             assert [d for d, _ in top_k(logits, k)] == oracle[:k]
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.sampled_from([-2.5, -0.0, 0.0, 0.5, 3.0]),
+                      st.floats(-1e3, 1e3, width=32)),
+            min_size=1, max_size=60,
+        ),
+        k=st.integers(1, 70),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_matches_lexsort_reference(self, values, k, dtype):
+        logits = np.array(values, dtype=dtype)
+        # last key is primary: descending score, then ascending docid
+        order = np.lexsort((np.arange(len(logits)), -logits))[:k]
+        assert top_k(logits, k) == [(int(i), float(logits[i])) for i in order]
 
 
 class TestInitOverdense:
