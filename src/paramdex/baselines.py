@@ -1,8 +1,13 @@
 """Sparse and dense retrieval baselines.
 
-BM25 runs over an in-memory inverted index. The dense baseline is a
-two-tower encoder pair (shared weights by default) trained with softmax
-cross-entropy over in-batch negatives. It has no retriever of its own:
+BM25 runs over an in-memory inverted index held as numpy CSR arrays: the
+postings of token t are positions indptr[t]:indptr[t + 1] of the docid,
+term-frequency and weight arrays, sorted by docid. Each posting's BM25
+contribution is computed once, at build time. A query adds each distinct
+term's weights into a dense score array and ranks the matched documents
+with retriever.top_order. The dense baseline is a two-tower encoder pair
+(shared weights by default) trained with softmax cross-entropy over
+in-batch negatives. It has no retriever of its own:
 retriever.init_overdense turns its encoded corpus into a docid matrix, so
 dense retrieval is DocidRetriever(query tower, init_overdense(index)),
 the model that init-from-dense fine-tuning starts from.
@@ -10,15 +15,15 @@ the model that init-from-dense fine-tuning starts from.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .corpus import Corpus, Query, UNK_ID
 from .nn import Encoder, EncoderConfig, softmax_xent
 from .nn import adamw_step  # noqa: F401 -- perfbench's traced run shims baselines.adamw_step
-from .retriever import RankedList, run_stage
+from .retriever import RankedList, run_stage, top_order
 from .training import EpochLog, TrainConfig, batches, stage_rng
 
 K1, B = 1.2, 0.75  # Okapi BM25 defaults
@@ -26,13 +31,33 @@ K1, B = 1.2, 0.75  # Okapi BM25 defaults
 
 @dataclass
 class InvertedIndex:
-    postings: dict[int, list[tuple[int, int]]]  # token -> [(docid, tf)] sorted by docid
+    indptr: np.ndarray  # (vocab_size + 1,): token t's postings are [indptr[t], indptr[t + 1])
+    docids: np.ndarray  # per posting, ascending within a token
+    tf: np.ndarray  # per posting: term frequency
+    weights: np.ndarray  # per posting: float64 BM25 contribution with K1, B
     doc_len: np.ndarray
     avgdl: float
     n_docs: int
 
+    def span(self, token: int) -> slice:
+        """Positions of token's postings; empty for a token outside the index."""
+        if not 0 <= token < self.indptr.shape[0] - 1:
+            return slice(0, 0)
+        return slice(int(self.indptr[token]), int(self.indptr[token + 1]))
+
     def df(self, token: int) -> int:
-        return len(self.postings.get(token, ()))
+        s = self.span(token)
+        return s.stop - s.start
+
+
+def _idf(n_docs: int, df):
+    return np.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+
+
+def _weight(idf, tf, dl, avgdl: float, k1: float, b: float):
+    """Okapi contribution of one term to one document; elementwise on arrays."""
+    norm = k1 * (1.0 - b + b * dl / avgdl)
+    return idf * tf * (k1 + 1.0) / (tf + norm)
 
 
 def build_inverted_index(corpus: Corpus) -> InvertedIndex:
@@ -41,60 +66,54 @@ def build_inverted_index(corpus: Corpus) -> InvertedIndex:
     UNK is not indexed: a query term that falls out of the vocabulary
     matches nothing rather than matching every rare-token document.
     """
-    if len(corpus) == 0:
+    n = len(corpus)
+    if n == 0:
         raise ValueError("cannot index an empty corpus")
-    postings: dict[int, list[tuple[int, int]]] = {}
-    doc_len = np.zeros(len(corpus), dtype=np.int64)
-    for doc in corpus.docs:
-        doc_len[doc.internal_id] = len(doc.tokens)
-        counts: dict[int, int] = {}
-        for t in doc.tokens:
-            if t != UNK_ID:
-                counts[t] = counts.get(t, 0) + 1
-        for t in sorted(counts):
-            postings.setdefault(t, []).append((doc.internal_id, counts[t]))
+    doc_len = np.fromiter((len(d.tokens) for d in corpus.docs), np.int64, n)
+    # one key per token occurrence, token * n + docid, built in place to keep the peak low
+    keys = np.fromiter(chain.from_iterable(d.tokens for d in corpus.docs), np.int64, int(doc_len.sum()))
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=np.int32), doc_len)
+    keys, tf = np.unique(keys, return_counts=True)  # sorted by token, then docid
+    term, docids = np.divmod(keys, n)
+    keep = term != UNK_ID
+    term, docids, tf = term[keep], docids[keep], tf[keep].astype(np.int32)
+    counts = np.bincount(term, minlength=len(corpus.vocab))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
     avgdl = float(doc_len.mean())
-    return InvertedIndex(postings, doc_len, avgdl, len(corpus))
-
-
-def _idf(index: InvertedIndex, token: int) -> float:
-    df = index.df(token)
-    return float(np.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5)))
-
-
-def _add_term(scores: dict[int, float], index: InvertedIndex, token: int, postings,
-              k1: float, b: float) -> None:
-    """Add token's BM25 contribution to scores[docid] for each (docid, tf) posting."""
-    idf = _idf(index, token)
-    for docid, tf in postings:
-        dl = float(index.doc_len[docid])
-        norm = k1 * (1.0 - b + b * dl / index.avgdl)
-        scores[docid] = scores.get(docid, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
+    weights = _weight(_idf(n, counts)[term], tf, doc_len[docids].astype(np.float64), avgdl, K1, B)
+    return InvertedIndex(indptr, docids, tf, weights, doc_len, avgdl, n)
 
 
 def bm25_score(
     index: InvertedIndex, query_tokens, docid: int, k1: float = K1, b: float = B
 ) -> float:
-    """Okapi score of one document for a query (distinct terms, +1-in-log idf)."""
-    scores: dict[int, float] = {}
+    """Okapi score of one document for a query (distinct terms, +1-in-log idf).
+
+    Recomputed from the term frequencies and document length, not read
+    from the index's precomputed weights.
+    """
+    score = 0.0
+    dl = float(index.doc_len[docid])
     for t in set(query_tokens):
-        plist = index.postings.get(t, [])
-        # (docid, 0) sorts just before the (docid, tf) entry, if any; the entry
-        # at pos may belong to another document, whose score is never read
-        pos = bisect_left(plist, (docid, 0))
-        _add_term(scores, index, t, plist[pos : pos + 1], k1, b)
-    return scores.get(docid, 0.0)
+        s = index.span(t)
+        pos = s.start + int(np.searchsorted(index.docids[s], docid))
+        if pos < s.stop and index.docids[pos] == docid:
+            idf = float(_idf(index.n_docs, s.stop - s.start))
+            score += _weight(idf, int(index.tf[pos]), dl, index.avgdl, k1, b)
+    return score
 
 
 def bm25_retrieve(index: InvertedIndex, query: Query, k: int) -> RankedList:
     """Top-k by BM25; only documents sharing a term with the query appear."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scores: dict[int, float] = {}
+    scores = np.zeros(index.n_docs)
     for t in set(query.tokens):
-        _add_term(scores, index, t, index.postings.get(t, ()), K1, B)
-    ranked = sorted(scores.items(), key=lambda e: (-e[1], e[0]))[:k]
-    return RankedList(query.qid, [(d, float(s)) for d, s in ranked])
+        s = index.span(t)
+        scores[index.docids[s]] += index.weights[s]
+    # every posting weight is > 0, so the matched documents are the positive scores
+    matched = np.flatnonzero(scores > 0.0)
+    docids = matched[top_order(scores[matched], k)]
+    return RankedList(query.qid, list(zip(docids.tolist(), scores[docids].tolist())))
 
 
 def train_two_tower(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,27 @@ def _done(*paths: Path) -> int:
 def _meta(path: Path, cfg: ExperimentConfig, command: str, **extra) -> None:
     checkpoint.write_meta(path, config_hash=cfg.config_hash(), seed=cfg.seed,
                           command=command, **extra)
+
+
+class _StageClock:
+    """Wall seconds per stage of a retrieval command. Only logged: timings
+    never go into artifacts or sidecars, which must reproduce byte for byte."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def done(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._last
+        self._last = now
+
+    def log(self, command: str, n_queries: int, timed: tuple[str, ...]) -> None:
+        """Log throughput over the `timed` stages and every stage's seconds."""
+        busy = sum(self.seconds[s] for s in timed)
+        log.info("%s: %d queries, %.1f queries/s over %s; %s", command, n_queries,
+                 n_queries / busy if busy > 0 else 0.0, "+".join(timed),
+                 ", ".join(f"{s} {t:.3f} s" for s, t in self.seconds.items()))
 
 
 def _load_corpus_queries(corpus_dir, queries_path, qrels_path):
@@ -181,6 +203,7 @@ def cmd_train_overdense(args) -> int:
 def cmd_retrieve(args) -> int:
     cfg = _cfg(args)
     out = _out(args)
+    clock = _StageClock()
     corp = corpus_mod.load_corpus(args.corpus_dir)
     queries = corpus_mod.load_queries(args.queries, corp.vocab)
     run_path = Path(args.run) if args.run else out / "run.txt"
@@ -188,6 +211,7 @@ def cmd_retrieve(args) -> int:
         raise ValueError("retrieve --method model requires --model")
     if args.method == "bm25":
         index = baselines.build_inverted_index(corp)
+        clock.done("load")
         ranked = [baselines.bm25_retrieve(index, q, cfg.k) for q in queries]
     else:
         ck_cfg, params, w_doc = checkpoint.load_model(args.model)
@@ -198,9 +222,13 @@ def cmd_retrieve(args) -> int:
         if w_doc.shape[1] != len(corp):
             raise ValueError("model docid matrix does not match the corpus size")
         model = DocidRetriever(Encoder(ck_cfg, params), w_doc)
+        clock.done("load")
         ranked = model.retrieve_all(queries, cfg.k)
+    clock.done("retrieve")
     write_run(run_path, ranked, corp.external_id, tag=cfg.run_tag)
     _meta(run_path, cfg, "retrieve", method=args.method, k=cfg.k)
+    clock.done("write")
+    clock.log(f"retrieve ({args.method})", len(queries), ("retrieve",))
     return _done(run_path)
 
 
@@ -276,27 +304,29 @@ def _load_shard_models(shards_dir: Path, corp, plan) -> list[DocidRetriever]:
 def cmd_shard_merge(args) -> int:
     cfg = _cfg(args)
     out = _out(args)
+    clock = _StageClock()
     corp = corpus_mod.load_corpus(args.corpus_dir)
     queries = corpus_mod.load_queries(args.queries, corp.vocab)
     shards_dir = Path(args.shards_dir)
     plan = distributed.read_manifest(shards_dir / "shards.tsv", corp)
     models = _load_shard_models(shards_dir, corp, plan)
-    group_runs: list[list] = [[] for _ in range(plan.n_groups)]
-    merged = []
-    for q in queries:
-        runs = distributed.shard_retrieve(models, plan, q, per_group_k=cfg.per_group_k)
-        for r in runs:
-            group_runs[r.group].append(r.ranked)
-        merged.append(distributed.merge_runs(runs, cfg.k, mode=cfg.merge_mode))
+    clock.done("load")
+    runs = [distributed.shard_retrieve(models, plan, q, per_group_k=cfg.per_group_k) for q in queries]
+    clock.done("retrieve")
+    merged = [distributed.merge_runs(r, cfg.k, mode=cfg.merge_mode) for r in runs]
+    clock.done("merge")
     written = []
-    for gid, ranked in enumerate(group_runs):
+    for gid in range(plan.n_groups):
         gpath = out / f"group{gid:02d}.run"
-        write_run(gpath, ranked, corp.external_id, tag=f"{cfg.run_tag}-g{gid}")
+        # shard_retrieve returns one run per group, in group order
+        write_run(gpath, [r[gid].ranked for r in runs], corp.external_id, tag=f"{cfg.run_tag}-g{gid}")
         written.append(gpath)
     merged_path = out / "merged.run"
     write_run(merged_path, merged, corp.external_id, tag=f"{cfg.run_tag}-{cfg.merge_mode}")
     _meta(merged_path, cfg, "shard-merge", mode=cfg.merge_mode)
     written.append(merged_path)
+    clock.done("write")
+    clock.log("shard-merge", len(queries), ("retrieve", "merge"))
     return _done(*written)
 
 

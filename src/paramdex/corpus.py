@@ -4,6 +4,9 @@ File formats:
   documents  one JSON object per line: {"docid": str, "text": str, "clicks": int?}
   queries    tab-separated ``qid \\t text``, UTF-8
   qrels      tab-separated ``qid \\t docid`` (external ids), one positive per query
+
+Docids and qids must be non-empty and free of whitespace, because run
+files separate their columns by whitespace.
 """
 
 from __future__ import annotations
@@ -93,6 +96,11 @@ class Document:
     click_count: int = 0
 
 
+def valid_id(value: str) -> bool:
+    """True for a non-empty id without whitespace: one column of a run file."""
+    return value.split() == [value]
+
+
 @dataclass
 class Query:
     qid: str
@@ -157,6 +165,8 @@ def ingest_corpus(path: str | Path, min_freq: int = 1) -> Corpus:
             if "text" not in rec:
                 raise ValueError(f"line {lineno}: record missing 'text' field")
             ext = str(rec["docid"])
+            if not valid_id(ext):
+                raise ValueError(f"line {lineno}: docid {ext!r} is empty or contains whitespace")
             if ext in seen:
                 raise ValueError(f"line {lineno}: duplicate docid '{ext}'")
             seen.add(ext)
@@ -189,6 +199,8 @@ def load_queries(path: str | Path, vocab: Vocabulary) -> list[Query]:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'qid<TAB>text'")
             qid, text = parts
+            if not valid_id(qid):
+                raise ValueError(f"line {lineno}: qid {qid!r} is empty or contains whitespace")
             if qid in seen:
                 raise ValueError(f"line {lineno}: duplicate qid '{qid}'")
             seen.add(qid)
@@ -299,5 +311,8 @@ def load_corpus(in_dir: str | Path) -> Corpus:
                     f"docs.jsonl line {i + 1} (docid '{rec['docid']}'): "
                     f"token id outside the vocabulary [0, {len(vocab)})"
                 )
-            docs.append(Document(i, str(rec["docid"]), tokens, int(rec.get("clicks", 0))))
+            ext = str(rec["docid"])
+            if not valid_id(ext):
+                raise ValueError(f"docs.jsonl line {i + 1}: docid {ext!r} is empty or contains whitespace")
+            docs.append(Document(i, ext, tokens, int(rec.get("clicks", 0))))
     return Corpus(docs, vocab)

@@ -80,8 +80,8 @@ def shard_retrieve(
         if model is None:
             raise ValueError(f"missing model for group {gid}")
         local = model.retrieve(query, min(per_group_k, len(plan.groups[gid])))
-        members = plan.groups[gid]
-        items = [(int(members[d]), s) for d, s in local.items]
+        ids, scores = zip(*local.items)  # groups are non-empty and k >= 1
+        items = list(zip(plan.groups[gid][list(ids)].tolist(), scores))
         runs.append(ShardRun(gid, RankedList(local.qid, items)))
     return runs
 

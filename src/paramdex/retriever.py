@@ -3,9 +3,12 @@ stage loop every trainer shares, and the two docid training pipelines
 (from-scratch and init-from-dense-vectors).
 
 The index is a d_model x n_docs matrix whose column i is the embedding of
-internal docid i. Scoring a query is one matrix-vector product; ranking
-uses the raw logits (softmax is monotone, so probabilities rank
-identically, and raw scores are what the sharded merge diagnostics need).
+internal docid i. Retrieval encodes the queries in blocks of QUERY_BLOCK,
+scores each block with one (B, d_model) x (d_model, n_docs) product, and
+keeps each row's top k. Ranking uses the raw logits: softmax is monotone,
+so probabilities rank identically, and raw scores are what the sharded
+merge diagnostics need. top_order is the one selection routine for every
+ranked list: model, dense, shard and BM25.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .nn import (
     adamw_init,
     adamw_step,
     forward_backward,
-    softmax,
 )
 from .pairs import TrainingPair, query_pairs
 from .training import (
@@ -36,6 +38,9 @@ from .training import (
 
 log = logging.getLogger(__name__)
 
+# queries encoded and scored together; bounds the logits to QUERY_BLOCK x n_docs
+QUERY_BLOCK = 64
+
 
 @dataclass
 class RankedList:
@@ -46,22 +51,39 @@ class RankedList:
         return [d for d, _ in self.items]
 
 
-def score_all(v_q: np.ndarray, w_doc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Logits and docid probabilities for one query vector."""
-    if v_q.ndim != 1 or w_doc.ndim != 2 or v_q.shape[0] != w_doc.shape[0]:
+def score_all(v: np.ndarray, w_doc: np.ndarray) -> np.ndarray:
+    """(B, n_docs) logits for a (B, d_model) block of query vectors."""
+    if v.ndim != 2 or w_doc.ndim != 2 or v.shape[1] != w_doc.shape[0]:
         raise ValueError(
-            f"dimension mismatch: query vector {v_q.shape} vs docid matrix {w_doc.shape}"
+            f"dimension mismatch: query vectors {v.shape} vs docid matrix {w_doc.shape}"
         )
-    logits = v_q @ w_doc
-    return logits, softmax(logits)
+    return v @ w_doc
+
+
+def top_order(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the first min(k, n) of the descending sort, ties by ascending position.
+
+    For k < n, a partition finds the k-th largest score and only the
+    scores >= it are sorted, so a tie straddling the k-th place is ordered
+    exactly as the full stable sort would order it.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not np.isfinite(scores).all():
+        raise ValueError("cannot rank non-finite scores (NaN or inf)")
+    n = scores.shape[0]
+    if k >= n:
+        return np.argsort(-scores, kind="stable")
+    kth = np.partition(scores, n - k)[n - k]
+    cand = np.flatnonzero(scores >= kth)
+    # last key is primary: descending score, then ascending position
+    return cand[np.lexsort((cand, -scores[cand]))][:k]
 
 
 def top_k(logits: np.ndarray, k: int) -> list[tuple[int, float]]:
-    """First min(k, n) of the descending sort, ties broken by ascending docid."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    order = np.argsort(-logits, kind="stable")[: min(k, logits.shape[0])]
-    return [(int(i), float(logits[i])) for i in order]
+    """(docid, logit) of the first min(k, n) of the descending sort, ties by ascending docid."""
+    order = top_order(logits, k)
+    return list(zip(order.tolist(), logits[order].tolist()))
 
 
 def init_overdense(dense_index: np.ndarray, n_docs: int | None = None) -> np.ndarray:
@@ -88,15 +110,18 @@ class DocidRetriever:
     def n_docs(self) -> int:
         return self.w_doc.shape[1]
 
-    def score(self, tokens) -> tuple[np.ndarray, np.ndarray]:
-        return score_all(self.encoder.encode(tokens), self.w_doc)
-
     def retrieve(self, query: Query, k: int) -> RankedList:
-        logits, _ = self.score(query.tokens)
-        return RankedList(query.qid, top_k(logits, k))
+        return self.retrieve_all([query], k)[0]
 
     def retrieve_all(self, queries: list[Query], k: int) -> list[RankedList]:
-        return [self.retrieve(q, k) for q in queries]
+        """Top k for every query: one encoder call and one product per block."""
+        ranked = []
+        for start in range(0, len(queries), QUERY_BLOCK):
+            block = queries[start : start + QUERY_BLOCK]
+            v, _ = self.encoder.forward_batch([q.tokens for q in block], need_cache=False)
+            logits = score_all(v, self.w_doc)
+            ranked += [RankedList(q.qid, top_k(row, k)) for q, row in zip(block, logits)]
+        return ranked
 
 
 def _validate_targets(pairs: list[TrainingPair], n_docs: int) -> None:

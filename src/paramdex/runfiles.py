@@ -1,7 +1,9 @@
 """TREC-style run files: ``qid Q0 external_docid rank score tag``.
 
 Ranks start at 1 and scores are written with 6 decimal places, so a run
-produced twice from the same model is byte-identical.
+produced twice from the same model is byte-identical. Columns are split on
+whitespace, so qids, docids and the tag must be non-empty and free of it;
+write_run checks the qids and the tag, the corpus readers the docids.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable
 
+from .corpus import valid_id
 from .retriever import RankedList
 
 
@@ -18,6 +21,9 @@ def write_run(
     external_of: Callable[[int], str],
     tag: str = "paramdex",
 ) -> None:
+    for kind, value in [("tag", tag)] + [("qid", rl.qid) for rl in ranked]:
+        if not valid_id(value):
+            raise ValueError(f"run file {kind} {value!r} is empty or contains whitespace")
     with open(path, "w", encoding="utf-8") as f:
         for rl in ranked:
             for rank, (docid, score) in enumerate(rl.items, start=1):

@@ -10,7 +10,7 @@ from paramdex.baselines import (
     dense_encode_corpus,
     train_two_tower,
 )
-from paramdex.corpus import Query
+from paramdex.corpus import UNK_ID, Query
 from paramdex.nn import Encoder, EncoderConfig, softmax_xent
 from paramdex.retriever import DocidRetriever, init_overdense
 from paramdex.training import TrainConfig
@@ -35,13 +35,19 @@ def _bm25_oracle(corpus, query_tokens, docid, k1=1.2, b=0.75):
     return score
 
 
+def _postings(index, token):
+    """[(docid, tf)] of one token, read from the CSR arrays."""
+    s = index.span(token)
+    return list(zip(index.docids[s].tolist(), index.tf[s].tolist()))
+
+
 class TestInvertedIndex:
     def test_single_doc_postings(self):
         corp = corpus_from_texts(["a a b"])
         index = build_inverted_index(corp)
         a, b = corp.vocab.lookup("a"), corp.vocab.lookup("b")
-        assert index.postings[a] == [(0, 2)]
-        assert index.postings[b] == [(0, 1)]
+        assert _postings(index, a) == [(0, 2)]
+        assert _postings(index, b) == [(0, 1)]
         assert index.avgdl == 3.0
 
     def test_absent_token_has_empty_postings(self):
@@ -58,8 +64,38 @@ class TestInvertedIndex:
         for t in range(3, len(corp.vocab)):
             expected_df = sum(1 for d in corp.docs if t in d.tokens)
             assert index.df(t) == expected_df
-            for docid, tf in index.postings.get(t, []):
+            docids = [d for d, _ in _postings(index, t)]
+            assert docids == sorted(docids)
+            for docid, tf in _postings(index, t):
                 assert tf == sum(1 for x in corp.doc(docid).tokens if x == t)
+
+    def test_unk_is_not_indexed(self):
+        corp = corpus_from_texts(["a b", "c"])
+        doc = corp.doc(0)
+        doc.tokens.append(UNK_ID)
+        index = build_inverted_index(corp)
+        assert index.df(UNK_ID) == 0
+        assert index.doc_len[0] == 3  # UNK still counts toward the document length
+
+    def test_weights_equal_bm25_score_bit_for_bit(self):
+        # build-time weights (vectorized) vs bm25_score's scalar recomputation
+        rng = np.random.default_rng(2)
+        words = [f"w{i}" for i in range(40)]
+        texts = [" ".join(rng.choice(words, size=rng.integers(3, 30))) for _ in range(80)]
+        corp = corpus_from_texts(texts)
+        index = build_inverted_index(corp)
+        for t in range(3, len(corp.vocab)):
+            s = index.span(t)
+            for docid, w in zip(index.docids[s].tolist(), index.weights[s].tolist()):
+                assert w == bm25_score(index, [t], docid)
+
+    def test_bm25_score_does_not_read_the_weights(self):
+        corp = corpus_from_texts(["apple pie", "apple cake", "banana split"])
+        index = build_inverted_index(corp)
+        q = [corp.vocab.lookup("apple"), corp.vocab.lookup("pie")]
+        before = bm25_score(index, q, 0)
+        index.weights[:] = 0.0
+        assert bm25_score(index, q, 0) == before > 0.0
 
 
 class TestBM25Score:
@@ -131,15 +167,18 @@ class TestBM25Retrieve:
         texts = [" ".join(rng.choice(words, size=rng.integers(5, 25))) for _ in range(200)]
         corp = corpus_from_texts(texts)
         index = build_inverted_index(corp)
-        for _ in range(10):
-            q = Query("q", list(rng.integers(3, len(corp.vocab), size=3)))
-            got = bm25_retrieve(index, q, 20)
-            scores = [(_bm25_oracle(corp, q.tokens, d), d) for d in range(200)]
+        absent = len(corp.vocab) + 5  # outside the vocabulary: matches nothing
+        queries = [list(rng.integers(3, len(corp.vocab), size=3)) for _ in range(10)]
+        queries += [[3, 3, 3, UNK_ID], [UNK_ID], [absent], [], [4, absent, 4]]
+        for tokens in queries:
+            scores = [(_bm25_oracle(corp, tokens, d), d) for d in range(200)]
             expected = [(d, s) for s, d in sorted(((s, d) for s, d in scores if s > 0),
-                                                  key=lambda e: (-e[0], e[1]))][:20]
-            assert [d for d, _ in got.items] == [d for d, _ in expected]
-            for (_, s_got), (_, s_exp) in zip(got.items, expected):
-                assert s_got == pytest.approx(s_exp, abs=1e-9)
+                                                  key=lambda e: (-e[0], e[1]))]
+            for k in (1, 20, 200):
+                got = bm25_retrieve(index, Query("q", tokens), k)
+                assert [d for d, _ in got.items] == [d for d, _ in expected[:k]]
+                for (_, s_got), (_, s_exp) in zip(got.items, expected):
+                    assert s_got == pytest.approx(s_exp, abs=1e-9)
 
     def test_disjoint_document_does_not_disturb_rankings(self):
         base = ["apple pie tart", "apple cake", "fruit salad apple"]

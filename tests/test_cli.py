@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +115,27 @@ def test_retrieve_bm25(workspace, tmp_path):
     assert lines and all(len(l.split()) == 6 for l in lines)
 
 
+_STAGE_LOG = r"[\d.]+ queries/s over {timed}; load [\d.]+ s, {stages}"
+
+
+def test_retrieve_logs_throughput_outside_its_artifacts(workspace, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="paramdex")
+    outputs = []
+    for rerun in ("a", "b"):
+        run_dir = tmp_path / rerun
+        assert run_cli("retrieve", "--corpus-dir", workspace["corpus"],
+                       "--queries", workspace["data"] / "heldout_queries.tsv",
+                       "--method", "bm25", "--out-dir", run_dir,
+                       "--config", workspace["cfg"]) == 0
+        outputs.append([(run_dir / n).read_bytes() for n in ("run.txt", "run.txt.meta.json")])
+    logged = [r.getMessage() for r in caplog.records if r.name == "paramdex.cli"]
+    pattern = "retrieve \\(bm25\\): 8 queries, " + _STAGE_LOG.format(
+        timed="retrieve", stages=r"retrieve [\d.]+ s, write [\d.]+ s")
+    assert len([m for m in logged if re.fullmatch(pattern, m)]) == 2
+    # timings go to the log only: the run file and its sidecar repeat byte for byte
+    assert outputs[0] == outputs[1]
+
+
 def test_dense_then_overdense_zero_shot_identity(workspace, tmp_path):
     dense_dir = tmp_path / "dense"
     assert run_cli("train-dense", "--corpus-dir", workspace["corpus"],
@@ -141,7 +164,8 @@ def test_dense_then_overdense_zero_shot_identity(workspace, tmp_path):
     assert a == b
 
 
-def test_shard_pipeline(workspace, tmp_path):
+def test_shard_pipeline(workspace, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="paramdex")
     shards_dir = tmp_path / "shards"
     assert run_cli("shard-train", "--corpus-dir", workspace["corpus"],
                    "--queries", workspace["data"] / "train_queries.tsv",
@@ -159,6 +183,9 @@ def test_shard_pipeline(workspace, tmp_path):
                    "--out-dir", merge_dir, "--config", workspace["cfg"]) == 0
     assert (merge_dir / "merged.run").exists()
     assert (merge_dir / "group00.run").exists()
+    pattern = "shard-merge: 20 queries, " + _STAGE_LOG.format(
+        timed=r"retrieve\+merge", stages=r"retrieve [\d.]+ s, merge [\d.]+ s, write [\d.]+ s")
+    assert any(re.fullmatch(pattern, r.getMessage()) for r in caplog.records)
 
     diag_dir = tmp_path / "diag"
     assert run_cli("diag-scores", "--runs-dir", merge_dir,

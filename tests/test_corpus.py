@@ -96,6 +96,15 @@ class TestIngest:
         with pytest.raises(ValueError, match="line 2"):
             ingest_corpus(path)
 
+    @pytest.mark.parametrize("bad", ["a b", "", "tab\there", "nl\n"])
+    def test_docid_empty_or_with_whitespace_names_line(self, tmp_path, bad):
+        path = self._write(tmp_path, [
+            {"docid": "a", "text": "one"},
+            {"docid": bad, "text": "two"},
+        ])
+        with pytest.raises(ValueError, match=r"line 2: docid .* is empty or contains whitespace"):
+            ingest_corpus(path)
+
     def test_empty_document_skipped(self, tmp_path, caplog):
         path = self._write(tmp_path, [
             {"docid": "a", "text": "fine"},
@@ -117,6 +126,13 @@ class TestQueriesQrels:
         p = tmp_path / "q.tsv"
         p.write_text("q1\tapple\nq1\tbanana\n")
         with pytest.raises(ValueError, match="duplicate qid"):
+            load_queries(p, tiny_corpus.vocab)
+
+    @pytest.mark.parametrize("bad", ["q 1", "", " q1", "q1\u00a0"])
+    def test_qid_empty_or_with_whitespace_names_line(self, tmp_path, tiny_corpus, bad):
+        p = tmp_path / "q.tsv"
+        p.write_text(f"q0\tapple\n{bad}\tbanana\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"line 2: qid .* is empty or contains whitespace"):
             load_queries(p, tiny_corpus.vocab)
 
     def test_multi_positive_keeps_first(self, tmp_path, caplog):
@@ -195,4 +211,16 @@ def test_load_rejects_token_id_outside_vocabulary(tmp_path, tiny_corpus, bad_id)
     lines[1] = json.dumps(rec) + "\n"
     docs.write_text("".join(lines))
     with pytest.raises(ValueError, match=r"docs.jsonl line 2 .*outside the vocabulary \[0, 8\)"):
+        load_corpus(tmp_path)
+
+
+def test_load_rejects_docid_with_whitespace(tmp_path, tiny_corpus):
+    save_corpus(tiny_corpus, tmp_path)
+    docs = tmp_path / "docs.jsonl"
+    lines = docs.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[2])
+    rec["docid"] = "d 2"
+    lines[2] = json.dumps(rec) + "\n"
+    docs.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"docs.jsonl line 3: docid 'd 2' is empty or contains whitespace"):
         load_corpus(tmp_path)

@@ -235,6 +235,26 @@ def test_manifest_roundtrip(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(loaded.groups, plan.groups))
 
 
+_MANIFEST_CORPUS = corpus_from_texts([f"w{i}" for i in range(40)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_manifest_roundtrip_property(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 40), label="n_docs")
+    g = data.draw(st.integers(1, n), label="groups")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    corp = _MANIFEST_CORPUS.take(range(n))[0]
+    plan = partition(n, g, seed)
+    path = tmp_path_factory.mktemp("manifest") / "shards.tsv"
+    write_manifest(path, plan, corp)
+    loaded = read_manifest(path, corp)
+    assert (loaded.n_groups, loaded.seed) == (g, seed)
+    assert np.array_equal(loaded.group_of, plan.group_of)
+    assert len(loaded.groups) == g
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.groups, plan.groups))
+
+
 @pytest.mark.parametrize("bad_gid", ["7", "2", "-1"])
 def test_manifest_group_id_outside_range_rejected(tmp_path, bad_gid):
     corp = corpus_from_texts([f"w{i} shared" for i in range(10)])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paramdex.evalkit import (
     MetricReport,
@@ -12,6 +13,9 @@ from paramdex.evalkit import (
 )
 from paramdex.retriever import RankedList
 from paramdex.runfiles import read_run, write_run
+
+# run-file ids: non-empty, no whitespace (every whitespace character is in Cc or Z*)
+_ID = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1, max_size=8)
 
 
 class TestRecall:
@@ -125,6 +129,32 @@ class TestRunFiles:
         parsed = read_run(path)
         assert parsed["q1"] == [("doc0", 1, 2.5), ("doc2", 2, 1.25)]
         assert parsed["q2"] == [("doc1", 1, -0.5)]
+
+    @pytest.mark.parametrize("qid,tag", [("q 1", "t"), ("", "t"), ("q1", "my tag"), ("q1", "")])
+    def test_unreadable_qid_or_tag_rejected_before_writing(self, tmp_path, qid, tag):
+        path = tmp_path / "run.txt"
+        ranked = [RankedList("q0", [(0, 1.0)]), RankedList(qid, [(1, 0.5)])]
+        with pytest.raises(ValueError, match="is empty or contains whitespace"):
+            write_run(path, ranked, lambda d: f"doc{d}", tag=tag)
+        assert not path.exists()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        exts=st.lists(_ID, min_size=1, max_size=8, unique=True),
+        lists=st.dictionaries(
+            _ID, st.lists(st.tuples(st.integers(0, 7), st.floats(-1e6, 1e6)), max_size=5), max_size=6
+        ),
+        tag=_ID,
+    )
+    def test_write_read_roundtrip(self, tmp_path_factory, exts, lists, tag):
+        ranked = [RankedList(qid, [(d % len(exts), s) for d, s in items]) for qid, items in lists.items()]
+        path = tmp_path_factory.mktemp("run") / "run.txt"
+        write_run(path, ranked, exts.__getitem__, tag=tag)
+        # a list without items writes no line, so read_run does not see its qid
+        assert read_run(path) == {
+            rl.qid: [(exts[d], rank, float(f"{s:.6f}")) for rank, (d, s) in enumerate(rl.items, start=1)]
+            for rl in ranked if rl.items
+        }
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "run.txt"

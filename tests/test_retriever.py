@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paramdex.corpus import Query
-from paramdex.nn import Encoder, EncoderConfig
+from paramdex.nn import Encoder, EncoderConfig, softmax
 from paramdex.pairs import TrainingPair, generate_pretrain_pairs
 from paramdex.retriever import (
+    QUERY_BLOCK,
     DocidRetriever,
     init_overdense,
     score_all,
@@ -23,40 +24,45 @@ from conftest import corpus_from_texts
 class TestScoreAll:
     def test_zero_query_vector(self):
         w = np.random.default_rng(0).normal(size=(8, 5))
-        logits, probs = score_all(np.zeros(8), w)
-        assert np.array_equal(logits, np.zeros(5))
-        np.testing.assert_allclose(probs, np.full(5, 0.2))
+        logits = score_all(np.zeros((1, 8)), w)
+        assert np.array_equal(logits, np.zeros((1, 5)))
+        np.testing.assert_allclose(softmax(logits), np.full((1, 5), 0.2))
 
     def test_equal_logits_split_probability(self):
-        v = np.array([1.0, 0.0])
+        v = np.array([[1.0, 0.0]])
         w = np.array([[1.0, 1.0], [5.0, 5.0]])
-        _, probs = score_all(v, w)
-        np.testing.assert_allclose(probs, [0.5, 0.5])
+        np.testing.assert_allclose(softmax(score_all(v, w)), [[0.5, 0.5]])
 
     def test_matches_hand_evaluated_product(self):
-        # independent oracle: plain python dot products and softmax
+        # independent oracle: plain python dot products and softmax, row by row
         rng = np.random.default_rng(7)
-        v = rng.normal(size=6)
+        v = rng.normal(size=(3, 6))
         w = rng.normal(size=(6, 5))
-        logits, probs = score_all(v, w)
-        expected_logits = [sum(v[i] * w[i, j] for i in range(6)) for j in range(5)]
-        exp = [math.exp(l - max(expected_logits)) for l in expected_logits]
-        expected_probs = [e / sum(exp) for e in exp]
-        np.testing.assert_allclose(logits, expected_logits, atol=1e-9)
-        np.testing.assert_allclose(probs, expected_probs, atol=1e-9)
+        logits = score_all(v, w)
+        assert logits.shape == (3, 5)
+        for b in range(3):
+            expected_logits = [sum(v[b, i] * w[i, j] for i in range(6)) for j in range(5)]
+            exp = [math.exp(l - max(expected_logits)) for l in expected_logits]
+            expected_probs = [e / sum(exp) for e in exp]
+            np.testing.assert_allclose(logits[b], expected_logits, atol=1e-9)
+            np.testing.assert_allclose(softmax(logits[b]), expected_probs, atol=1e-9)
 
     def test_probs_normalized(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            logits, probs = score_all(rng.normal(size=4), rng.normal(size=(4, 30)))
-            assert np.all(probs >= 0) and abs(probs.sum() - 1) < 1e-6
+            logits = score_all(rng.normal(size=(3, 4)), rng.normal(size=(4, 30)))
+            probs = softmax(logits)
+            assert np.all(probs >= 0) and np.all(abs(probs.sum(axis=1) - 1) < 1e-6)
             # softmax is monotone: identical rankings
-            assert np.array_equal(np.argsort(-logits, kind="stable"),
-                                  np.argsort(-probs, kind="stable"))
+            for row, prow in zip(logits, probs):
+                assert np.array_equal(np.argsort(-row, kind="stable"),
+                                      np.argsort(-prow, kind="stable"))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            score_all(np.zeros(3), np.zeros((4, 2)))
+            score_all(np.zeros((1, 3)), np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="mismatch"):
+            score_all(np.zeros(4), np.zeros((4, 2)))  # one query is a (1, d) block
 
 
 class TestTopK:
@@ -82,21 +88,82 @@ class TestTopK:
             assert [d for d, _ in top_k(logits, k)] == oracle[:k]
 
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_non_finite_logits_rejected(self, bad, k):
+        with pytest.raises(ValueError, match="non-finite"):
+            top_k(np.array([1.0, bad, 2.0]), k)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(
-        values=st.lists(
-            st.one_of(st.sampled_from([-2.5, -0.0, 0.0, 0.5, 3.0]),
-                      st.floats(-1e3, 1e3, width=32)),
-            min_size=1, max_size=60,
+        values=st.one_of(
+            # long arrays from a small set: ties straddle the k-th place
+            st.lists(st.sampled_from([-2.5, -0.0, 0.0, 0.5, 3.0]), min_size=1, max_size=200),
+            st.lists(
+                st.one_of(st.sampled_from([-2.5, -0.0, 0.0, 0.5, 3.0]),
+                          st.floats(-1e3, 1e3, width=32)),
+                min_size=1, max_size=60,
+            ),
         ),
         k=st.integers(1, 70),
         dtype=st.sampled_from([np.float32, np.float64]),
     )
+    @example(values=[1.0, 2.0, 0.5, 2.0, 2.0, 0.0], k=2, dtype=np.float64)  # 3 ties for 2 places
     def test_matches_lexsort_reference(self, values, k, dtype):
         logits = np.array(values, dtype=dtype)
         # last key is primary: descending score, then ascending docid
         order = np.lexsort((np.arange(len(logits)), -logits))[:k]
         assert top_k(logits, k) == [(int(i), float(logits[i])) for i in order]
+
+
+def _rankings_agree(got, want, rtol=1e-5):
+    """Scores equal within rtol; docids equal as sets inside each run of tied reference scores."""
+    assert len(got) == len(want)
+    tol = rtol * (max((abs(s) for _, s in want), default=0.0) or 1.0)
+    for (_, gs), (_, ws) in zip(got, want):
+        assert abs(gs - ws) <= tol
+    start = 0
+    for i in range(1, len(want) + 1):
+        if i == len(want) or want[i - 1][1] - want[i][1] > tol:
+            assert {d for d, _ in got[start:i]} == {d for d, _ in want[start:i]}
+            start = i
+
+
+class TestRetrieveAll:
+    CFG = EncoderConfig(vocab_size=20, d_model=16, n_layers=1, n_heads=2, d_ff=32, max_len=12)
+    N_DOCS = 40
+
+    def _model(self, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(self.CFG.d_model, self.N_DOCS)).astype(np.float32)
+        w[:, 30:] = w[:, :10]  # duplicate columns: tied scores
+        return DocidRetriever(Encoder.init(self.CFG, seed), w)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        n_queries=st.sampled_from([1, 2, QUERY_BLOCK, QUERY_BLOCK + 1, 2 * QUERY_BLOCK + 3]),
+        k=st.sampled_from([1, 7, N_DOCS, N_DOCS + 5]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_query_lexsort_reference(self, n_queries, k, seed):
+        model = self._model(seed)
+        rng = np.random.default_rng(seed + 1)
+        queries = [Query(f"q{i}", [int(t) for t in rng.integers(3, 20, size=rng.integers(0, 15))])
+                   for i in range(n_queries)]
+        queries[-1] = Query("empty", [])
+        got = model.retrieve_all(queries, k)
+        assert [rl.qid for rl in got] == [q.qid for q in queries]
+        for q, rl in zip(queries, got):
+            scores = model.encoder.encode(q.tokens) @ model.w_doc
+            order = np.lexsort((np.arange(self.N_DOCS), -scores))[:k]
+            _rankings_agree(rl.items, [(int(i), float(scores[i])) for i in order])
+
+    def test_retrieve_is_retrieve_all_of_one_query(self):
+        model = self._model(3)
+        for tokens in ([], [5], list(range(3, 16))):
+            q = Query("q", tokens)
+            for k in (1, 10, self.N_DOCS):
+                assert model.retrieve(q, k).items == model.retrieve_all([q], k)[0].items
 
 
 class TestInitOverdense:
@@ -106,7 +173,7 @@ class TestInitOverdense:
         w = init_overdense(index, 7)
         assert w.shape == (4, 7)
         v = rng.normal(size=4).astype(np.float32)
-        logits, _ = score_all(v, w)
+        logits = score_all(v[None], w)[0]
         for i in range(7):
             assert logits[i] == pytest.approx(float(v @ index[i]), abs=1e-6)
 
