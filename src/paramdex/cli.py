@@ -4,6 +4,14 @@ Every subcommand reads declared inputs, writes its artifacts under
 --out-dir, stamps each artifact with the resolved config hash and seed via
 a ``.meta.json`` sidecar, and prints the paths it wrote. Reruns with the
 same inputs, config and seed reproduce artifacts byte for byte.
+
+main resolves the config once: the --config file overlaid with --seed, and
+with --skip-pretrain / --skip-finetune as pretrain_epochs = 0 /
+finetune_epochs = 0, so the sidecar hash records an ablation. It creates
+--out-dir and passes both to the subcommand's handler. A pipeline step that
+several subcommands run has one helper: _pretrain_pairs (pairs,
+shard-train), _train_dense (train-dense, shard-train --strategy overdense)
+and _load_retriever (retrieve, shard-merge).
 """
 
 from __future__ import annotations
@@ -26,23 +34,6 @@ from .synth import generate as synth_generate
 from .training import format_logs
 
 log = logging.getLogger(__name__)
-
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="experiment config file (key = value lines)")
-    sp.add_argument("--seed", type=int, help="override the config seed")
-    sp.add_argument("--out-dir", default=".", help="directory for output artifacts")
-
-
-def _cfg(args: argparse.Namespace, **extra) -> ExperimentConfig:
-    overrides = {"seed": args.seed, **extra}
-    return load_config(args.config, overrides)
-
-
-def _out(args: argparse.Namespace) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _done(*paths: Path) -> int:
@@ -77,16 +68,46 @@ class _StageClock:
                  ", ".join(f"{s} {t:.3f} s" for s, t in self.seconds.items()))
 
 
-def _load_corpus_queries(corpus_dir, queries_path, qrels_path):
-    corp = corpus_mod.load_corpus(corpus_dir)
-    queries = corpus_mod.load_queries(queries_path, corp.vocab)
-    qrels = corpus_mod.load_qrels(qrels_path, corp)
+def _load_corpus_queries(args):
+    corp = corpus_mod.load_corpus(args.corpus_dir)
+    queries = corpus_mod.load_queries(args.queries, corp.vocab)
+    qrels = corpus_mod.load_qrels(args.qrels, corp)
     return corp, queries, qrels
 
 
-def cmd_synth(args) -> int:
-    cfg = _cfg(args)
-    out = _out(args)
+def _load_retriever(path, corp, n_docs: int, what: str) -> DocidRetriever:
+    """The retriever in checkpoint `path`, checked against the corpus
+    vocabulary and a docid space of n_docs; errors name it `what`."""
+    ck_cfg, params, w_doc = checkpoint.load_model(path)
+    if w_doc is None:
+        raise ValueError(f"{what} {path} has no docid matrix; not a retriever checkpoint")
+    if ck_cfg.vocab_size != len(corp.vocab):
+        raise ValueError(f"{what} vocabulary does not match the corpus")
+    if w_doc.shape[1] != n_docs:
+        raise ValueError(f"{what} docid matrix has {w_doc.shape[1]} columns "
+                         f"but there are {n_docs} documents to rank")
+    return DocidRetriever(Encoder(ck_cfg, params), w_doc)
+
+
+def _pretrain_pairs(corp, cfg: ExperimentConfig, seed: int) -> list[TrainingPair]:
+    return pairs_mod.generate_pretrain_pairs(
+        corp, window=cfg.window, m_samples=cfg.m_samples, ngram_n=cfg.ngram_n,
+        ngram_min_df=cfg.ngram_min_df,
+        max_ngrams=cfg.max_ngrams or None,  # 0 means the default cap
+        seed=seed,
+    )
+
+
+def _train_dense(corp, queries, qrels, cfg: ExperimentConfig, tcfg):
+    """Two-tower training, then the corpus encoded by the document tower."""
+    q_enc, d_enc, logs = baselines.train_two_tower(
+        corp, queries, qrels, cfg.encoder_config(len(corp.vocab)), tcfg,
+        shared=not cfg.separate_towers,
+    )
+    return q_enc, d_enc, baselines.dense_encode_corpus(d_enc, corp, batch_size=cfg.batch_size), logs
+
+
+def cmd_synth(args, cfg, out) -> int:
     paths = synth_generate(
         out, n_docs=args.docs, n_topics=args.topics,
         n_train=args.train_queries, n_heldout=args.heldout_queries,
@@ -96,9 +117,7 @@ def cmd_synth(args) -> int:
     return _done(*paths.values())
 
 
-def cmd_ingest(args) -> int:
-    cfg = _cfg(args)
-    out = _out(args)
+def cmd_ingest(args, cfg, out) -> int:
     corp = corpus_mod.ingest_corpus(args.docs, min_freq=cfg.min_freq)
     written = corpus_mod.save_corpus(corp, out)
     _meta(written["docs"], cfg, "ingest", n_docs=len(corp), vocab_size=len(corp.vocab))
@@ -106,9 +125,7 @@ def cmd_ingest(args) -> int:
     return _done(*written.values())
 
 
-def cmd_subset(args) -> int:
-    cfg = _cfg(args)
-    out = _out(args)
+def cmd_subset(args, cfg, out) -> int:
     corp = corpus_mod.load_corpus(args.corpus_dir)
     qrels = corpus_mod.load_qrels(args.qrels, corp)
     sub, sub_qrels = corpus_mod.sample_subset(corp, qrels, args.strategy, args.size, seed=cfg.seed)
@@ -122,16 +139,9 @@ def cmd_subset(args) -> int:
     return _done(*written.values(), qrels_path)
 
 
-def cmd_pairs(args) -> int:
-    cfg = _cfg(args)
-    out = _out(args)
+def cmd_pairs(args, cfg, out) -> int:
     corp = corpus_mod.load_corpus(args.corpus_dir)
-    generated = pairs_mod.generate_pretrain_pairs(
-        corp, window=cfg.window, m_samples=cfg.m_samples, ngram_n=cfg.ngram_n,
-        ngram_min_df=cfg.ngram_min_df,
-        max_ngrams=cfg.max_ngrams if cfg.max_ngrams > 0 else None,
-        seed=cfg.seed,
-    )
+    generated = _pretrain_pairs(corp, cfg, cfg.seed)
     path = out / "pairs.tsv"
     pairs_mod.save_pairs(path, generated, corp)
     counts = {t: sum(1 for p in generated if p.task == t) for t in ("passage", "terms", "ngram")}
@@ -140,8 +150,8 @@ def cmd_pairs(args) -> int:
     return _done(path)
 
 
-def _save_retriever(out: Path, name: str, enc: Encoder, w_doc, cfg, command, logs) -> list[Path]:
-    model_path = out / name
+def _save_retriever(out: Path, enc: Encoder, w_doc, cfg, command, logs) -> list[Path]:
+    model_path = out / "model.ckpt"
     checkpoint.save_model(model_path, enc.cfg, enc.params, w_doc)
     _meta(model_path, cfg, command)
     log_path = out / "loss_log.txt"
@@ -149,60 +159,44 @@ def _save_retriever(out: Path, name: str, enc: Encoder, w_doc, cfg, command, log
     return [model_path, log_path]
 
 
-def cmd_train_dense(args) -> int:
-    cfg = _cfg(args)
-    out = _out(args)
-    corp, queries, qrels = _load_corpus_queries(args.corpus_dir, args.queries, args.qrels)
-    enc_cfg = cfg.encoder_config(len(corp.vocab))
-    q_enc, d_enc, logs = baselines.train_two_tower(
-        corp, queries, qrels, enc_cfg, cfg.train_config(), shared=not cfg.separate_towers
-    )
-    index = baselines.dense_encode_corpus(d_enc, corp, batch_size=cfg.batch_size)
+def cmd_train_dense(args, cfg, out) -> int:
+    corp, queries, qrels = _load_corpus_queries(args)
+    q_enc, d_enc, index, logs = _train_dense(corp, queries, qrels, cfg, cfg.train_config())
     q_path, d_path, i_path = out / "query_tower.ckpt", out / "doc_tower.ckpt", out / "dense_index.bin"
-    checkpoint.save_model(q_path, enc_cfg, q_enc.params)
-    checkpoint.save_model(d_path, enc_cfg, d_enc.params)
+    checkpoint.save_model(q_path, q_enc.cfg, q_enc.params)
+    checkpoint.save_model(d_path, d_enc.cfg, d_enc.params)
     checkpoint.save_dense_index(i_path, index)
     for p in (q_path, d_path, i_path):
         _meta(p, cfg, "train-dense")
     # retriever-equivalent checkpoint: query tower + transposed index
-    written = _save_retriever(out, "model.ckpt", q_enc, init_overdense(index, len(corp)),
-                              cfg, "train-dense", logs)
+    written = _save_retriever(out, q_enc, init_overdense(index, len(corp)), cfg, "train-dense", logs)
     return _done(q_path, d_path, i_path, *written)
 
 
-def cmd_train_vanilla(args) -> int:
-    cfg = _cfg(args)
-    out = _out(args)
-    corp, queries, qrels = _load_corpus_queries(args.corpus_dir, args.queries, args.qrels)
+def cmd_train_vanilla(args, cfg, out) -> int:
+    if not args.pairs and cfg.pretrain_epochs > 0:
+        raise ValueError("train-vanilla needs --pairs unless pre-training is off "
+                         "(--skip-pretrain or pretrain_epochs = 0)")
+    corp, queries, qrels = _load_corpus_queries(args)
     pretrain = pairs_mod.load_pairs(args.pairs, corp) if args.pairs else []
-    if not args.pairs and not args.skip_pretrain:
-        raise ValueError("train-vanilla needs --pairs unless --skip-pretrain is given")
-    enc, w_doc, logs = train_vanilla(
-        corp, pretrain, queries, qrels, cfg.encoder_config(len(corp.vocab)),
-        cfg.train_config(), skip_pretrain=args.skip_pretrain, skip_finetune=args.skip_finetune,
-    )
-    return _done(*_save_retriever(out, "model.ckpt", enc, w_doc, cfg, "train-vanilla", logs))
+    enc, w_doc, logs = train_vanilla(corp, pretrain, queries, qrels,
+                                     cfg.encoder_config(len(corp.vocab)), cfg.train_config())
+    return _done(*_save_retriever(out, enc, w_doc, cfg, "train-vanilla", logs))
 
 
-def cmd_train_overdense(args) -> int:
-    cfg = _cfg(args)
-    out = _out(args)
-    corp, queries, qrels = _load_corpus_queries(args.corpus_dir, args.queries, args.qrels)
+def cmd_train_overdense(args, cfg, out) -> int:
+    corp, queries, qrels = _load_corpus_queries(args)
     dense_dir = Path(args.dense_dir)
     tower_cfg, tower_params, _ = checkpoint.load_model(dense_dir / "query_tower.ckpt")
     if tower_cfg.vocab_size != len(corp.vocab):
         raise ValueError("query tower vocabulary does not match the corpus")
     index = checkpoint.load_dense_index(dense_dir / "dense_index.bin")
-    enc, w_doc, logs = train_overdense(
-        corp, index, Encoder(tower_cfg, tower_params), queries, qrels,
-        cfg.train_config(), skip_finetune=args.skip_finetune,
-    )
-    return _done(*_save_retriever(out, "model.ckpt", enc, w_doc, cfg, "train-overdense", logs))
+    enc, w_doc, logs = train_overdense(corp, index, Encoder(tower_cfg, tower_params),
+                                       queries, qrels, cfg.train_config())
+    return _done(*_save_retriever(out, enc, w_doc, cfg, "train-overdense", logs))
 
 
-def cmd_retrieve(args) -> int:
-    cfg = _cfg(args)
-    out = _out(args)
+def cmd_retrieve(args, cfg, out) -> int:
     clock = _StageClock()
     corp = corpus_mod.load_corpus(args.corpus_dir)
     queries = corpus_mod.load_queries(args.queries, corp.vocab)
@@ -214,14 +208,7 @@ def cmd_retrieve(args) -> int:
         clock.done("load")
         ranked = [baselines.bm25_retrieve(index, q, cfg.k) for q in queries]
     else:
-        ck_cfg, params, w_doc = checkpoint.load_model(args.model)
-        if w_doc is None:
-            raise ValueError(f"{args.model} has no docid matrix; not a retriever checkpoint")
-        if ck_cfg.vocab_size != len(corp.vocab):
-            raise ValueError("model vocabulary does not match the corpus")
-        if w_doc.shape[1] != len(corp):
-            raise ValueError("model docid matrix does not match the corpus size")
-        model = DocidRetriever(Encoder(ck_cfg, params), w_doc)
+        model = _load_retriever(args.model, corp, len(corp), "model")
         clock.done("load")
         ranked = model.retrieve_all(queries, cfg.k)
     clock.done("retrieve")
@@ -232,9 +219,7 @@ def cmd_retrieve(args) -> int:
     return _done(run_path)
 
 
-def cmd_eval(args) -> int:
-    cfg = _cfg(args)
-    out = _out(args)
+def cmd_eval(args, cfg, out) -> int:
     report = evalkit.evaluate_run_file(args.run, args.qrels, ks=cfg.ks(), cutoff=cfg.mrr_cutoff)
     table = evalkit.render_table(report)
     print(table, end="")
@@ -250,10 +235,8 @@ def _shard_seed(seed: int, gid: int) -> int:
     return seed * 1000 + gid + 1
 
 
-def cmd_shard_train(args) -> int:
-    cfg = _cfg(args)
-    out = _out(args)
-    corp, queries, qrels = _load_corpus_queries(args.corpus_dir, args.queries, args.qrels)
+def cmd_shard_train(args, cfg, out) -> int:
+    corp, queries, qrels = _load_corpus_queries(args)
     plan = distributed.partition(len(corp), cfg.n_groups, seed=cfg.seed)
     manifest = out / "shards.tsv"
     distributed.write_manifest(manifest, plan, corp)
@@ -264,52 +247,31 @@ def cmd_shard_train(args) -> int:
         gdir.mkdir(exist_ok=True)
         tcfg = cfg.train_config()
         tcfg.seed = _shard_seed(cfg.seed, gid)
-        enc_cfg = cfg.encoder_config(len(corp.vocab))
         if args.strategy == "vanilla":
-            pre = pairs_mod.generate_pretrain_pairs(
-                sub, window=cfg.window, m_samples=cfg.m_samples, ngram_n=cfg.ngram_n,
-                ngram_min_df=cfg.ngram_min_df,
-                max_ngrams=cfg.max_ngrams if cfg.max_ngrams > 0 else None,
-                seed=tcfg.seed,
-            )
-            enc, w_doc, logs = train_vanilla(sub, pre, queries, sub_qrels, enc_cfg, tcfg)
+            enc, w_doc, logs = train_vanilla(sub, _pretrain_pairs(sub, cfg, tcfg.seed), queries,
+                                             sub_qrels, cfg.encoder_config(len(corp.vocab)), tcfg)
         else:
-            q_enc, d_enc, tt_logs = baselines.train_two_tower(
-                sub, queries, sub_qrels, enc_cfg, tcfg, shared=not cfg.separate_towers
-            )
-            index = baselines.dense_encode_corpus(d_enc, sub, batch_size=cfg.batch_size)
+            q_enc, _, index, logs = _train_dense(sub, queries, sub_qrels, cfg, tcfg)
             enc, w_doc, ft_logs = train_overdense(sub, index, q_enc, queries, sub_qrels, tcfg)
-            logs = tt_logs + ft_logs
-        written += _save_retriever(gdir, "model.ckpt", enc, w_doc, cfg, "shard-train", logs)
+            logs += ft_logs
+        written += _save_retriever(gdir, enc, w_doc, cfg, "shard-train", logs)
         log.info("group %d trained on %d documents, %d labeled queries",
                  gid, len(sub), len(sub_qrels))
     return _done(*written)
 
 
-def _load_shard_models(shards_dir: Path, corp, plan) -> list[DocidRetriever]:
-    models = []
-    for gid in range(plan.n_groups):
-        path = shards_dir / f"group{gid:02d}" / "model.ckpt"
-        if not path.exists():
-            raise ValueError(f"missing model for group {gid}: {path}")
-        ck_cfg, params, w_doc = checkpoint.load_model(path)
-        if ck_cfg.vocab_size != len(corp.vocab):
-            raise ValueError(f"group {gid} model vocabulary does not match the corpus")
-        if w_doc is None or w_doc.shape[1] != len(plan.groups[gid]):
-            raise ValueError(f"group {gid} checkpoint does not match the shard plan")
-        models.append(DocidRetriever(Encoder(ck_cfg, params), w_doc))
-    return models
-
-
-def cmd_shard_merge(args) -> int:
-    cfg = _cfg(args)
-    out = _out(args)
+def cmd_shard_merge(args, cfg, out) -> int:
     clock = _StageClock()
     corp = corpus_mod.load_corpus(args.corpus_dir)
     queries = corpus_mod.load_queries(args.queries, corp.vocab)
     shards_dir = Path(args.shards_dir)
     plan = distributed.read_manifest(shards_dir / "shards.tsv", corp)
-    models = _load_shard_models(shards_dir, corp, plan)
+    models = []
+    for gid, members in enumerate(plan.groups):
+        path = shards_dir / f"group{gid:02d}" / "model.ckpt"
+        if not path.exists():
+            raise ValueError(f"missing model for group {gid}: {path}")
+        models.append(_load_retriever(path, corp, len(members), f"group {gid} model"))
     clock.done("load")
     runs = [distributed.shard_retrieve(models, plan, q, per_group_k=cfg.per_group_k) for q in queries]
     clock.done("retrieve")
@@ -330,9 +292,7 @@ def cmd_shard_merge(args) -> int:
     return _done(*written)
 
 
-def cmd_diag_scores(args) -> int:
-    cfg = _cfg(args)
-    out = _out(args)
+def cmd_diag_scores(args, cfg, out) -> int:
     runs_dir = Path(args.runs_dir)
     run_paths = sorted(runs_dir.glob("group*.run"))
     if not run_paths:
@@ -356,8 +316,7 @@ def cmd_diag_scores(args) -> int:
     return _done(csv_path)
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _cfg(args)
+def cmd_gradcheck(args, cfg, out) -> int:
     enc_cfg = EncoderConfig(
         vocab_size=args.vocab, d_model=args.d_model, n_layers=args.layers,
         n_heads=args.heads, d_ff=args.d_ff, max_len=args.max_len,
@@ -389,103 +348,75 @@ def cmd_gradcheck(args) -> int:
     return 0 if worst < args.threshold else 1
 
 
+def _command(sub, name: str, func, help: str, *required: str) -> argparse.ArgumentParser:
+    """Subcommand `name` running func(args, cfg, out), with the given
+    required flags; build_parser adds --config, --seed and --out-dir last."""
+    sp = sub.add_parser(name, help=help)
+    for flag in required:
+        sp.add_argument(flag, required=True)
+    sp.set_defaults(func=func)
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="paramdex",
         description="Model-based retrieval experiments with a trainable docid matrix.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    corpus_queries_qrels = ("--corpus-dir", "--queries", "--qrels")
 
-    sp = sub.add_parser("synth", help="generate a synthetic corpus with queries and qrels")
+    sp = _command(sub, "synth", cmd_synth, "generate a synthetic corpus with queries and qrels")
     sp.add_argument("--docs", type=int, default=1000)
     sp.add_argument("--topics", type=int, default=None)
     sp.add_argument("--train-queries", type=int, default=None)
     sp.add_argument("--heldout-queries", type=int, default=None)
     sp.add_argument("--doc-len-min", type=int, default=40)
     sp.add_argument("--doc-len-max", type=int, default=80)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_synth)
 
-    sp = sub.add_parser("ingest", help="tokenize a JSONL document file into a corpus directory")
-    sp.add_argument("--docs", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_ingest)
+    _command(sub, "ingest", cmd_ingest, "tokenize a JSONL document file into a corpus directory",
+             "--docs")
 
-    sp = sub.add_parser("subset", help="sample an evaluation subset by clicks or at random")
-    sp.add_argument("--corpus-dir", required=True)
-    sp.add_argument("--qrels", required=True)
+    sp = _command(sub, "subset", cmd_subset, "sample an evaluation subset by clicks or at random",
+                  "--corpus-dir", "--qrels")
     sp.add_argument("--strategy", choices=("top_click", "random"), required=True)
     sp.add_argument("--size", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_subset)
 
-    sp = sub.add_parser("pairs", help="generate self-supervised pre-training pairs")
-    sp.add_argument("--corpus-dir", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_pairs)
+    _command(sub, "pairs", cmd_pairs, "generate self-supervised pre-training pairs", "--corpus-dir")
 
-    sp = sub.add_parser("train-dense", help="train the two-tower baseline and encode the corpus")
-    sp.add_argument("--corpus-dir", required=True)
-    sp.add_argument("--queries", required=True)
-    sp.add_argument("--qrels", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_train_dense)
+    _command(sub, "train-dense", cmd_train_dense,
+             "train the two-tower baseline and encode the corpus", *corpus_queries_qrels)
 
-    sp = sub.add_parser("train-vanilla", help="train the retriever from scratch")
-    sp.add_argument("--corpus-dir", required=True)
-    sp.add_argument("--queries", required=True)
-    sp.add_argument("--qrels", required=True)
+    sp = _command(sub, "train-vanilla", cmd_train_vanilla, "train the retriever from scratch",
+                  *corpus_queries_qrels)
     sp.add_argument("--pairs", help="pre-training pairs tsv")
-    sp.add_argument("--skip-pretrain", action="store_true")
-    sp.add_argument("--skip-finetune", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_train_vanilla)
+    sp.add_argument("--skip-pretrain", action="store_true", help="same as pretrain_epochs = 0")
+    sp.add_argument("--skip-finetune", action="store_true", help="same as finetune_epochs = 0")
 
-    sp = sub.add_parser("train-overdense", help="initialize from the dense baseline and fine-tune")
-    sp.add_argument("--corpus-dir", required=True)
-    sp.add_argument("--queries", required=True)
-    sp.add_argument("--qrels", required=True)
+    sp = _command(sub, "train-overdense", cmd_train_overdense,
+                  "initialize from the dense baseline and fine-tune", *corpus_queries_qrels)
     sp.add_argument("--dense-dir", required=True, help="train-dense output directory")
-    sp.add_argument("--skip-finetune", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_train_overdense)
+    sp.add_argument("--skip-finetune", action="store_true", help="same as finetune_epochs = 0")
 
-    sp = sub.add_parser("retrieve", help="write a run file for a query set")
-    sp.add_argument("--corpus-dir", required=True)
-    sp.add_argument("--queries", required=True)
+    sp = _command(sub, "retrieve", cmd_retrieve, "write a run file for a query set",
+                  "--corpus-dir", "--queries")
     sp.add_argument("--model", help="retriever checkpoint (required for --method model)")
     sp.add_argument("--method", choices=("model", "bm25"), default="model")
     sp.add_argument("--run", help="output run file path (default <out-dir>/run.txt)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_retrieve)
 
-    sp = sub.add_parser("eval", help="score a run file against qrels")
-    sp.add_argument("--run", required=True)
-    sp.add_argument("--qrels", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_eval)
+    _command(sub, "eval", cmd_eval, "score a run file against qrels", "--run", "--qrels")
 
-    sp = sub.add_parser("shard-train", help="partition the corpus and train one model per group")
-    sp.add_argument("--corpus-dir", required=True)
-    sp.add_argument("--queries", required=True)
-    sp.add_argument("--qrels", required=True)
+    sp = _command(sub, "shard-train", cmd_shard_train,
+                  "partition the corpus and train one model per group", *corpus_queries_qrels)
     sp.add_argument("--strategy", choices=("vanilla", "overdense"), default="vanilla")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_shard_train)
 
-    sp = sub.add_parser("shard-merge", help="retrieve per group and merge the ranked lists")
-    sp.add_argument("--shards-dir", required=True)
-    sp.add_argument("--corpus-dir", required=True)
-    sp.add_argument("--queries", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_shard_merge)
+    _command(sub, "shard-merge", cmd_shard_merge, "retrieve per group and merge the ranked lists",
+             "--shards-dir", "--corpus-dir", "--queries")
 
-    sp = sub.add_parser("diag-scores", help="per-group score distribution report")
+    sp = _command(sub, "diag-scores", cmd_diag_scores, "per-group score distribution report")
     sp.add_argument("--runs-dir", required=True, help="directory with group*.run files")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_diag_scores)
 
-    sp = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradients")
+    sp = _command(sub, "gradcheck", cmd_gradcheck, "finite-difference check of the analytic gradients")
     sp.add_argument("--d-model", type=int, default=16)
     sp.add_argument("--layers", type=int, default=1)
     sp.add_argument("--heads", type=int, default=2)
@@ -497,9 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=1e-4)
     sp.add_argument("--coords", type=int, default=4)
     sp.add_argument("--threshold", type=float, default=1e-4)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_gradcheck)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--config", help="experiment config file (key = value lines)")
+        sp.add_argument("--seed", type=int, help="override the config seed")
+        sp.add_argument("--out-dir", default=".", help="directory for output artifacts")
     return ap
 
 
@@ -509,8 +442,17 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
+    # the ablation flags are config overrides, so the sidecar hash records them
+    overrides = {"seed": args.seed}
+    if getattr(args, "skip_pretrain", False):
+        overrides["pretrain_epochs"] = 0
+    if getattr(args, "skip_finetune", False):
+        overrides["finetune_epochs"] = 0
     try:
-        return args.func(args)
+        cfg = load_config(args.config, overrides)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, cfg, out)
     except (ValueError, FileNotFoundError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -2,7 +2,9 @@
 
 A config file is ``key = value`` lines (``#`` starts a comment). Every key
 is listed in FIELDS below with its type, default and valid range; unknown
-keys are rejected. Command-line flags override file values. The resolved
+keys are rejected. Input paths are command-line flags, not config keys.
+The flags --seed, --skip-pretrain and --skip-finetune override file values
+(the latter two as pretrain_epochs = 0 and finetune_epochs = 0). The resolved
 config hashes to a short hex digest that is stamped into every artifact's
 sidecar, so artifacts are traceable to the exact settings and seed that
 produced them.
@@ -43,9 +45,6 @@ _E, _T = EncoderConfig, TrainConfig
 
 # name -> (parser, default, validator or None, description)
 FIELDS: dict[str, tuple] = {
-    "corpus_dir": (str, "", None, "prepared corpus directory"),
-    "queries": (str, "", None, "queries tsv path"),
-    "qrels": (str, "", None, "qrels tsv path"),
     "d_model": (int, _E.d_model, _pos, "encoder width"),
     "n_layers": (int, _E.n_layers, _pos, "encoder depth"),
     "n_heads": (int, _E.n_heads, _pos, "attention heads (must divide d_model)"),

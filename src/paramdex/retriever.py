@@ -1,6 +1,8 @@
 """Docid scoring over the trainable index matrix, top-k retrieval, the AdamW
 stage loop every trainer shares, and the two docid training pipelines
-(from-scratch and init-from-dense-vectors).
+(from-scratch and init-from-dense-vectors). Both end in the same
+query-docid fine-tuning stage. A stage runs exactly when its epoch count
+in TrainConfig is above 0; that is also how an ablation drops a stage.
 
 The index is a d_model x n_docs matrix whose column i is the embedding of
 internal docid i. Retrieval encodes the queries in blocks of QUERY_BLOCK,
@@ -179,6 +181,21 @@ def _train_docid(stage: str, encoder: Encoder, w_doc: np.ndarray, epoch_pairs, n
     return trained["w_doc"]
 
 
+def _finetune(encoder: Encoder, w_doc: np.ndarray, fine_pairs: list[TrainingPair],
+              cfg: TrainConfig, logs: list[EpochLog]) -> np.ndarray:
+    """Query-docid fine-tuning for cfg.finetune_epochs epochs (none at 0);
+    trains encoder in place and returns the new w_doc."""
+    if cfg.finetune_epochs == 0:
+        return w_doc
+    if not fine_pairs:
+        raise ValueError("fine-tuning requested but no labeled queries were provided")
+    return _train_docid(
+        "finetune", encoder, w_doc,
+        lambda ep: [fine_pairs[i] for i in stage_rng(cfg.seed, 3, ep).permutation(len(fine_pairs))],
+        cfg.finetune_epochs, cfg, logs,
+    )
+
+
 def train_vanilla(
     corpus: Corpus,
     pretrain_pairs: list[TrainingPair],
@@ -186,10 +203,9 @@ def train_vanilla(
     qrels: dict[str, int],
     enc_cfg: EncoderConfig,
     cfg: TrainConfig,
-    skip_pretrain: bool = False,
-    skip_finetune: bool = False,
 ) -> tuple[Encoder, np.ndarray, list[EpochLog]]:
-    """Random init, self-supervised pre-training, then query-docid fine-tuning."""
+    """Random init, self-supervised pre-training, then query-docid fine-tuning.
+    A stage runs only when its epoch count in cfg is above 0."""
     fine_pairs = query_pairs(queries, qrels)
     _validate_targets(pretrain_pairs, len(corpus))
     _validate_targets(fine_pairs, len(corpus))
@@ -197,7 +213,7 @@ def train_vanilla(
     w_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     w_doc = w_rng.normal(0.0, 0.02, size=(enc_cfg.d_model, len(corpus))).astype(np.float32)
     logs: list[EpochLog] = []
-    if not skip_pretrain and cfg.pretrain_epochs > 0:
+    if cfg.pretrain_epochs > 0:
         if not pretrain_pairs:
             raise ValueError("pre-training requested but no pairs were provided")
         w_doc = _train_docid(
@@ -205,15 +221,7 @@ def train_vanilla(
             lambda ep: mixed_task_epoch(pretrain_pairs, cfg.task_weights, stage_rng(cfg.seed, 2, ep)),
             cfg.pretrain_epochs, cfg, logs,
         )
-    if not skip_finetune and cfg.finetune_epochs > 0:
-        if not fine_pairs:
-            raise ValueError("fine-tuning requested but no labeled queries were provided")
-        w_doc = _train_docid(
-            "finetune", encoder, w_doc,
-            lambda ep: [fine_pairs[i] for i in stage_rng(cfg.seed, 3, ep).permutation(len(fine_pairs))],
-            cfg.finetune_epochs, cfg, logs,
-        )
-    return encoder, w_doc, logs
+    return encoder, _finetune(encoder, w_doc, fine_pairs, cfg, logs), logs
 
 
 def train_overdense(
@@ -223,25 +231,19 @@ def train_overdense(
     queries: list[Query],
     qrels: dict[str, int],
     cfg: TrainConfig,
-    skip_finetune: bool = False,
 ) -> tuple[Encoder, np.ndarray, list[EpochLog]]:
     """Start from the dense baseline (encoder = its query tower, docid matrix
     = its document vectors) and fine-tune on query-docid pairs.
 
-    With zero fine-tuning steps the result scores every query exactly like
+    With cfg.finetune_epochs = 0 the result scores every query exactly like
     the dense baseline.
     """
-    encoder = Encoder(query_tower.cfg, {k: v.copy() for k, v in query_tower.params.items()})
     w_doc = init_overdense(dense_index, len(corpus))
+    if w_doc.shape[0] != query_tower.cfg.d_model:
+        raise ValueError(f"dense index vectors have width {w_doc.shape[0]} but the query "
+                         f"tower's d_model is {query_tower.cfg.d_model}")
+    encoder = Encoder(query_tower.cfg, {k: v.copy() for k, v in query_tower.params.items()})
     fine_pairs = query_pairs(queries, qrels)
     _validate_targets(fine_pairs, len(corpus))
     logs: list[EpochLog] = []
-    if not skip_finetune and cfg.finetune_epochs > 0:
-        if not fine_pairs:
-            raise ValueError("fine-tuning requested but no labeled queries were provided")
-        w_doc = _train_docid(
-            "finetune", encoder, w_doc,
-            lambda ep: [fine_pairs[i] for i in stage_rng(cfg.seed, 3, ep).permutation(len(fine_pairs))],
-            cfg.finetune_epochs, cfg, logs,
-        )
-    return encoder, w_doc, logs
+    return encoder, _finetune(encoder, w_doc, fine_pairs, cfg, logs), logs

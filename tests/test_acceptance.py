@@ -7,6 +7,7 @@ finish in about a minute on a single laptop core.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from pathlib import Path
@@ -217,7 +218,7 @@ def test_criterion_4_overdense_zero_shot_identity(thousand_doc_overdense, tmp_pa
 
     enc0, w0, logs = train_overdense(
         corp, fx["index"], fx["q_tower"], fx["train_q"], fx["train_qrels"],
-        TrainConfig(), skip_finetune=True,
+        TrainConfig(finetune_epochs=0),
     )
     zero_shot = DocidRetriever(enc0, w0)
     zs_run = tmp_path / "zero_shot.run"
@@ -262,12 +263,13 @@ def test_criterion_6_ablation_direction(tmp_path):
     enc_f, w_f, _ = train_vanilla(corp, pairs, tq, tqr, enc_cfg, cfg)
     full = _recall_at(DocidRetriever(enc_f, w_f), hq, hqr, 20)
 
-    enc_nf, w_nf, _ = train_vanilla(corp, pairs, tq, tqr, enc_cfg, cfg, skip_finetune=True)
+    enc_nf, w_nf, _ = train_vanilla(corp, pairs, tq, tqr, enc_cfg,
+                                    dataclasses.replace(cfg, finetune_epochs=0))
     no_finetune = _recall_at(DocidRetriever(enc_nf, w_nf), hq, hqr, 20)
 
     cfg_np = TrainConfig(lr=1e-3, batch_size=32, pretrain_epochs=0, finetune_epochs=8,
                          plateau_patience=10, seed=0)
-    enc_np, w_np, _ = train_vanilla(corp, pairs, tq, tqr, enc_cfg, cfg_np, skip_pretrain=True)
+    enc_np, w_np, _ = train_vanilla(corp, pairs, tq, tqr, enc_cfg, cfg_np)
     no_pretrain = _recall_at(DocidRetriever(enc_np, w_np), hq, hqr, 20)
 
     # the same ordering must come out of run files through the metric kit

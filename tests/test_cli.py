@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import re
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from paramdex import checkpoint
-from paramdex.cli import main
+from paramdex.cli import build_parser, main
 from paramdex.corpus import load_corpus
 from paramdex.distributed import partition, write_manifest
 from paramdex.nn import Encoder, EncoderConfig
@@ -252,3 +253,147 @@ def test_shard_merge_rejects_model_with_other_vocabulary(workspace, tmp_path, ca
                    "--queries", workspace["data"] / "train_queries.tsv",
                    "--out-dir", tmp_path / "merged", "--config", workspace["cfg"]) == 1
     assert "group 1 model vocabulary does not match the corpus" in capsys.readouterr().err
+
+
+def _train_vanilla_cli(workspace, out, cfg, *flags) -> None:
+    assert run_cli("train-vanilla", "--corpus-dir", workspace["corpus"],
+                   "--queries", workspace["data"] / "train_queries.tsv",
+                   "--qrels", workspace["data"] / "train_qrels.tsv",
+                   *flags, "--out-dir", out, "--config", cfg) == 0
+
+
+@pytest.mark.parametrize("flag,key", [("--skip-pretrain", "pretrain_epochs"),
+                                      ("--skip-finetune", "finetune_epochs")])
+def test_skip_flag_is_the_zero_epoch_config(workspace, tmp_path, flag, key):
+    zero_cfg = tmp_path / "zero.cfg"
+    zero_cfg.write_text(re.sub(rf"^{key} = \d+$", f"{key} = 0", TINY_CFG, flags=re.M))
+    # with pre-training off, neither way needs --pairs
+    pairs = [] if key == "pretrain_epochs" else ["--pairs", workspace["pairs"]]
+    _train_vanilla_cli(workspace, tmp_path / "flag", workspace["cfg"], flag, *pairs)
+    _train_vanilla_cli(workspace, tmp_path / "zero", zero_cfg, *pairs)
+    _train_vanilla_cli(workspace, tmp_path / "full", workspace["cfg"], "--pairs", workspace["pairs"])
+    model = {d: (tmp_path / d / "model.ckpt").read_bytes() for d in ("flag", "zero", "full")}
+    meta = {d: checkpoint.read_meta(tmp_path / d / "model.ckpt")["config_hash"]
+            for d in ("flag", "zero", "full")}
+    assert model["flag"] == model["zero"] != model["full"]
+    assert meta["flag"] == meta["zero"] != meta["full"]
+
+
+@pytest.fixture(scope="module")
+def workspace80(tmp_path_factory):
+    """Enough labeled queries per shard for two-tower training."""
+    ws = tmp_path_factory.mktemp("ws80")
+    cfg = ws / "exp.cfg"
+    cfg.write_text(TINY_CFG)
+    data = ws / "data"
+    assert run_cli("synth", "--docs", 80, "--train-queries", 60, "--heldout-queries", 8,
+                   "--out-dir", data, "--config", cfg) == 0
+    assert run_cli("ingest", "--docs", data / "docs.jsonl", "--out-dir", ws / "corpus",
+                   "--config", cfg) == 0
+    return {"data": data, "corpus": ws / "corpus"}
+
+
+@pytest.mark.parametrize("separate_towers", [0, 1])
+def test_shard_pipeline_overdense(workspace80, tmp_path, separate_towers):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TINY_CFG + f"separate_towers = {separate_towers}\n")
+    queries = workspace80["data"] / "train_queries.tsv"
+    shards_dir = tmp_path / "shards"
+    assert run_cli("shard-train", "--corpus-dir", workspace80["corpus"], "--queries", queries,
+                   "--qrels", workspace80["data"] / "train_qrels.tsv", "--strategy", "overdense",
+                   "--out-dir", shards_dir, "--config", cfg) == 0
+    corp = load_corpus(workspace80["corpus"])
+    sizes = []
+    for gid in range(2):
+        gdir = shards_dir / f"group{gid:02d}"
+        _, _, w_doc = checkpoint.load_model(gdir / "model.ckpt")
+        sizes.append(w_doc.shape[1])
+        stages = {line.split("\t")[0] for line in (gdir / "loss_log.txt").read_text().splitlines()}
+        assert stages == {"two_tower", "finetune"}
+    assert sum(sizes) == len(corp)
+
+    merge_dir = tmp_path / "merged"
+    assert run_cli("shard-merge", "--shards-dir", shards_dir, "--corpus-dir", workspace80["corpus"],
+                   "--queries", queries, "--out-dir", merge_dir, "--config", cfg) == 0
+    merged = (merge_dir / "merged.run").read_text().splitlines()
+    n_queries = sum(1 for _ in open(queries, encoding="utf-8"))
+    assert len({line.split()[0] for line in merged}) == n_queries
+    assert len(merged) == n_queries * 10  # k = 10
+
+
+_BAD_CHECKPOINT = {
+    "query_tower": "has no docid matrix; not a retriever checkpoint",
+    "corpus_size": "model docid matrix has 41 columns but there are 40 documents to rank",
+    "vocabulary": "model vocabulary does not match the corpus",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CHECKPOINT))
+def test_retrieve_rejects_checkpoint_for_other_data(workspace, tmp_path, capsys, case):
+    corp = load_corpus(workspace["corpus"])
+    extra_token = case == "vocabulary"
+    cfg = EncoderConfig(vocab_size=len(corp.vocab) + extra_token, d_model=16, n_layers=1,
+                        n_heads=2, d_ff=32, max_len=32)
+    w_doc = np.zeros((cfg.d_model, len(corp) + (case == "corpus_size")), dtype=np.float32)
+    path = tmp_path / ("query_tower.ckpt" if case == "query_tower" else "model.ckpt")
+    checkpoint.save_model(path, cfg, Encoder.init(cfg, 0).params,
+                          None if case == "query_tower" else w_doc)
+    assert run_cli("retrieve", "--corpus-dir", workspace["corpus"],
+                   "--queries", workspace["data"] / "train_queries.tsv", "--model", path,
+                   "--out-dir", tmp_path / "run", "--config", workspace["cfg"]) == 1
+    assert _BAD_CHECKPOINT[case] in capsys.readouterr().err
+    assert not (tmp_path / "run" / "run.txt").exists()
+
+
+# every subcommand and its required flags, in parser order
+_CQQ = ("--corpus-dir", "--queries", "--qrels")
+REQUIRED = {
+    "synth": (),
+    "ingest": ("--docs",),
+    "subset": ("--corpus-dir", "--qrels", "--strategy", "--size"),
+    "pairs": ("--corpus-dir",),
+    "train-dense": _CQQ,
+    "train-vanilla": _CQQ,
+    "train-overdense": (*_CQQ, "--dense-dir"),
+    "retrieve": ("--corpus-dir", "--queries"),
+    "eval": ("--run", "--qrels"),
+    "shard-train": _CQQ,
+    "shard-merge": ("--shards-dir", "--corpus-dir", "--queries"),
+    "diag-scores": ("--runs-dir",),
+    "gradcheck": (),
+}
+_VALUE = {"--strategy": "random", "--size": "5"}  # every other flag takes a path
+
+
+def _required_argv(command, leave_out=None) -> list[str]:
+    argv = [command]
+    for flag in REQUIRED[command]:
+        if flag != leave_out:
+            argv += [flag, _VALUE.get(flag, "x")]
+    return argv
+
+
+def test_parser_table_lists_every_subcommand():
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(REQUIRED)
+    for command in REQUIRED:
+        args = ap.parse_args(_required_argv(command))
+        assert args.command == command
+        assert (args.config, args.seed, args.out_dir) == (None, None, ".")
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in REQUIRED.items() for f in flags])
+def test_missing_required_flag_exits_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*_required_argv(command, leave_out=flag))
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: paramdex {command}")

@@ -34,6 +34,14 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["corpus_dir", "queries", "qrels"])
+def test_input_paths_are_flags_not_config_keys(tmp_path, key):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"{key} = somewhere\n")
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        load_config(path)
+
+
 def test_invalid_value_rejected():
     with pytest.raises(ValueError, match="invalid value"):
         ExperimentConfig({"lr": "-1"})

@@ -224,18 +224,6 @@ class TestTrainVanilla:
         with pytest.raises(ValueError, match="outside"):
             train_vanilla(corp, bad, queries, qrels, enc_cfg, TrainConfig())
 
-    def test_zero_finetune_equals_pretrain_checkpoint(self):
-        corp, queries, qrels, enc_cfg = _toy_training_setup()
-        pairs = generate_pretrain_pairs(corp, window=16, m_samples=2, seed=0)
-        tcfg = TrainConfig(lr=1e-3, batch_size=8, pretrain_epochs=2, finetune_epochs=0, seed=0)
-        enc_a, w_a, _ = train_vanilla(corp, pairs, queries, qrels, enc_cfg, tcfg)
-        tcfg_b = TrainConfig(lr=1e-3, batch_size=8, pretrain_epochs=2, finetune_epochs=5, seed=0)
-        enc_b, w_b, _ = train_vanilla(corp, pairs, queries, qrels, enc_cfg, tcfg_b,
-                                      skip_finetune=True)
-        assert np.array_equal(w_a, w_b)
-        for k in enc_a.params:
-            assert np.array_equal(enc_a.params[k], enc_b.params[k])
-
     def test_deterministic_given_seed(self):
         corp, queries, qrels, enc_cfg = _toy_training_setup()
         pairs = generate_pretrain_pairs(corp, window=16, m_samples=2, seed=0)
@@ -258,13 +246,22 @@ class TestTrainOverdense:
     def test_zero_steps_matches_dense_scores_exactly(self):
         corp, queries, qrels, tower, index = self._dense_setup()
         enc, w_doc, logs = train_overdense(corp, index, tower, queries, qrels,
-                                           TrainConfig(), skip_finetune=True)
+                                           TrainConfig(finetune_epochs=0))
         assert logs == []
         model = DocidRetriever(enc, w_doc)
         for q in queries:
             v = tower.encode(q.tokens)
             expected = top_k(v @ init_overdense(index), 5)
             assert model.retrieve(q, 5).items == expected
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_rejects_dense_index_of_other_width(self, epochs):
+        corp, queries, qrels, tower, _ = self._dense_setup()
+        d = tower.cfg.d_model
+        wide = np.zeros((len(corp), d + 8), dtype=np.float32)
+        tcfg = TrainConfig(batch_size=8, finetune_epochs=epochs, seed=0)
+        with pytest.raises(ValueError, match=f"width {d + 8} but the query tower's d_model is {d}"):
+            train_overdense(corp, wide, tower, queries, qrels, tcfg)
 
     def test_finetune_decreases_training_loss(self):
         corp, queries, qrels, tower, index = self._dense_setup()
