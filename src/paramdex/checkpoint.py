@@ -1,4 +1,4 @@
-"""Binary model and dense-index files, plus sidecar metadata.
+"""Binary model checkpoints, plus sidecar metadata.
 
 Layout (all little-endian):
 
@@ -6,23 +6,24 @@ Layout (all little-endian):
     vocab_size, max_len, n_docs | payload | uint64 checksum
 
 The payload is float32 arrays in param_names() order, then the docid
-matrix (d_model x n_docs) when n_docs > 0. A dense-index file reuses the
-header with n_layers = n_heads = vocab_size = max_len = 0 and a payload of
-n_docs x d_model rows. The checksum is an 8-byte blake2b of the payload.
+matrix (d_model x n_docs) when n_docs > 0. The checksum is an 8-byte
+blake2b of the payload. The dense baseline is stored as such a model: its
+query tower plus the transposed dense index as the docid matrix.
 
 Every artifact gets a deterministic sidecar ``<path>.meta.json`` recording
 the config hash and seed that produced it (no timestamps, so reruns are
 byte-identical).
 
-Checkpoint and dense-index files are written to a temporary file in the
-same directory and then renamed over the target, so a run that dies while
-saving leaves the previous file intact.
+Checkpoints are written to a temporary file in the same directory and
+then renamed over the target, so a run that dies while saving leaves the
+previous file intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -91,16 +92,15 @@ def save_model(
 def load_model(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray], np.ndarray | None]:
     fields, payload = _read(Path(path))
     d_model, n_layers, n_heads, vocab_size, max_len, n_docs = fields
+    if n_layers == 0:
+        raise ValueError(f"{path}: header has 0 encoder layers; not a model checkpoint")
     # d_ff is not in the header; recover it from the payload size.
     # total = base + L*(attn/ln fixed) + L*(d_ff*(2*d_model+1) + d_model) + n_docs*d_model
     base = vocab_size * d_model + max_len * d_model + 2 * d_model
     per_layer_fixed = 4 * d_model * d_model + 8 * d_model
     total = len(payload) // 4 - n_docs * d_model
-    if n_layers > 0:
-        per_layer_ffn = (total - base - n_layers * per_layer_fixed) // n_layers
-        d_ff = (per_layer_ffn - d_model) // (2 * d_model + 1)
-    else:
-        d_ff = 1
+    per_layer_ffn = (total - base - n_layers * per_layer_fixed) // n_layers
+    d_ff = (per_layer_ffn - d_model) // (2 * d_model + 1)
     cfg = EncoderConfig(
         vocab_size=vocab_size, d_model=d_model, n_layers=n_layers,
         n_heads=n_heads, d_ff=max(d_ff, 1), max_len=max_len,
@@ -110,7 +110,7 @@ def load_model(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray], 
     off = 0
     for name in param_names(cfg):
         shape = param_shape(cfg, name)
-        size = _np_size(shape)
+        size = math.prod(shape)
         params[name] = data[off : off + size].reshape(shape).copy()
         off += size
     w_doc = None
@@ -123,25 +123,6 @@ def load_model(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray], 
     return cfg, params, w_doc
 
 
-def save_dense_index(path: str | Path, matrix: np.ndarray) -> None:
-    """Persist per-document vectors (n_docs x d_model)."""
-    if matrix.ndim != 2:
-        raise ValueError("dense index must be a 2-d array")
-    n_docs, d_model = matrix.shape
-    _write(Path(path), (d_model, 0, 0, 0, 0, n_docs), [matrix])
-
-
-def load_dense_index(path: str | Path) -> np.ndarray:
-    fields, payload = _read(Path(path))
-    d_model, n_layers, _, _, _, n_docs = fields
-    if n_layers != 0:
-        raise ValueError(f"{path}: not a dense index file")
-    data = np.frombuffer(payload, dtype="<f4")
-    if data.size != n_docs * d_model:
-        raise ValueError(f"{path}: payload size does not match header")
-    return data.reshape(n_docs, d_model).copy()
-
-
 def write_meta(artifact_path: str | Path, **fields) -> Path:
     """Deterministic JSON sidecar next to an artifact."""
     meta_path = Path(str(artifact_path) + ".meta.json")
@@ -151,10 +132,3 @@ def write_meta(artifact_path: str | Path, **fields) -> Path:
 
 def read_meta(artifact_path: str | Path) -> dict:
     return json.loads(Path(str(artifact_path) + ".meta.json").read_text(encoding="utf-8"))
-
-
-def _np_size(shape: tuple[int, ...]) -> int:
-    size = 1
-    for s in shape:
-        size *= s
-    return size

@@ -11,7 +11,7 @@ finetune_epochs = 0, so the sidecar hash records an ablation. It creates
 --out-dir and passes both to the subcommand's handler. A pipeline step that
 several subcommands run has one helper: _pretrain_pairs (pairs,
 shard-train), _train_dense (train-dense, shard-train --strategy overdense)
-and _load_retriever (retrieve, shard-merge).
+and _load_retriever (retrieve, train-overdense, shard-merge).
 """
 
 from __future__ import annotations
@@ -162,15 +162,12 @@ def _save_retriever(out: Path, enc: Encoder, w_doc, cfg, command, logs) -> list[
 def cmd_train_dense(args, cfg, out) -> int:
     corp, queries, qrels = _load_corpus_queries(args)
     q_enc, d_enc, index, logs = _train_dense(corp, queries, qrels, cfg, cfg.train_config())
-    q_path, d_path, i_path = out / "query_tower.ckpt", out / "doc_tower.ckpt", out / "dense_index.bin"
-    checkpoint.save_model(q_path, q_enc.cfg, q_enc.params)
+    d_path = out / "doc_tower.ckpt"
     checkpoint.save_model(d_path, d_enc.cfg, d_enc.params)
-    checkpoint.save_dense_index(i_path, index)
-    for p in (q_path, d_path, i_path):
-        _meta(p, cfg, "train-dense")
-    # retriever-equivalent checkpoint: query tower + transposed index
+    _meta(d_path, cfg, "train-dense")
+    # the dense baseline as a retriever: query tower + transposed index
     written = _save_retriever(out, q_enc, init_overdense(index, len(corp)), cfg, "train-dense", logs)
-    return _done(q_path, d_path, i_path, *written)
+    return _done(d_path, *written)
 
 
 def cmd_train_vanilla(args, cfg, out) -> int:
@@ -186,12 +183,8 @@ def cmd_train_vanilla(args, cfg, out) -> int:
 
 def cmd_train_overdense(args, cfg, out) -> int:
     corp, queries, qrels = _load_corpus_queries(args)
-    dense_dir = Path(args.dense_dir)
-    tower_cfg, tower_params, _ = checkpoint.load_model(dense_dir / "query_tower.ckpt")
-    if tower_cfg.vocab_size != len(corp.vocab):
-        raise ValueError("query tower vocabulary does not match the corpus")
-    index = checkpoint.load_dense_index(dense_dir / "dense_index.bin")
-    enc, w_doc, logs = train_overdense(corp, index, Encoder(tower_cfg, tower_params),
+    dense = _load_retriever(Path(args.dense_dir) / "model.ckpt", corp, len(corp), "dense model")
+    enc, w_doc, logs = train_overdense(corp, dense.w_doc.T, dense.encoder,
                                        queries, qrels, cfg.train_config())
     return _done(*_save_retriever(out, enc, w_doc, cfg, "train-overdense", logs))
 
@@ -238,13 +231,8 @@ def _shard_seed(seed: int, gid: int) -> int:
 def cmd_shard_train(args, cfg, out) -> int:
     corp, queries, qrels = _load_corpus_queries(args)
     plan = distributed.partition(len(corp), cfg.n_groups, seed=cfg.seed)
-    manifest = out / "shards.tsv"
-    distributed.write_manifest(manifest, plan, corp)
-    _meta(manifest, cfg, "shard-train", strategy=args.strategy)
-    written = [manifest]
+    trained = []
     for gid, (sub, sub_qrels) in enumerate(distributed.split_corpus(corp, plan, qrels)):
-        gdir = out / f"group{gid:02d}"
-        gdir.mkdir(exist_ok=True)
         tcfg = cfg.train_config()
         tcfg.seed = _shard_seed(cfg.seed, gid)
         if args.strategy == "vanilla":
@@ -254,9 +242,18 @@ def cmd_shard_train(args, cfg, out) -> int:
             q_enc, _, index, logs = _train_dense(sub, queries, sub_qrels, cfg, tcfg)
             enc, w_doc, ft_logs = train_overdense(sub, index, q_enc, queries, sub_qrels, tcfg)
             logs += ft_logs
-        written += _save_retriever(gdir, enc, w_doc, cfg, "shard-train", logs)
+        trained.append((enc, w_doc, logs))
         log.info("group %d trained on %d documents, %d labeled queries",
                  gid, len(sub), len(sub_qrels))
+    # written only once every group has trained, so a failing group leaves no output
+    manifest = out / "shards.tsv"
+    distributed.write_manifest(manifest, plan, corp)
+    _meta(manifest, cfg, "shard-train", strategy=args.strategy)
+    written = [manifest]
+    for gid, (enc, w_doc, logs) in enumerate(trained):
+        gdir = out / f"group{gid:02d}"
+        gdir.mkdir(exist_ok=True)
+        written += _save_retriever(gdir, enc, w_doc, cfg, "shard-train", logs)
     return _done(*written)
 
 

@@ -52,34 +52,9 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-def param_names(cfg: EncoderConfig) -> list[str]:
-    """Canonical parameter order; checkpoints serialize arrays in this order."""
-    names = ["tok_emb", "pos_emb"]
-    for i in range(cfg.n_layers):
-        p = f"layer{i}."
-        names += [
-            p + "ln1.scale", p + "ln1.shift",
-            p + "attn.wq", p + "attn.bq",
-            p + "attn.wk", p + "attn.bk",
-            p + "attn.wv", p + "attn.bv",
-            p + "attn.wo", p + "attn.bo",
-            p + "ln2.scale", p + "ln2.shift",
-            p + "ffn.w1", p + "ffn.b1",
-            p + "ffn.w2", p + "ffn.b2",
-        ]
-    names += ["ln_f.scale", "ln_f.shift"]
-    return names
-
-
-def param_shape(cfg: EncoderConfig, name: str) -> tuple[int, ...]:
+def _layer_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Each layer's leaf parameters with their shapes, in checkpoint order."""
     d, f = cfg.d_model, cfg.d_ff
-    if name == "tok_emb":
-        return (cfg.vocab_size, d)
-    if name == "pos_emb":
-        return (cfg.max_len, d)
-    if name in ("ln_f.scale", "ln_f.shift"):
-        return (d,)
-    leaf = name.split(".", 1)[1]
     return {
         "ln1.scale": (d,), "ln1.shift": (d,),
         "attn.wq": (d, d), "attn.bq": (d,),
@@ -89,7 +64,23 @@ def param_shape(cfg: EncoderConfig, name: str) -> tuple[int, ...]:
         "ln2.scale": (d,), "ln2.shift": (d,),
         "ffn.w1": (d, f), "ffn.b1": (f,),
         "ffn.w2": (f, d), "ffn.b2": (d,),
-    }[leaf]
+    }
+
+
+def param_names(cfg: EncoderConfig) -> list[str]:
+    """Canonical parameter order; checkpoints serialize arrays in this order."""
+    layers = [f"layer{i}.{leaf}" for i in range(cfg.n_layers) for leaf in _layer_shapes(cfg)]
+    return ["tok_emb", "pos_emb", *layers, "ln_f.scale", "ln_f.shift"]
+
+
+def param_shape(cfg: EncoderConfig, name: str) -> tuple[int, ...]:
+    if name == "tok_emb":
+        return (cfg.vocab_size, cfg.d_model)
+    if name == "pos_emb":
+        return (cfg.max_len, cfg.d_model)
+    if name in ("ln_f.scale", "ln_f.shift"):
+        return (cfg.d_model,)
+    return _layer_shapes(cfg)[name.split(".", 1)[1]]
 
 
 def init_params(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:

@@ -49,9 +49,6 @@ class RankedList:
     qid: str
     items: list[tuple[int, float]]  # (docid, raw logit), scores non-increasing
 
-    def docids(self) -> list[int]:
-        return [d for d, _ in self.items]
-
 
 def score_all(v: np.ndarray, w_doc: np.ndarray) -> np.ndarray:
     """(B, n_docs) logits for a (B, d_model) block of query vectors."""

@@ -44,13 +44,12 @@ def mixed_task_epoch(
     pairs: Sequence[TrainingPair],
     weights: tuple[float, float, float],
     rng: np.random.Generator,
-    epoch_size: int | None = None,
 ) -> list[TrainingPair]:
     """Draw an epoch's worth of pre-training pairs, tasks mixed by weight.
 
     Each draw picks a task with probability proportional to its weight
     (tasks with no pairs are dropped) and then a pair uniformly within the
-    task, with replacement. Defaults to one draw per available pair.
+    task, with replacement. There is one draw per available pair.
     """
     by_task: dict[str, list[TrainingPair]] = {}
     for p in pairs:
@@ -61,8 +60,7 @@ def mixed_task_epoch(
         raise ValueError("no pre-training pairs available under the given task weights")
     probs = np.array([w[t] for t in tasks], dtype=np.float64)
     probs /= probs.sum()
-    size = epoch_size if epoch_size is not None else len(pairs)
-    task_draws = rng.choice(len(tasks), size=size, p=probs)
+    task_draws = rng.choice(len(tasks), size=len(pairs), p=probs)
     out = []
     for t_idx in task_draws:
         bucket = by_task[tasks[int(t_idx)]]

@@ -433,8 +433,7 @@ def _run_pipeline(root: Path, cfg: Path) -> dict[str, bytes]:
         corpus_dir / "docs.jsonl", corpus_dir / "vocab.tsv",
         root / "pairs" / "pairs.tsv",
         root / "vanilla" / "model.ckpt", root / "vanilla" / "loss_log.txt",
-        root / "dense" / "model.ckpt", root / "dense" / "dense_index.bin",
-        root / "dense" / "query_tower.ckpt",
+        root / "dense" / "model.ckpt",
         root / "overdense" / "model.ckpt",
         root / "run" / "run.txt",
         root / "eval" / "report.csv", root / "eval" / "report.txt",

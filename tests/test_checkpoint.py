@@ -1,15 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from paramdex import checkpoint
-from paramdex.checkpoint import (
-    load_dense_index,
-    load_model,
-    read_meta,
-    save_dense_index,
-    save_model,
-    write_meta,
-)
+from paramdex.checkpoint import load_model, read_meta, save_model, write_meta
 from paramdex.nn import Encoder, EncoderConfig
 
 
@@ -38,11 +33,13 @@ def test_encoder_only_roundtrip(tmp_path):
     assert np.array_equal(params2["tok_emb"], enc.params["tok_emb"])
 
 
-def test_dense_index_roundtrip(tmp_path):
+def test_zero_layer_header_rejected(tmp_path):
+    # the header an earlier version gave a dense index (n_docs x d_model rows)
     mat = np.random.default_rng(0).normal(size=(9, 16)).astype(np.float32)
-    path = tmp_path / "index.bin"
-    save_dense_index(path, mat)
-    assert np.array_equal(load_dense_index(path), mat)
+    path = tmp_path / "dense_index.bin"
+    checkpoint._write(path, (16, 0, 0, 0, 0, 9), [mat])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header has 0 encoder layers")):
+        load_model(path)
 
 
 def test_corruption_detected(tmp_path):

@@ -143,8 +143,8 @@ def test_dense_then_overdense_zero_shot_identity(workspace, tmp_path):
                    "--queries", workspace["data"] / "train_queries.tsv",
                    "--qrels", workspace["data"] / "train_qrels.tsv",
                    "--out-dir", dense_dir, "--config", workspace["cfg"]) == 0
-    for name in ("query_tower.ckpt", "doc_tower.ckpt", "dense_index.bin", "model.ckpt"):
-        assert (dense_dir / name).exists()
+    written = {p.name for p in dense_dir.iterdir() if not p.name.endswith(".meta.json")}
+    assert written == {"doc_tower.ckpt", "model.ckpt", "loss_log.txt"}
 
     od_dir = tmp_path / "overdense0"
     assert run_cli("train-overdense", "--corpus-dir", workspace["corpus"],
@@ -194,6 +194,18 @@ def test_shard_pipeline(workspace, tmp_path, caplog):
     stats = (diag_dir / "score_stats.csv").read_text().splitlines()
     assert stats[0].startswith("group,mean,std")
     assert len(stats) == 3  # header + 2 groups
+
+
+def test_shard_train_that_fails_writes_nothing(workspace, tmp_path, capsys):
+    # 40 documents and 20 train queries leave a group too few labeled queries
+    # for two-tower training
+    shards_dir = tmp_path / "shards"
+    assert run_cli("shard-train", "--corpus-dir", workspace["corpus"],
+                   "--queries", workspace["data"] / "train_queries.tsv",
+                   "--qrels", workspace["data"] / "train_qrels.tsv", "--strategy", "overdense",
+                   "--out-dir", shards_dir, "--config", workspace["cfg"]) == 1
+    assert "two-tower training needs at least 2 labeled queries" in capsys.readouterr().err
+    assert list(shards_dir.iterdir()) == []
 
 
 def test_gradcheck_command(capsys):
@@ -328,21 +340,38 @@ _BAD_CHECKPOINT = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_BAD_CHECKPOINT))
-def test_retrieve_rejects_checkpoint_for_other_data(workspace, tmp_path, capsys, case):
-    corp = load_corpus(workspace["corpus"])
-    extra_token = case == "vocabulary"
-    cfg = EncoderConfig(vocab_size=len(corp.vocab) + extra_token, d_model=16, n_layers=1,
-                        n_heads=2, d_ff=32, max_len=32)
+def _save_checkpoint_for_other_data(path, corpus_dir, case) -> None:
+    """A checkpoint that `case` (a _BAD_CHECKPOINT key) makes unfit for the corpus."""
+    corp = load_corpus(corpus_dir)
+    cfg = EncoderConfig(vocab_size=len(corp.vocab) + (case == "vocabulary"), d_model=16,
+                        n_layers=1, n_heads=2, d_ff=32, max_len=32)
     w_doc = np.zeros((cfg.d_model, len(corp) + (case == "corpus_size")), dtype=np.float32)
-    path = tmp_path / ("query_tower.ckpt" if case == "query_tower" else "model.ckpt")
     checkpoint.save_model(path, cfg, Encoder.init(cfg, 0).params,
                           None if case == "query_tower" else w_doc)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CHECKPOINT))
+def test_retrieve_rejects_checkpoint_for_other_data(workspace, tmp_path, capsys, case):
+    path = tmp_path / ("query_tower.ckpt" if case == "query_tower" else "model.ckpt")
+    _save_checkpoint_for_other_data(path, workspace["corpus"], case)
     assert run_cli("retrieve", "--corpus-dir", workspace["corpus"],
                    "--queries", workspace["data"] / "train_queries.tsv", "--model", path,
                    "--out-dir", tmp_path / "run", "--config", workspace["cfg"]) == 1
     assert _BAD_CHECKPOINT[case] in capsys.readouterr().err
     assert not (tmp_path / "run" / "run.txt").exists()
+
+
+@pytest.mark.parametrize("case", ["corpus_size", "vocabulary"])
+def test_train_overdense_rejects_dense_model_for_other_data(workspace, tmp_path, capsys, case):
+    dense_dir = tmp_path / "dense"
+    dense_dir.mkdir()
+    _save_checkpoint_for_other_data(dense_dir / "model.ckpt", workspace["corpus"], case)
+    assert run_cli("train-overdense", "--corpus-dir", workspace["corpus"],
+                   "--queries", workspace["data"] / "train_queries.tsv",
+                   "--qrels", workspace["data"] / "train_qrels.tsv", "--dense-dir", dense_dir,
+                   "--out-dir", tmp_path / "od", "--config", workspace["cfg"]) == 1
+    assert "dense " + _BAD_CHECKPOINT[case] in capsys.readouterr().err
+    assert not (tmp_path / "od" / "model.ckpt").exists()
 
 
 # every subcommand and its required flags, in parser order
