@@ -10,9 +10,9 @@ matrix (d_model x n_docs) when n_docs > 0. The checksum is an 8-byte
 blake2b of the payload. The dense baseline is stored as such a model: its
 query tower plus the transposed dense index as the docid matrix.
 
-Every artifact gets a deterministic sidecar ``<path>.meta.json`` recording
-the config hash and seed that produced it (no timestamps, so reruns are
-byte-identical).
+write_meta gives an artifact a deterministic sidecar ``<path>.meta.json``
+recording the config hash and seed that produced it (no timestamps, so
+reruns are byte-identical).
 
 Checkpoints are written to a temporary file in the same directory and
 then renamed over the target, so a run that dies while saving leaves the
@@ -101,10 +101,13 @@ def load_model(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray], 
     total = len(payload) // 4 - n_docs * d_model
     per_layer_ffn = (total - base - n_layers * per_layer_fixed) // n_layers
     d_ff = (per_layer_ffn - d_model) // (2 * d_model + 1)
-    cfg = EncoderConfig(
-        vocab_size=vocab_size, d_model=d_model, n_layers=n_layers,
-        n_heads=n_heads, d_ff=max(d_ff, 1), max_len=max_len,
-    )
+    try:
+        cfg = EncoderConfig(
+            vocab_size=vocab_size, d_model=d_model, n_layers=n_layers,
+            n_heads=n_heads, d_ff=max(d_ff, 1), max_len=max_len,
+        )
+    except ValueError as e:
+        raise ValueError(f"{path}: bad header: {e}") from None
     data = np.frombuffer(payload, dtype="<f4")
     params: dict[str, np.ndarray] = {}
     off = 0

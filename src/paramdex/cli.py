@@ -1,8 +1,8 @@
 """Command-line entry point wiring the modules into experiment pipelines.
 
 Every subcommand reads declared inputs, writes its artifacts under
---out-dir, stamps each artifact with the resolved config hash and seed via
-a ``.meta.json`` sidecar, and prints the paths it wrote. Reruns with the
+--out-dir, stamps its main artifact with the resolved config hash and seed
+via a ``.meta.json`` sidecar, and prints the paths it wrote. Reruns with the
 same inputs, config and seed reproduce artifacts byte for byte.
 
 main resolves the config once: the --config file overlaid with --seed, and

@@ -15,6 +15,13 @@ Each group is padded only to its own longest member, so a batch that mixes
 attention work for the padding. Results differ from one padded batch only
 by float rounding.
 
+Only the CLS row is pooled, so the last layer runs for that row alone: its
+layer norm, keys and values cover every position, while its queries,
+attention output, FFN and the final layer norm run for row 0 only. Earlier
+layers run every position, since the last layer's keys and values need
+them. The backward pass mirrors this, so no gradient is pushed back through
+rows that feed no output.
+
 No dropout: training is deterministic by construction. Training runs in
 float32; gradient checks construct float64 models.
 """
@@ -45,11 +52,11 @@ class EncoderConfig:
     max_len: int = 128
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError("d_model must be divisible by n_heads")
 
 
 def _layer_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -211,8 +218,11 @@ class Encoder:
         layers = []
         for i in range(cfg.n_layers):
             pre = f"layer{i}."
+            # only the CLS row leaves the last layer: it needs keys and values
+            # for every position, and queries and all the rest for row 0 alone
+            rows = slice(0, 1) if i == cfg.n_layers - 1 else slice(None)
             a, xhat1, inv1 = _layer_norm(x, p[pre + "ln1.scale"], p[pre + "ln1.shift"])
-            q = a @ p[pre + "attn.wq"] + p[pre + "attn.bq"]
+            q = a[:, rows] @ p[pre + "attn.wq"] + p[pre + "attn.bq"]
             k = a @ p[pre + "attn.wk"] + p[pre + "attn.bk"]
             v = a @ p[pre + "attn.wv"] + p[pre + "attn.bv"]
             qh = _split_heads(q, cfg.n_heads)
@@ -224,13 +234,13 @@ class Encoder:
             att = e / e.sum(axis=-1, keepdims=True)
             c = _merge_heads(att @ vh)
             o = c @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
-            x_mid = x + o
+            x_mid = x[:, rows] + o
             fin, xhat2, inv2 = _layer_norm(x_mid, p[pre + "ln2.scale"], p[pre + "ln2.shift"])
             act_in = fin @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"]
             h = _gelu(act_in)
             x = x_mid + h @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"]
             if need_cache:
-                layers.append((a, xhat1, inv1, qh, kh, vh, att, c, xhat2, inv2, fin, act_in, h))
+                layers.append((rows, a, xhat1, inv1, qh, kh, vh, att, c, xhat2, inv2, fin, act_in, h))
         y, xhat_f, inv_f = _layer_norm(x, p["ln_f.scale"], p["ln_f.shift"])
         cache = (ids, scale, layers, xhat_f, inv_f) if need_cache else None
         return y[:, 0, :], cache
@@ -257,17 +267,16 @@ class Encoder:
         """Add one length group's gradients into g."""
         cfg, p = self.cfg, self.params
         ids, scale, layers, xhat_f, inv_f = cache
-        b, n = ids.shape
+        n = ids.shape[1]
         gl: dict[str, np.ndarray] = {}  # this group's gradients, added into g at the end
 
-        dy = np.zeros((b, n, cfg.d_model), dtype=self.dtype)
-        dy[:, 0, :] = d_cls
+        dy = d_cls.astype(self.dtype, copy=False)[:, None, :]
         dx, gl["ln_f.scale"], gl["ln_f.shift"] = _layer_norm_backward(
             dy, xhat_f, inv_f, p["ln_f.scale"]
         )
         for i in reversed(range(cfg.n_layers)):
             pre = f"layer{i}."
-            a, xhat1, inv1, qh, kh, vh, att, c, xhat2, inv2, fin, act_in, h = layers[i]
+            rows, a, xhat1, inv1, qh, kh, vh, att, c, xhat2, inv2, fin, act_in, h = layers[i]
             # feed-forward block
             dh, gl[pre + "ffn.w2"], gl[pre + "ffn.b2"] = _linear_backward(h, dx, p[pre + "ffn.w2"])
             dact = dh * _gelu_grad(act_in)
@@ -286,13 +295,17 @@ class Encoder:
             dqh = ds @ kh
             dkh = ds.transpose(0, 1, 3, 2) @ qh
             dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-            da_q, gl[pre + "attn.wq"], gl[pre + "attn.bq"] = _linear_backward(a, dq, p[pre + "attn.wq"])
+            da_q, gl[pre + "attn.wq"], gl[pre + "attn.bq"] = _linear_backward(a[:, rows], dq, p[pre + "attn.wq"])
             da_k, gl[pre + "attn.wk"], gl[pre + "attn.bk"] = _linear_backward(a, dk, p[pre + "attn.wk"])
             da_v, gl[pre + "attn.wv"], gl[pre + "attn.bv"] = _linear_backward(a, dv, p[pre + "attn.wv"])
+            da = da_k  # da_q + da_k + da_v, with da_q on the query rows only
+            da[:, rows] += da_q
+            da += da_v
             dln1, gl[pre + "ln1.scale"], gl[pre + "ln1.shift"] = _layer_norm_backward(
-                da_q + da_k + da_v, xhat1, inv1, p[pre + "ln1.scale"]
+                da, xhat1, inv1, p[pre + "ln1.scale"]
             )
-            dx = dx + dln1
+            dln1[:, rows] += dx  # the residual reaches the query rows only
+            dx = dln1
         for name, grad in gl.items():
             g[name] += grad
         np.add.at(g["tok_emb"], ids.reshape(-1), dx.reshape(-1, cfg.d_model))

@@ -42,6 +42,14 @@ def test_zero_layer_header_rejected(tmp_path):
         load_model(path)
 
 
+def test_bad_header_rejected_naming_the_file(tmp_path):
+    # one layer but 0 heads: a ValueError naming the file, not a ZeroDivisionError
+    path = tmp_path / "model.ckpt"
+    checkpoint._write(path, (16, 1, 0, 10, 8, 0), [np.zeros(100, dtype=np.float32)])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad header: n_heads must be >= 1")):
+        load_model(path)
+
+
 def test_corruption_detected(tmp_path):
     enc = Encoder.init(CFG, seed=4)
     path = tmp_path / "model.ckpt"

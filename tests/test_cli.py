@@ -361,6 +361,16 @@ def test_retrieve_rejects_checkpoint_for_other_data(workspace, tmp_path, capsys,
     assert not (tmp_path / "run" / "run.txt").exists()
 
 
+def test_retrieve_rejects_checkpoint_with_bad_header(workspace, tmp_path, capsys):
+    path = tmp_path / "model.ckpt"
+    checkpoint._write(path, (16, 1, 0, 10, 8, 0), [np.zeros(100, dtype=np.float32)])
+    assert run_cli("retrieve", "--corpus-dir", workspace["corpus"],
+                   "--queries", workspace["data"] / "train_queries.tsv", "--model", path,
+                   "--out-dir", tmp_path / "run", "--config", workspace["cfg"]) == 1
+    assert f"error: {path}: bad header: n_heads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "run.txt").exists()
+
+
 @pytest.mark.parametrize("case", ["corpus_size", "vocabulary"])
 def test_train_overdense_rejects_dense_model_for_other_data(workspace, tmp_path, capsys, case):
     dense_dir = tmp_path / "dense"

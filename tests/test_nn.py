@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,10 @@ import pytest
 from paramdex.nn import (
     Encoder,
     EncoderConfig,
+    _gelu,
+    _layer_norm,
+    _merge_heads,
+    _split_heads,
     adamw_init,
     adamw_step,
     finite_diff_check,
@@ -77,6 +82,29 @@ def mixed_length_batch():
     return [list(rng.integers(3, TINY.vocab_size, size=n)) for n in lengths]
 
 
+def full_width_cls(enc, seqs):
+    """CLS rows of one padded batch that runs every position through every
+    layer and the final layer norm: the reference for the last layer's
+    CLS-only computation."""
+    cfg, p = enc.cfg, enc.params
+    ids, mask = enc._prepare(seqs)
+    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
+    x = p["tok_emb"][ids] + p["pos_emb"][: ids.shape[1]]
+    for i in range(cfg.n_layers):
+        w = {k.split(".", 1)[1]: v for k, v in p.items() if k.startswith(f"layer{i}.")}
+        a, _, _ = _layer_norm(x, w["ln1.scale"], w["ln1.shift"])
+        qh, kh, vh = (_split_heads(a @ w[f"attn.w{t}"] + w[f"attn.b{t}"], cfg.n_heads)
+                      for t in "qkv")
+        s = qh @ kh.transpose(0, 1, 3, 2) * scale + mask
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        att = e / e.sum(axis=-1, keepdims=True)
+        x = x + _merge_heads(att @ vh) @ w["attn.wo"] + w["attn.bo"]
+        fin, _, _ = _layer_norm(x, w["ln2.scale"], w["ln2.shift"])
+        x = x + _gelu(fin @ w["ffn.w1"] + w["ffn.b1"]) @ w["ffn.w2"] + w["ffn.b2"]
+    y, _, _ = _layer_norm(x, p["ln_f.scale"], p["ln_f.shift"])
+    return y[:, 0, :]
+
+
 class TestLengthGroups:
     def test_rows_match_single_sequence_encoding_in_input_order(self):
         enc = tiny_encoder(seed=2)
@@ -101,16 +129,26 @@ class TestLengthGroups:
             # attn.bk has a true gradient of zero: compare its float noise absolutely
             np.testing.assert_allclose(batched[k], total[k], rtol=1e-9, atol=1e-12, err_msg=k)
 
-    def test_mixed_batch_matches_finite_differences(self):
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_cls_rows_match_full_width_reference(self, n_layers):
+        cfg = dataclasses.replace(TINY, n_layers=n_layers)
+        enc = Encoder.init(cfg, 8, dtype=np.float64)
+        seqs = mixed_length_batch()
+        batched, _ = enc.forward_batch(seqs, need_cache=False)
+        np.testing.assert_allclose(batched, full_width_cls(enc, seqs), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_mixed_batch_matches_finite_differences(self, n_layers):
+        cfg = dataclasses.replace(TINY, n_layers=n_layers)
         rng = np.random.default_rng(13)
-        enc = Encoder.init(TINY, rng, dtype=np.float64)
-        w_doc = rng.normal(0, 0.02, size=(TINY.d_model, 8))
+        enc = Encoder.init(cfg, rng, dtype=np.float64)
+        w_doc = rng.normal(0, 0.02, size=(cfg.d_model, 8))
         batch = [TrainingPair(s, i % 8, "terms") for i, s in enumerate(mixed_length_batch())]
         params = dict(enc.params, w_doc=w_doc)
 
         def fn(p):
             return forward_backward(
-                Encoder(TINY, {k: v for k, v in p.items() if k != "w_doc"}), p["w_doc"], batch
+                Encoder(cfg, {k: v for k, v in p.items() if k != "w_doc"}), p["w_doc"], batch
             )
 
         worst, per_param = finite_diff_check(fn, params, eps=1e-4,
