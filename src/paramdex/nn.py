@@ -22,6 +22,17 @@ layers run every position, since the last layer's keys and values need
 them. The backward pass mirrors this, so no gradient is pushed back through
 rows that feed no output.
 
+Queries, keys and values come from one forward gemm on their weights
+concatenated at call time (keys and values only in the last layer, whose
+queries cover row 0); the stored parameters and the checkpoint layout keep
+separate attn.wq/wk/wv. Each layer's cache holds the GELU derivative,
+computed with the activation from the same tanh, in place of the GELU
+input. The elementwise kernels (GELU, layer norm and its backward, the
+attention softmax and its backward, AdamW) run in place on few buffers but
+keep the floating-point operations and their order of the plain
+expressions in their docstrings, so their results are bit-identical to
+those expressions.
+
 No dropout: training is deterministic by construction. Training runs in
 float32; gradient checks construct float64 models.
 """
@@ -104,35 +115,85 @@ def init_params(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32) 
     return params
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_K * (x + _GELU_C * x * x * x)))
+def _gelu(x: np.ndarray, need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """tanh-approximated GELU of x, and with need_grad its derivative (else None).
 
-
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_K * (x + _GELU_C * x * x * x))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_K * (1.0 + 3.0 * _GELU_C * x * x)
+    One tanh serves both. In the operation order of
+        h  = 0.5 * x * (1 + tanh(K * (x + C * x * x * x)))
+        h' = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * K * (1 + 3 * C * x * x)
+    with t that tanh, so results are bit-identical to those expressions.
+    """
+    t = _GELU_C * x
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_K
+    np.tanh(t, out=t)
+    half_x = 0.5 * x
+    h = t + 1.0
+    grad = np.multiply(h, 0.5) if need_grad else None
+    h *= half_x
+    if need_grad:
+        t *= t
+        np.subtract(1.0, t, out=t)
+        half_x *= t
+        half_x *= _GELU_K
+        np.multiply(x, 3.0 * _GELU_C, out=t)
+        t *= x
+        t += 1.0
+        half_x *= t
+        grad += half_x
+    return h, grad
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mean) * inv
-    return xhat * scale + shift, xhat, inv
+    """Returns (y, xhat, inv): x centred once, variance as x.var computes it."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    y = np.multiply(xhat, xhat)  # the squares first, then the output
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= inv
+    np.multiply(xhat, scale, out=y)
+    y += shift
+    return y, xhat, inv
 
 
 def _layer_norm_backward(dy, xhat, inv, scale):
-    """Returns (dx, dscale, dshift); reductions over all leading axes."""
+    """Returns (dx, dscale, dshift); reductions over all leading axes.
+
+    dx = inv * (dxh - mean(dxh) - xhat * mean(dxh * xhat)) with dxh = dy * scale,
+    in that operation order.
+    """
     axes = tuple(range(dy.ndim - 1))
-    dscale = (dy * xhat).sum(axis=axes)
+    buf = dy * xhat
+    dscale = buf.sum(axis=axes)
     dshift = dy.sum(axis=axes)
-    dxh = dy * scale
-    dx = inv * (
-        dxh
-        - dxh.mean(axis=-1, keepdims=True)
-        - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)
-    )
+    dx = dy * scale
+    np.multiply(dx, xhat, out=buf)
+    np.multiply(xhat, buf.mean(axis=-1, keepdims=True), out=buf)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= buf
+    dx *= inv
     return dx, dscale, dshift
+
+
+def _attention_softmax(s: np.ndarray, scale: float, mask: np.ndarray) -> np.ndarray:
+    """softmax(s * scale + mask) over the last axis, computed in s and returned:
+    z = s * scale + mask; e = exp(z - max(z)); att = e / sum(e)."""
+    s *= scale
+    s += mask
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _attention_softmax_backward(att: np.ndarray, datt: np.ndarray, scale: float) -> np.ndarray:
+    """Gradient at s of att = _attention_softmax(s, scale, mask) given datt,
+    att * (datt - sum(datt * att)) * scale, computed in datt and returned."""
+    datt -= (datt * att).sum(axis=-1, keepdims=True)
+    datt *= att
+    datt *= scale
+    return datt
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -220,27 +281,26 @@ class Encoder:
             pre = f"layer{i}."
             # only the CLS row leaves the last layer: it needs keys and values
             # for every position, and queries and all the rest for row 0 alone
-            rows = slice(0, 1) if i == cfg.n_layers - 1 else slice(None)
+            last = i == cfg.n_layers - 1
+            rows = slice(0, 1) if last else slice(None)
             a, xhat1, inv1 = _layer_norm(x, p[pre + "ln1.scale"], p[pre + "ln1.shift"])
-            q = a[:, rows] @ p[pre + "attn.wq"] + p[pre + "attn.bq"]
-            k = a @ p[pre + "attn.wk"] + p[pre + "attn.bk"]
-            v = a @ p[pre + "attn.wv"] + p[pre + "attn.bv"]
-            qh = _split_heads(q, cfg.n_heads)
-            kh = _split_heads(k, cfg.n_heads)
-            vh = _split_heads(v, cfg.n_heads)
-            s = qh @ kh.transpose(0, 1, 3, 2) * scale + mask
-            s -= s.max(axis=-1, keepdims=True)
-            e = np.exp(s)
-            att = e / e.sum(axis=-1, keepdims=True)
+            # one gemm for the projections that cover every position
+            fused = "kv" if last else "qkv"
+            proj = a @ np.concatenate([p[pre + "attn.w" + t] for t in fused], axis=1)
+            proj += np.concatenate([p[pre + "attn.b" + t] for t in fused])
+            qkv = np.split(proj, len(fused), axis=-1)
+            if last:
+                qkv.insert(0, a[:, rows] @ p[pre + "attn.wq"] + p[pre + "attn.bq"])
+            qh, kh, vh = (_split_heads(u, cfg.n_heads) for u in qkv)
+            att = _attention_softmax(qh @ kh.transpose(0, 1, 3, 2), scale, mask)
             c = _merge_heads(att @ vh)
             o = c @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
             x_mid = x[:, rows] + o
             fin, xhat2, inv2 = _layer_norm(x_mid, p[pre + "ln2.scale"], p[pre + "ln2.shift"])
-            act_in = fin @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"]
-            h = _gelu(act_in)
+            h, gelu_d = _gelu(fin @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"], need_cache)
             x = x_mid + h @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"]
             if need_cache:
-                layers.append((rows, a, xhat1, inv1, qh, kh, vh, att, c, xhat2, inv2, fin, act_in, h))
+                layers.append((rows, a, xhat1, inv1, qh, kh, vh, att, c, xhat2, inv2, fin, gelu_d, h))
         y, xhat_f, inv_f = _layer_norm(x, p["ln_f.scale"], p["ln_f.shift"])
         cache = (ids, scale, layers, xhat_f, inv_f) if need_cache else None
         return y[:, 0, :], cache
@@ -276,10 +336,10 @@ class Encoder:
         )
         for i in reversed(range(cfg.n_layers)):
             pre = f"layer{i}."
-            rows, a, xhat1, inv1, qh, kh, vh, att, c, xhat2, inv2, fin, act_in, h = layers[i]
+            rows, a, xhat1, inv1, qh, kh, vh, att, c, xhat2, inv2, fin, gelu_d, h = layers[i]
             # feed-forward block
             dh, gl[pre + "ffn.w2"], gl[pre + "ffn.b2"] = _linear_backward(h, dx, p[pre + "ffn.w2"])
-            dact = dh * _gelu_grad(act_in)
+            dact = dh * gelu_d
             dfin, gl[pre + "ffn.w1"], gl[pre + "ffn.b1"] = _linear_backward(fin, dact, p[pre + "ffn.w1"])
             dln2, gl[pre + "ln2.scale"], gl[pre + "ln2.shift"] = _layer_norm_backward(
                 dfin, xhat2, inv2, p[pre + "ln2.scale"]
@@ -288,10 +348,8 @@ class Encoder:
             # attention block
             dc, gl[pre + "attn.wo"], gl[pre + "attn.bo"] = _linear_backward(c, dx, p[pre + "attn.wo"])
             dch = _split_heads(dc, cfg.n_heads)
-            datt = dch @ vh.transpose(0, 1, 3, 2)
             dvh = att.transpose(0, 1, 3, 2) @ dch
-            ds = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
-            ds *= scale
+            ds = _attention_softmax_backward(att, dch @ vh.transpose(0, 1, 3, 2), scale)
             dqh = ds @ kh
             dkh = ds.transpose(0, 1, 3, 2) @ qh
             dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
@@ -392,7 +450,12 @@ def adamw_step(
     cfg's lr, beta1, beta2, eps and weight_decay.
 
     Pure function: inputs are left untouched and fresh arrays are returned,
-    so repeating the call with the same inputs is bit-identical.
+    so repeating the call with the same inputs is bit-identical. Each
+    gradient must have its parameter's shape and dtype. The update runs in
+    place on fresh buffers, in the operation order of
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        p = p - lr * ((m / c1) / (sqrt(v / c2) + eps) + weight_decay * p)
     """
     if set(grads) != set(params):
         raise ValueError("gradient keys do not match parameter keys")
@@ -404,12 +467,25 @@ def adamw_step(
         gk = grads[k]
         if gk.shape != p.shape:
             raise ValueError(f"gradient shape mismatch for '{k}'")
-        m = cfg.beta1 * state.m[k] + (1.0 - cfg.beta1) * gk
-        v = cfg.beta2 * state.v[k] + (1.0 - cfg.beta2) * gk * gk
-        update = (m / c1) / (np.sqrt(v / c2) + cfg.eps) + cfg.weight_decay * p
-        new_p[k] = (p - cfg.lr * update).astype(p.dtype)
-        new_m[k] = m.astype(p.dtype)
-        new_v[k] = v.astype(p.dtype)
+        if gk.dtype != p.dtype:
+            raise ValueError(f"gradient dtype {gk.dtype} for '{k}' differs from its parameter's {p.dtype}")
+        tmp = np.multiply(gk, 1.0 - cfg.beta1)
+        m = np.multiply(state.m[k], cfg.beta1)
+        m += tmp
+        np.multiply(gk, 1.0 - cfg.beta2, out=tmp)
+        tmp *= gk
+        v = np.multiply(state.v[k], cfg.beta2)
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.eps
+        update = m / c1
+        update /= tmp
+        np.multiply(p, cfg.weight_decay, out=tmp)
+        update += tmp
+        update *= cfg.lr
+        new_p[k] = np.subtract(p, update, out=update)
+        new_m[k], new_v[k] = m, v
     return new_p, AdamWState(step=t, m=new_m, v=new_v)
 
 

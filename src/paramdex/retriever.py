@@ -239,6 +239,9 @@ def train_overdense(
     if w_doc.shape[0] != query_tower.cfg.d_model:
         raise ValueError(f"dense index vectors have width {w_doc.shape[0]} but the query "
                          f"tower's d_model is {query_tower.cfg.d_model}")
+    if w_doc.dtype != query_tower.dtype:
+        raise ValueError(f"dense index vectors are {w_doc.dtype} but the query tower "
+                         f"is {query_tower.dtype}")
     encoder = Encoder(query_tower.cfg, {k: v.copy() for k, v in query_tower.params.items()})
     fine_pairs = query_pairs(queries, qrels)
     _validate_targets(fine_pairs, len(corpus))

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from paramdex.nn import (
+    LN_EPS,
     Encoder,
     EncoderConfig,
+    _attention_softmax,
+    _attention_softmax_backward,
     _gelu,
     _layer_norm,
+    _layer_norm_backward,
     _merge_heads,
     _split_heads,
     adamw_init,
@@ -82,26 +86,77 @@ def mixed_length_batch():
     return [list(rng.integers(3, TINY.vocab_size, size=n)) for n in lengths]
 
 
+GELU_K = math.sqrt(2.0 / math.pi)
+GELU_C = 0.044715
+
+
+# Textbook kernels, written as plain expressions: the references for the
+# encoder's in-place kernels, which must match them bit for bit.
+def textbook_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(GELU_K * (x + GELU_C * x * x * x)))
+
+
+def textbook_gelu_grad(x):
+    t = np.tanh(GELU_K * (x + GELU_C * x * x * x))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_K * (1.0 + 3.0 * GELU_C * x * x)
+
+
+def textbook_layer_norm(x, scale, shift):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = (x - mean) * inv
+    return xhat * scale + shift, xhat, inv
+
+
+def textbook_layer_norm_backward(dy, xhat, inv, scale):
+    axes = tuple(range(dy.ndim - 1))
+    dxh = dy * scale
+    dx = inv * (
+        dxh
+        - dxh.mean(axis=-1, keepdims=True)
+        - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
+
+
+def textbook_attention_softmax(s, scale, mask):
+    s = s * scale + mask
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def textbook_attention_softmax_backward(att, datt, scale):
+    return att * (datt - (datt * att).sum(axis=-1, keepdims=True)) * scale
+
+
+def textbook_adamw(p, g, m, v, step, cfg):
+    c1 = 1.0 - cfg.beta1 ** step
+    c2 = 1.0 - cfg.beta2 ** step
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+    update = (m / c1) / (np.sqrt(v / c2) + cfg.eps) + cfg.weight_decay * p
+    return p - cfg.lr * update, m, v
+
+
 def full_width_cls(enc, seqs):
     """CLS rows of one padded batch that runs every position through every
-    layer and the final layer norm: the reference for the last layer's
-    CLS-only computation."""
+    layer and the final layer norm, from the textbook kernels: the reference
+    for the last layer's CLS-only computation."""
     cfg, p = enc.cfg, enc.params
     ids, mask = enc._prepare(seqs)
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     x = p["tok_emb"][ids] + p["pos_emb"][: ids.shape[1]]
     for i in range(cfg.n_layers):
         w = {k.split(".", 1)[1]: v for k, v in p.items() if k.startswith(f"layer{i}.")}
-        a, _, _ = _layer_norm(x, w["ln1.scale"], w["ln1.shift"])
+        a, _, _ = textbook_layer_norm(x, w["ln1.scale"], w["ln1.shift"])
         qh, kh, vh = (_split_heads(a @ w[f"attn.w{t}"] + w[f"attn.b{t}"], cfg.n_heads)
                       for t in "qkv")
-        s = qh @ kh.transpose(0, 1, 3, 2) * scale + mask
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-        att = e / e.sum(axis=-1, keepdims=True)
+        att = textbook_attention_softmax(qh @ kh.transpose(0, 1, 3, 2), scale, mask)
         x = x + _merge_heads(att @ vh) @ w["attn.wo"] + w["attn.bo"]
-        fin, _, _ = _layer_norm(x, w["ln2.scale"], w["ln2.shift"])
-        x = x + _gelu(fin @ w["ffn.w1"] + w["ffn.b1"]) @ w["ffn.w2"] + w["ffn.b2"]
-    y, _, _ = _layer_norm(x, p["ln_f.scale"], p["ln_f.shift"])
+        fin, _, _ = textbook_layer_norm(x, w["ln2.scale"], w["ln2.shift"])
+        x = x + textbook_gelu(fin @ w["ffn.w1"] + w["ffn.b1"]) @ w["ffn.w2"] + w["ffn.b2"]
+    y, _, _ = textbook_layer_norm(x, p["ln_f.scale"], p["ln_f.shift"])
     return y[:, 0, :]
 
 
@@ -173,6 +228,87 @@ class TestSoftmax:
         rng = np.random.default_rng(1)
         logits = rng.normal(size=17)
         np.testing.assert_allclose(softmax(logits), softmax(logits + 123.456), atol=1e-6)
+
+
+class TestKernelsMatchTextbookExactly:
+    """The in-place kernels do the textbook expressions' floating-point
+    operations in the same order, so results are equal bit for bit. A
+    reordering that only moves rounding fails here, not in a checkpoint."""
+
+    @pytest.fixture(params=[0, 1, 2])
+    def rng(self, request):
+        return np.random.default_rng(request.param)
+
+    def test_gelu_and_its_derivative(self, rng):
+        x = (rng.normal(size=(6, 33, 256)) * rng.choice([0.1, 1.0, 4.0, 30.0], size=(6, 1, 1)))
+        x = x.astype(np.float32)
+        x[0, 0, :3] = 0.0
+        before = x.copy()
+        h, grad = _gelu(x, need_grad=True)
+        assert h.dtype == grad.dtype == np.float32
+        assert np.array_equal(h, textbook_gelu(x))
+        assert np.array_equal(grad, textbook_gelu_grad(x))
+        h_only, none = _gelu(x, need_grad=False)
+        assert none is None and np.array_equal(h_only, h)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("shape", [(5, 17, 64), (5, 1, 64), (3, 2, 16)])
+    def test_layer_norm(self, rng, shape):
+        x = (rng.normal(size=shape) * 3.0 + rng.normal(size=shape[:-1] + (1,))).astype(np.float32)
+        scale = rng.normal(1.0, 0.3, size=shape[-1]).astype(np.float32)
+        shift = rng.normal(0.0, 0.3, size=shape[-1]).astype(np.float32)
+        before = x.copy()
+        for got, want in zip(_layer_norm(x, scale, shift), textbook_layer_norm(x, scale, shift)):
+            assert got.dtype == np.float32 and np.array_equal(got, want)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("shape", [(5, 17, 64), (5, 1, 64), (3, 2, 16)])
+    def test_layer_norm_backward(self, rng, shape):
+        x = rng.normal(size=shape).astype(np.float32)
+        scale = rng.normal(1.0, 0.3, size=shape[-1]).astype(np.float32)
+        _, xhat, inv = textbook_layer_norm(x, scale, np.zeros_like(scale))
+        dy = rng.normal(size=shape).astype(np.float32)
+        before = dy.copy()
+        got = _layer_norm_backward(dy, xhat, inv, scale)
+        want = textbook_layer_norm_backward(dy, xhat, inv, scale)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float32 and np.array_equal(g, w)
+        assert np.array_equal(dy, before)
+
+    @pytest.mark.parametrize("n_queries", [9, 1])
+    def test_attention_softmax_forward_and_backward(self, rng, n_queries):
+        b, h, n = 4, 2, 9
+        lens = np.array([9, 1, 5, 3])
+        mask = np.where(np.arange(n)[None, :] < lens[:, None], 0.0, -np.inf)
+        mask = mask.astype(np.float32)[:, None, None, :]
+        s = (rng.normal(size=(b, h, n_queries, n)) * 6.0).astype(np.float32)
+        scale = 1.0 / math.sqrt(8)
+        want = textbook_attention_softmax(s, scale, mask)
+        att = _attention_softmax(s.copy(), scale, mask)
+        assert att.dtype == np.float32 and np.array_equal(att, want)
+        assert np.all(att[1, :, :, 1:] == 0.0)  # the masked columns
+        datt = rng.normal(size=att.shape).astype(np.float32)
+        want = textbook_attention_softmax_backward(att, datt, scale)
+        got = _attention_softmax_backward(att, datt.copy(), scale)
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adamw_step(self, rng, dtype):
+        shapes = {"w": (64, 96), "b": (96,), "s": (3, 4, 5)}
+        params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        cfg = TrainConfig(lr=3e-3, weight_decay=0.05)
+        state = adamw_init(params)
+        want_p, want_m, want_v = dict(params), dict(state.m), dict(state.v)
+        for step in range(1, 5):
+            grads = {k: (rng.normal(size=s) * 10.0 ** rng.uniform(-4, 1)).astype(dtype)
+                     for k, s in shapes.items()}
+            params, state = adamw_step(params, grads, state, cfg)
+            for k in shapes:
+                want_p[k], want_m[k], want_v[k] = textbook_adamw(
+                    want_p[k], grads[k], want_m[k], want_v[k], step, cfg)
+                for got, want in ((params[k], want_p[k]), (state.m[k], want_m[k]),
+                                  (state.v[k], want_v[k])):
+                    assert got.dtype == dtype and np.array_equal(got, want), (step, k)
 
 
 class TestForwardBackward:
@@ -302,6 +438,12 @@ class TestAdamW:
         params = {"a": np.zeros(3)}
         grads = {"a": np.zeros(4)}
         with pytest.raises(ValueError, match="shape"):
+            adamw_step(params, grads, adamw_init(params), TrainConfig())
+
+    def test_dtype_mismatch_rejected_naming_the_key(self):
+        params = {"a": np.zeros(3, dtype=np.float32)}
+        grads = {"a": np.ones(3, dtype=np.float64)}
+        with pytest.raises(ValueError, match="dtype.*'a'"):
             adamw_step(params, grads, adamw_init(params), TrainConfig())
 
     def test_missing_key_rejected(self):

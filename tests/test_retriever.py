@@ -263,6 +263,13 @@ class TestTrainOverdense:
         with pytest.raises(ValueError, match=f"width {d + 8} but the query tower's d_model is {d}"):
             train_overdense(corp, wide, tower, queries, qrels, tcfg)
 
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_rejects_dense_index_of_other_dtype(self, epochs):
+        corp, queries, qrels, tower, index = self._dense_setup()
+        tcfg = TrainConfig(batch_size=8, finetune_epochs=epochs, seed=0)
+        with pytest.raises(ValueError, match="vectors are float64 but the query tower is float32"):
+            train_overdense(corp, index.astype(np.float64), tower, queries, qrels, tcfg)
+
     def test_finetune_decreases_training_loss(self):
         corp, queries, qrels, tower, index = self._dense_setup()
         tcfg = TrainConfig(lr=3e-3, batch_size=8, finetune_epochs=3,
