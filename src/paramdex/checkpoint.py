@@ -5,10 +5,11 @@ Layout (all little-endian):
     magic "DYNR" | uint32 version | uint32 d_model, n_layers, n_heads,
     vocab_size, max_len, n_docs | payload | uint64 checksum
 
-The payload is float32 arrays in param_names() order, then the docid
-matrix (d_model x n_docs) when n_docs > 0. The checksum is an 8-byte
-blake2b of the payload. The dense baseline is stored as such a model: its
-query tower plus the transposed dense index as the docid matrix.
+The payload is float32 arrays in param_shapes() order plus the slot (see
+_payload_layout), then the docid matrix (d_model x n_docs) when n_docs > 0.
+The checksum is an 8-byte blake2b of the payload. The dense baseline is
+stored as such a model: its query tower plus the transposed dense index as
+the docid matrix.
 
 write_meta gives an artifact a deterministic sidecar ``<path>.meta.json``
 recording the config hash and seed that produced it (no timestamps, so
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import EncoderConfig, param_names, param_shape
+from .nn import EncoderConfig, param_shapes
 
 MAGIC = b"DYNR"
 VERSION = 1
@@ -71,6 +72,18 @@ def _read(path: Path) -> tuple[tuple[int, ...], bytes]:
     return tuple(fields), payload
 
 
+def _payload_layout(cfg: EncoderConfig):
+    """(name, shape) of each encoder array in payload order, with name None
+    for the slot of d_model floats after each attn.wk. Older builds kept a key
+    bias there; softmax cancels a key bias, so the encoder has none. Saving
+    writes the slot as zeros and loading skips it: version 1's bytes stay,
+    so older files load and older builds read new files."""
+    for name, shape in param_shapes(cfg).items():
+        yield name, shape
+        if name.endswith(".attn.wk"):
+            yield None, (cfg.d_model,)
+
+
 def save_model(
     path: str | Path,
     cfg: EncoderConfig,
@@ -78,7 +91,7 @@ def save_model(
     w_doc: np.ndarray | None = None,
 ) -> None:
     """Write encoder parameters (and the docid matrix, if any) as float32."""
-    arrays = [params[name] for name in param_names(cfg)]
+    arrays = [params[name] if name else np.zeros(shape) for name, shape in _payload_layout(cfg)]
     n_docs = 0
     if w_doc is not None:
         if w_doc.shape[0] != cfg.d_model:
@@ -111,10 +124,10 @@ def load_model(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray], 
     data = np.frombuffer(payload, dtype="<f4")
     params: dict[str, np.ndarray] = {}
     off = 0
-    for name in param_names(cfg):
-        shape = param_shape(cfg, name)
+    for name, shape in _payload_layout(cfg):
         size = math.prod(shape)
-        params[name] = data[off : off + size].reshape(shape).copy()
+        if name:
+            params[name] = data[off : off + size].reshape(shape).copy()
         off += size
     w_doc = None
     if n_docs > 0:

@@ -304,15 +304,21 @@ def load_corpus(in_dir: str | Path) -> Corpus:
     docs: list[Document] = []
     with open(src / "docs.jsonl", encoding="utf-8") as f:
         for i, line in enumerate(f):
-            rec = json.loads(line)
-            tokens = list(rec["token_ids"])
+            where = f"docs.jsonl line {i + 1}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{where}: invalid JSON ({e.msg})") from None
+            if not (isinstance(rec, dict) and "docid" in rec and isinstance(rec.get("token_ids"), list)):
+                raise ValueError(f"{where}: expected a record with 'docid' and a 'token_ids' list")
+            tokens = rec["token_ids"]
             if not valid_ids.issuperset(tokens):
                 raise ValueError(
-                    f"docs.jsonl line {i + 1} (docid '{rec['docid']}'): "
+                    f"{where} (docid '{rec['docid']}'): "
                     f"token id outside the vocabulary [0, {len(vocab)})"
                 )
             ext = str(rec["docid"])
             if not valid_id(ext):
-                raise ValueError(f"docs.jsonl line {i + 1}: docid {ext!r} is empty or contains whitespace")
+                raise ValueError(f"{where}: docid {ext!r} is empty or contains whitespace")
             docs.append(Document(i, ext, tokens, int(rec.get("clicks", 0))))
     return Corpus(docs, vocab)

@@ -181,25 +181,36 @@ def write_manifest(path: str | Path, plan: ShardPlan, corpus: Corpus) -> None:
 
 
 def read_manifest(path: str | Path, corpus: Corpus) -> ShardPlan:
+    """Read a write_manifest file: each document of corpus in exactly one of
+    g nonempty groups. Bad input raises ValueError naming the line or group."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip()
-        if not header.startswith("# g="):
-            raise ValueError("manifest missing '# g=<g> seed=<seed>' header")
-        fields = dict(part.split("=") for part in header[2:].split())
-        g, seed = int(fields["g"]), int(fields["seed"])
+        fields = dict(part.partition("=")[::2] for part in header[1:].split()) if header[:1] == "#" else {}
+        try:
+            g, seed = int(fields["g"]), int(fields["seed"])
+        except (KeyError, ValueError):
+            raise ValueError(f"{path} line 1: expected the header '# g=<g> seed=<seed>'") from None
         group_of = np.full(len(corpus), -1, dtype=np.int64)
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
-            gid_s, ext = line.split("\t")
-            if ext not in corpus.by_external:
-                raise ValueError(f"line {lineno}: unknown docid '{ext}'")
+            gid_s, _, ext = line.partition("\t")
+            if not gid_s.removeprefix("-").isdecimal() or not ext or "\t" in ext:
+                raise ValueError(f"{path} line {lineno}: expected 'gid<TAB>docid', got {line!r}")
             gid = int(gid_s)
+            if ext not in corpus.by_external:
+                raise ValueError(f"{path} line {lineno}: unknown docid '{ext}'")
             if not 0 <= gid < g:
-                raise ValueError(f"line {lineno}: group id {gid} outside [0, {g})")
-            group_of[corpus.by_external[ext]] = gid
+                raise ValueError(f"{path} line {lineno}: group id {gid} outside [0, {g})")
+            doc = corpus.by_external[ext]
+            if group_of[doc] >= 0:
+                raise ValueError(f"{path} line {lineno}: docid '{ext}' is already in group {group_of[doc]}")
+            group_of[doc] = gid
     if (group_of < 0).any():
-        raise ValueError("manifest does not cover the corpus")
+        raise ValueError(f"{path}: manifest does not cover the corpus")
     groups = [np.flatnonzero(group_of == gid) for gid in range(g)]
+    empty = [gid for gid, members in enumerate(groups) if members.size == 0]
+    if empty:
+        raise ValueError(f"{path}: group {empty[0]} has no documents")
     return ShardPlan(g, seed, group_of, groups)

@@ -4,7 +4,9 @@ Everything here is plain numpy. The encoder is a pre-layer-norm transformer
 with learned positional embeddings and CLS pooling; its backward pass is
 written by hand and checked coordinate-wise against central finite
 differences (see finite_diff_check). Parameters live in a flat
-name -> array dict whose canonical order is given by param_names().
+name -> array dict whose names, shapes and canonical order are given by
+param_shapes(). Attention has no key bias: it would add one constant to
+all of a query's scores, which the softmax cancels.
 
 Batches run in length groups. Padding is masked out of attention, so each
 sequence's encoding is independent of its batch neighbors, and
@@ -22,16 +24,12 @@ layers run every position, since the last layer's keys and values need
 them. The backward pass mirrors this, so no gradient is pushed back through
 rows that feed no output.
 
-Queries, keys and values come from one forward gemm on their weights
-concatenated at call time (keys and values only in the last layer, whose
-queries cover row 0); the stored parameters and the checkpoint layout keep
-separate attn.wq/wk/wv. Each layer's cache holds the GELU derivative,
-computed with the activation from the same tanh, in place of the GELU
-input. The elementwise kernels (GELU, layer norm and its backward, the
-attention softmax and its backward, AdamW) run in place on few buffers but
-keep the floating-point operations and their order of the plain
-expressions in their docstrings, so their results are bit-identical to
-those expressions.
+Each layer's cache holds the GELU derivative, computed with the
+activation from the same tanh, in place of the GELU input. The elementwise
+kernels (GELU, layer norm and its backward, the attention softmax and its
+backward, AdamW) run in place on few buffers but keep the floating-point
+operations and their order of the plain expressions in their docstrings,
+so their results are bit-identical to those expressions.
 
 No dropout: training is deterministic by construction. Training runs in
 float32; gradient checks construct float64 models.
@@ -70,45 +68,33 @@ class EncoderConfig:
             raise ValueError("d_model must be divisible by n_heads")
 
 
-def _layer_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Each layer's leaf parameters with their shapes, in checkpoint order."""
+def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in canonical order (the checkpoint's order)."""
     d, f = cfg.d_model, cfg.d_ff
-    return {
+    layer = {
         "ln1.scale": (d,), "ln1.shift": (d,),
         "attn.wq": (d, d), "attn.bq": (d,),
-        "attn.wk": (d, d), "attn.bk": (d,),
+        "attn.wk": (d, d),  # no key bias: softmax cancels it
         "attn.wv": (d, d), "attn.bv": (d,),
         "attn.wo": (d, d), "attn.bo": (d,),
         "ln2.scale": (d,), "ln2.shift": (d,),
         "ffn.w1": (d, f), "ffn.b1": (f,),
         "ffn.w2": (f, d), "ffn.b2": (d,),
     }
-
-
-def param_names(cfg: EncoderConfig) -> list[str]:
-    """Canonical parameter order; checkpoints serialize arrays in this order."""
-    layers = [f"layer{i}.{leaf}" for i in range(cfg.n_layers) for leaf in _layer_shapes(cfg)]
-    return ["tok_emb", "pos_emb", *layers, "ln_f.scale", "ln_f.shift"]
-
-
-def param_shape(cfg: EncoderConfig, name: str) -> tuple[int, ...]:
-    if name == "tok_emb":
-        return (cfg.vocab_size, cfg.d_model)
-    if name == "pos_emb":
-        return (cfg.max_len, cfg.d_model)
-    if name in ("ln_f.scale", "ln_f.shift"):
-        return (cfg.d_model,)
-    return _layer_shapes(cfg)[name.split(".", 1)[1]]
+    shapes = {"tok_emb": (cfg.vocab_size, d), "pos_emb": (cfg.max_len, d)}
+    for i in range(cfg.n_layers):
+        shapes.update({f"layer{i}.{leaf}": shape for leaf, shape in layer.items()})
+    shapes["ln_f.scale"] = shapes["ln_f.shift"] = (d,)
+    return shapes
 
 
 def init_params(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
     """Weights ~ N(0, 0.02), biases/shifts zero, layer-norm scales one."""
     params: dict[str, np.ndarray] = {}
-    for name in param_names(cfg):
-        shape = param_shape(cfg, name)
+    for name, shape in param_shapes(cfg).items():
         if name.endswith(".scale"):
             params[name] = np.ones(shape, dtype=dtype)
-        elif name.endswith((".shift", "bq", "bk", "bv", "bo", "b1", "b2")):
+        elif len(shape) == 1:
             params[name] = np.zeros(shape, dtype=dtype)
         else:
             params[name] = rng.normal(0.0, 0.02, size=shape).astype(dtype)
@@ -284,14 +270,10 @@ class Encoder:
             last = i == cfg.n_layers - 1
             rows = slice(0, 1) if last else slice(None)
             a, xhat1, inv1 = _layer_norm(x, p[pre + "ln1.scale"], p[pre + "ln1.shift"])
-            # one gemm for the projections that cover every position
-            fused = "kv" if last else "qkv"
-            proj = a @ np.concatenate([p[pre + "attn.w" + t] for t in fused], axis=1)
-            proj += np.concatenate([p[pre + "attn.b" + t] for t in fused])
-            qkv = np.split(proj, len(fused), axis=-1)
-            if last:
-                qkv.insert(0, a[:, rows] @ p[pre + "attn.wq"] + p[pre + "attn.bq"])
-            qh, kh, vh = (_split_heads(u, cfg.n_heads) for u in qkv)
+            q = a[:, rows] @ p[pre + "attn.wq"] + p[pre + "attn.bq"]
+            k = a @ p[pre + "attn.wk"]
+            v = a @ p[pre + "attn.wv"] + p[pre + "attn.bv"]
+            qh, kh, vh = (_split_heads(u, cfg.n_heads) for u in (q, k, v))
             att = _attention_softmax(qh @ kh.transpose(0, 1, 3, 2), scale, mask)
             c = _merge_heads(att @ vh)
             o = c @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
@@ -354,7 +336,7 @@ class Encoder:
             dkh = ds.transpose(0, 1, 3, 2) @ qh
             dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
             da_q, gl[pre + "attn.wq"], gl[pre + "attn.bq"] = _linear_backward(a[:, rows], dq, p[pre + "attn.wq"])
-            da_k, gl[pre + "attn.wk"], gl[pre + "attn.bk"] = _linear_backward(a, dk, p[pre + "attn.wk"])
+            da_k, gl[pre + "attn.wk"], _ = _linear_backward(a, dk, p[pre + "attn.wk"])
             da_v, gl[pre + "attn.wv"], gl[pre + "attn.bv"] = _linear_backward(a, dv, p[pre + "attn.wv"])
             da = da_k  # da_q + da_k + da_v, with da_q on the query rows only
             da[:, rows] += da_q

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from paramdex import checkpoint
 from paramdex.checkpoint import load_model, read_meta, save_model, write_meta
-from paramdex.nn import Encoder, EncoderConfig
+from paramdex.nn import Encoder, EncoderConfig, param_shapes
+
+from test_nn import full_width_cls
 
 
 CFG = EncoderConfig(vocab_size=50, d_model=16, n_layers=2, n_heads=2, d_ff=48, max_len=20)
@@ -31,6 +34,57 @@ def test_encoder_only_roundtrip(tmp_path):
     cfg2, params2, w2 = load_model(path)
     assert w2 is None and cfg2 == CFG
     assert np.array_equal(params2["tok_emb"], enc.params["tok_emb"])
+
+
+def test_zero_slot_follows_each_key_weight(tmp_path):
+    # version 1 keeps d_model floats after each attn.wk, where older builds
+    # stored a key bias; they are written as zeros
+    enc = Encoder.init(CFG, seed=8)
+    w_doc = np.random.default_rng(8).normal(size=(16, 5)).astype(np.float32)
+    path = tmp_path / "model.ckpt"
+    save_model(path, CFG, enc.params, w_doc)
+    raw = path.read_bytes()
+    data = np.frombuffer(raw[checkpoint._HEADER.size : -8], dtype="<f4")
+    off, slots = 0, 0
+    for name, shape in param_shapes(CFG).items():
+        size = math.prod(shape)
+        assert np.array_equal(data[off : off + size].reshape(shape), enc.params[name]), name
+        off += size
+        if name.endswith(".attn.wk"):
+            assert np.array_equal(data[off : off + CFG.d_model], np.zeros(CFG.d_model)), name
+            off += CFG.d_model
+            slots += 1
+    assert slots == CFG.n_layers
+    assert np.array_equal(data[off:].reshape(w_doc.shape), w_doc)
+    assert len(raw) == checkpoint._HEADER.size + 4 * (off + w_doc.size) + 8
+
+
+def test_nonzero_key_bias_slot_is_skipped(tmp_path):
+    # a file whose slots hold a trained key bias, as older builds wrote: the
+    # bias cancels in the softmax, so dropping it moves outputs by rounding
+    rng = np.random.default_rng(9)
+    params = {k: (v + rng.normal(0.0, 0.3, size=v.shape)).astype(np.float32)
+              for k, v in Encoder.init(CFG, seed=9).params.items()}
+    key_bias = [rng.normal(0.0, 2.0, size=CFG.d_model).astype(np.float32)
+                for _ in range(CFG.n_layers)]
+    w_doc = rng.normal(size=(16, 5)).astype(np.float32)
+    biases = iter(key_bias)
+    arrays = []
+    for name in param_shapes(CFG):
+        arrays.append(params[name])
+        if name.endswith(".attn.wk"):
+            arrays.append(next(biases))
+    path = tmp_path / "model.ckpt"
+    fields = (CFG.d_model, CFG.n_layers, CFG.n_heads, CFG.vocab_size, CFG.max_len, 5)
+    checkpoint._write(path, fields, arrays + [w_doc])
+    cfg, loaded, w2 = load_model(path)
+    assert cfg == CFG and list(loaded) == list(params) and np.array_equal(w2, w_doc)
+    for k in params:
+        assert np.array_equal(loaded[k], params[k]), k
+    seqs = [list(rng.integers(3, CFG.vocab_size, size=n)) for n in (0, 1, 4, 7, 19)]
+    got, _ = Encoder(cfg, loaded).forward_batch(seqs, need_cache=False)
+    want = full_width_cls(Encoder(CFG, params), seqs, key_bias)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
 
 
 def test_zero_layer_header_rejected(tmp_path):

@@ -2,6 +2,7 @@ import argparse
 import json
 import logging
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -265,6 +266,30 @@ def test_shard_merge_rejects_model_with_other_vocabulary(workspace, tmp_path, ca
                    "--queries", workspace["data"] / "train_queries.tsv",
                    "--out-dir", tmp_path / "merged", "--config", workspace["cfg"]) == 1
     assert "group 1 model vocabulary does not match the corpus" in capsys.readouterr().err
+
+
+_BAD_DOCS_LINE = {
+    "no_token_ids": ('{"docid":"x"}', "expected a record with 'docid' and a 'token_ids' list"),
+    "no_docid": ('{"token_ids":[3]}', "expected a record with 'docid' and a 'token_ids' list"),
+    "not_a_record": ("[3, 4]", "expected a record with 'docid' and a 'token_ids' list"),
+    "not_json": ("docid x", "invalid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_DOCS_LINE))
+def test_retrieve_rejects_bad_corpus_line(workspace, tmp_path, capsys, case):
+    line, message = _BAD_DOCS_LINE[case]
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(workspace["corpus"], corpus_dir)
+    docs = corpus_dir / "docs.jsonl"
+    lines = docs.read_text().splitlines(keepends=True)
+    lines[2] = line + "\n"
+    docs.write_text("".join(lines))
+    assert run_cli("retrieve", "--corpus-dir", corpus_dir,
+                   "--queries", workspace["data"] / "train_queries.tsv", "--method", "bm25",
+                   "--out-dir", tmp_path / "run", "--config", workspace["cfg"]) == 1
+    assert f"error: docs.jsonl line 3: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "run.txt").exists()
 
 
 def _train_vanilla_cli(workspace, out, cfg, *flags) -> None:

@@ -266,3 +266,42 @@ def test_manifest_group_id_outside_range_rejected(tmp_path, bad_gid):
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match=rf"line 4: group id {bad_gid} outside \[0, 2\)"):
         read_manifest(path, corp)
+
+
+def _edited_manifest(tmp_path, edit):
+    """A valid manifest of 10 documents in 2 groups, its lines passed through
+    edit (a list -> list function), and the corpus it is for."""
+    corp = corpus_from_texts([f"w{i} shared" for i in range(10)])
+    path = tmp_path / "shards.tsv"
+    write_manifest(path, partition(10, 2, seed=0), corp)
+    path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+    return path, corp
+
+
+@pytest.mark.parametrize("header", ["# g=2", "# g=two seed=0", "# g=2 seed", "g=2 seed=0"])
+def test_manifest_bad_header_rejected_naming_line_1(tmp_path, header):
+    path, corp = _edited_manifest(tmp_path, lambda lines: [header, *lines[1:]])
+    with pytest.raises(ValueError, match=r"shards.tsv line 1: expected the header '# g=<g> seed=<seed>'"):
+        read_manifest(path, corp)
+
+
+@pytest.mark.parametrize("bad", ["0 d1", "0\td1\t1", "x\td1", "0"])
+def test_manifest_line_that_is_not_gid_tab_docid_rejected(tmp_path, bad):
+    path, corp = _edited_manifest(tmp_path, lambda lines: [*lines[:3], bad, *lines[3:]])
+    with pytest.raises(ValueError, match=r"line 4: expected 'gid<TAB>docid', got"):
+        read_manifest(path, corp)
+
+
+def test_manifest_docid_in_two_groups_rejected(tmp_path):
+    # the last line lists group 0's first document under group 1 as well
+    path, corp = _edited_manifest(tmp_path, lambda lines: [*lines, "1\t" + lines[1].split("\t")[1]])
+    first = path.read_text().splitlines()[1].split("\t")[1]
+    with pytest.raises(ValueError, match=rf"line 12: docid '{first}' is already in group 0"):
+        read_manifest(path, corp)
+
+
+def test_manifest_group_without_documents_rejected(tmp_path):
+    # the header declares three groups; the lines use only 0 and 1
+    path, corp = _edited_manifest(tmp_path, lambda lines: ["# g=3 seed=0", *lines[1:]])
+    with pytest.raises(ValueError, match="group 2 has no documents"):
+        read_manifest(path, corp)

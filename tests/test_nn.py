@@ -139,19 +139,22 @@ def textbook_adamw(p, g, m, v, step, cfg):
     return p - cfg.lr * update, m, v
 
 
-def full_width_cls(enc, seqs):
+def full_width_cls(enc, seqs, key_bias=None):
     """CLS rows of one padded batch that runs every position through every
     layer and the final layer norm, from the textbook kernels: the reference
-    for the last layer's CLS-only computation."""
+    for the last layer's CLS-only computation. key_bias, one (d_model,)
+    vector per layer, is added to the keys, as in a model with a key bias."""
     cfg, p = enc.cfg, enc.params
+    key_bias = [0.0] * cfg.n_layers if key_bias is None else key_bias
     ids, mask = enc._prepare(seqs)
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     x = p["tok_emb"][ids] + p["pos_emb"][: ids.shape[1]]
     for i in range(cfg.n_layers):
         w = {k.split(".", 1)[1]: v for k, v in p.items() if k.startswith(f"layer{i}.")}
         a, _, _ = textbook_layer_norm(x, w["ln1.scale"], w["ln1.shift"])
-        qh, kh, vh = (_split_heads(a @ w[f"attn.w{t}"] + w[f"attn.b{t}"], cfg.n_heads)
-                      for t in "qkv")
+        qkv = (a @ w["attn.wq"] + w["attn.bq"], a @ w["attn.wk"] + key_bias[i],
+               a @ w["attn.wv"] + w["attn.bv"])
+        qh, kh, vh = (_split_heads(u, cfg.n_heads) for u in qkv)
         att = textbook_attention_softmax(qh @ kh.transpose(0, 1, 3, 2), scale, mask)
         x = x + _merge_heads(att @ vh) @ w["attn.wo"] + w["attn.bo"]
         fin, _, _ = textbook_layer_norm(x, w["ln2.scale"], w["ln2.shift"])
@@ -181,7 +184,6 @@ class TestLengthGroups:
             for k, v in enc.backward_batch(one, d_cls[i : i + 1]).items():
                 total[k] += v
         for k in total:
-            # attn.bk has a true gradient of zero: compare its float noise absolutely
             np.testing.assert_allclose(batched[k], total[k], rtol=1e-9, atol=1e-12, err_msg=k)
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
@@ -191,6 +193,19 @@ class TestLengthGroups:
         seqs = mixed_length_batch()
         batched, _ = enc.forward_batch(seqs, need_cache=False)
         np.testing.assert_allclose(batched, full_width_cls(enc, seqs), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_key_bias_cancels_in_the_softmax(self, n_layers):
+        # why the encoder has no key bias: adding one to K moves all of a
+        # query's scores by the same constant, which the softmax cancels
+        cfg = dataclasses.replace(TINY, n_layers=n_layers)
+        enc = Encoder.init(cfg, 9, dtype=np.float64)
+        rng = np.random.default_rng(n_layers)
+        enc.params = {k: v + rng.normal(0.0, 0.3, size=v.shape) for k, v in enc.params.items()}
+        key_bias = [rng.normal(0.0, 2.0, size=cfg.d_model) for _ in range(n_layers)]
+        seqs = mixed_length_batch()
+        batched, _ = enc.forward_batch(seqs, need_cache=False)
+        np.testing.assert_allclose(batched, full_width_cls(enc, seqs, key_bias), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_mixed_batch_matches_finite_differences(self, n_layers):
