@@ -143,10 +143,6 @@ def train_two_tower(
         towers = {"q.": q_enc, "d.": d_enc}
     trainable = {p + k: v for p, enc in towers.items() for k, v in enc.params.items()}
 
-    def load(params):
-        for p, enc in towers.items():
-            enc.params = {k: params[p + k] for k in enc.params}
-
     def epoch_batches(epoch):
         order = stage_rng(cfg.seed, 1, epoch).permutation(len(pairs))
         chunks = list(batches([pairs[i] for i in order], cfg.batch_size))
@@ -161,8 +157,7 @@ def train_two_tower(
     # (2-core Xeon, one BLAS thread).
     cache: dict[str, tuple] = {}
 
-    def loss_and_grad(params, batch):
-        load(params)
+    def loss_and_grad(batch):
         q_vec, cache["q"] = q_enc.forward_batch([q for q, _ in batch])
         d_vec, cache["d"] = d_enc.forward_batch([corpus.doc(d).tokens for _, d in batch])
         # in-batch negatives: query i's positive is document i of the batch
@@ -174,8 +169,7 @@ def train_two_tower(
         return loss, {**{"q." + k: v for k, v in gq.items()}, **{"d." + k: v for k, v in gd.items()}}
 
     logs: list[EpochLog] = []
-    load(run_stage("two_tower", trainable, epoch_batches, loss_and_grad,
-                   cfg.finetune_epochs, cfg, logs))
+    run_stage("two_tower", trainable, epoch_batches, loss_and_grad, cfg.finetune_epochs, cfg, logs)
     return q_enc, d_enc, logs
 
 

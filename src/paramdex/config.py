@@ -95,8 +95,12 @@ class ExperimentConfig:
         for key, value in values.items():
             if key not in FIELDS:
                 raise ValueError(f"unknown config key '{key}'")
-            parser = FIELDS[key][0]
-            setattr(self, key, parser(value) if isinstance(value, str) else value)
+            if isinstance(value, str):
+                try:
+                    value = FIELDS[key][0](value)
+                except ValueError:
+                    raise ValueError(f"config key '{key}' has invalid value {value!r}") from None
+            setattr(self, key, value)
         self.validate()
 
     def validate(self) -> None:

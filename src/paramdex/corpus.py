@@ -292,6 +292,15 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
     return {"docs": docs_path, "vocab": vocab_path}
 
 
+def _not_an_integer(literal: str):
+    raise ValueError(f"number {literal} is not an integer")
+
+
+# docs.jsonl holds integers only; this decoder refuses a float as it reads one,
+# which costs nothing on the lines that have none
+_DOCS_DECODER = json.JSONDecoder(parse_float=_not_an_integer)
+
+
 def load_corpus(in_dir: str | Path) -> Corpus:
     """Load a corpus persisted by save_corpus."""
     src = Path(in_dir)
@@ -306,13 +315,25 @@ def load_corpus(in_dir: str | Path) -> Corpus:
         for i, line in enumerate(f):
             where = f"docs.jsonl line {i + 1}"
             try:
-                rec = json.loads(line)
+                rec = _DOCS_DECODER.decode(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{where}: invalid JSON ({e.msg})") from None
+            except ValueError as e:
+                raise ValueError(f"{where}: {e}") from None
             if not (isinstance(rec, dict) and "docid" in rec and isinstance(rec.get("token_ids"), list)):
                 raise ValueError(f"{where}: expected a record with 'docid' and a 'token_ids' list")
             tokens = rec["token_ids"]
-            if not valid_ids.issuperset(tokens):
+            try:
+                in_vocab = valid_ids.issuperset(tokens)
+            except TypeError:  # an unhashable list or object among the ids
+                in_vocab = False
+            # true and false equal 1 and 0, so a line that spells one of them, or
+            # that failed the lookup, gets the exact type check; looking for a 'u'
+            # or an 'f' first (one memchr each) is several times faster than the words
+            spells_bool = ("u" in line or "f" in line) and ("true" in line or "false" in line)
+            if (spells_bool or not in_vocab) and any(type(t) is not int for t in tokens):
+                raise ValueError(f"{where} (docid '{rec['docid']}'): token ids must be integers")
+            if not in_vocab:
                 raise ValueError(
                     f"{where} (docid '{rec['docid']}'): "
                     f"token id outside the vocabulary [0, {len(vocab)})"

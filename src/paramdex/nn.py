@@ -29,7 +29,8 @@ activation from the same tanh, in place of the GELU input. The elementwise
 kernels (GELU, layer norm and its backward, the attention softmax and its
 backward, AdamW) run in place on few buffers but keep the floating-point
 operations and their order of the plain expressions in their docstrings,
-so their results are bit-identical to those expressions.
+so their results are bit-identical to those expressions. adamw_step
+updates the model's own arrays, once every gradient has passed its checks.
 
 No dropout: training is deterministic by construction. Training runs in
 float32; gradient checks construct float64 models.
@@ -427,36 +428,37 @@ def adamw_step(
     grads: dict[str, np.ndarray],
     state: AdamWState,
     cfg: TrainConfig,
-) -> tuple[dict[str, np.ndarray], AdamWState]:
+) -> None:
     """One decoupled-weight-decay Adam update with bias correction, using
     cfg's lr, beta1, beta2, eps and weight_decay.
 
-    Pure function: inputs are left untouched and fresh arrays are returned,
-    so repeating the call with the same inputs is bit-identical. Each
-    gradient must have its parameter's shape and dtype. The update runs in
-    place on fresh buffers, in the operation order of
+    Runs in place: the arrays in params, state.m and state.v are updated and
+    state.step advances. Each gradient must have its parameter's key, shape
+    and dtype; all of them are checked before anything is updated, so a
+    rejected call changes nothing. The operation order is that of
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
         p = p - lr * ((m / c1) / (sqrt(v / c2) + eps) + weight_decay * p)
     """
     if set(grads) != set(params):
         raise ValueError("gradient keys do not match parameter keys")
-    t = state.step + 1
-    c1 = 1.0 - cfg.beta1 ** t
-    c2 = 1.0 - cfg.beta2 ** t
-    new_p, new_m, new_v = {}, {}, {}
     for k, p in params.items():
-        gk = grads[k]
-        if gk.shape != p.shape:
+        g = grads[k]
+        if g.shape != p.shape:
             raise ValueError(f"gradient shape mismatch for '{k}'")
-        if gk.dtype != p.dtype:
-            raise ValueError(f"gradient dtype {gk.dtype} for '{k}' differs from its parameter's {p.dtype}")
+        if g.dtype != p.dtype:
+            raise ValueError(f"gradient dtype {g.dtype} for '{k}' differs from its parameter's {p.dtype}")
+    state.step += 1
+    c1 = 1.0 - cfg.beta1 ** state.step
+    c2 = 1.0 - cfg.beta2 ** state.step
+    for k, p in params.items():
+        gk, m, v = grads[k], state.m[k], state.v[k]
         tmp = np.multiply(gk, 1.0 - cfg.beta1)
-        m = np.multiply(state.m[k], cfg.beta1)
+        m *= cfg.beta1
         m += tmp
         np.multiply(gk, 1.0 - cfg.beta2, out=tmp)
         tmp *= gk
-        v = np.multiply(state.v[k], cfg.beta2)
+        v *= cfg.beta2
         v += tmp
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
@@ -466,9 +468,7 @@ def adamw_step(
         np.multiply(p, cfg.weight_decay, out=tmp)
         update += tmp
         update *= cfg.lr
-        new_p[k] = np.subtract(p, update, out=update)
-        new_m[k], new_v[k] = m, v
-    return new_p, AdamWState(step=t, m=new_m, v=new_v)
+        p -= update
 
 
 def finite_diff_check(

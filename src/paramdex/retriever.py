@@ -86,14 +86,15 @@ def top_k(logits: np.ndarray, k: int) -> list[tuple[int, float]]:
 
 
 def init_overdense(dense_index: np.ndarray, n_docs: int | None = None) -> np.ndarray:
-    """Docid matrix whose column i is document i's dense vector, copied exactly."""
+    """Docid matrix whose column i is document i's dense vector: always a new
+    array, so training it never changes dense_index."""
     if dense_index.ndim != 2:
         raise ValueError("dense index must be 2-d (n_docs x d_model)")
     if n_docs is not None and dense_index.shape[0] != n_docs:
         raise ValueError(
             f"dense index has {dense_index.shape[0]} rows but the corpus has {n_docs} documents"
         )
-    return np.ascontiguousarray(dense_index.T)
+    return dense_index.T.copy()
 
 
 class DocidRetriever:
@@ -133,20 +134,20 @@ def run_stage(
     stage: str,
     trainable: dict[str, np.ndarray],
     epoch_batches,  # callable epoch -> list of batches
-    loss_and_grad,  # callable (params, batch) -> (mean batch loss, grads keyed like params)
+    loss_and_grad,  # callable batch -> (mean batch loss, grads keyed like trainable)
     n_epochs: int,
     cfg: TrainConfig,
     logs: list[EpochLog],
-) -> dict[str, np.ndarray]:
-    """AdamW epochs with plateau stopping; returns the trained parameters.
-    loss_and_grad must load the parameters it is given into its model."""
+) -> None:
+    """AdamW epochs with plateau stopping. The arrays in trainable are the
+    models' own and are updated in place."""
     state = adamw_init(trainable)
     stopper = PlateauStopper(cfg.plateau_min_delta, cfg.plateau_patience)
     for epoch in range(n_epochs):
         total, count = 0.0, 0
         for batch in epoch_batches(epoch):
-            loss, grads = loss_and_grad(trainable, batch)
-            trainable, state = adamw_step(trainable, grads, state, cfg)
+            loss, grads = loss_and_grad(batch)
+            adamw_step(trainable, grads, state, cfg)
             total += loss * len(batch)
             count += len(batch)
         mean_loss = total / max(count, 1)
@@ -155,38 +156,30 @@ def run_stage(
         if stopper.update(mean_loss):
             log.info("%s: loss plateau, stopping after epoch %d", stage, epoch)
             break
-    return trainable
 
 
 def _train_docid(stage: str, encoder: Encoder, w_doc: np.ndarray, epoch_pairs, n_epochs: int,
-                 cfg: TrainConfig, logs: list[EpochLog]) -> np.ndarray:
+                 cfg: TrainConfig, logs: list[EpochLog]) -> None:
     """run_stage on the docid loss over the pairs epoch_pairs(epoch) gives;
-    trains encoder in place and returns the new w_doc."""
+    trains w_doc, and the encoder unless cfg.freeze_encoder, in place."""
     freeze = cfg.freeze_encoder
-
-    def loss_and_grad(params, batch):
-        if not freeze:
-            encoder.params = {k: params[k] for k in encoder.params}
-        return forward_backward(encoder, params["w_doc"], batch, freeze_encoder=freeze)
-
-    trained = run_stage(
+    run_stage(
         stage, {"w_doc": w_doc} if freeze else dict(encoder.params, w_doc=w_doc),
-        lambda ep: batches(epoch_pairs(ep), cfg.batch_size), loss_and_grad, n_epochs, cfg, logs,
+        lambda ep: batches(epoch_pairs(ep), cfg.batch_size),
+        lambda batch: forward_backward(encoder, w_doc, batch, freeze_encoder=freeze),
+        n_epochs, cfg, logs,
     )
-    if not freeze:
-        encoder.params = {k: trained[k] for k in encoder.params}
-    return trained["w_doc"]
 
 
 def _finetune(encoder: Encoder, w_doc: np.ndarray, fine_pairs: list[TrainingPair],
-              cfg: TrainConfig, logs: list[EpochLog]) -> np.ndarray:
-    """Query-docid fine-tuning for cfg.finetune_epochs epochs (none at 0);
-    trains encoder in place and returns the new w_doc."""
+              cfg: TrainConfig, logs: list[EpochLog]) -> None:
+    """Query-docid fine-tuning of encoder and w_doc, in place, for
+    cfg.finetune_epochs epochs (none at 0)."""
     if cfg.finetune_epochs == 0:
-        return w_doc
+        return
     if not fine_pairs:
         raise ValueError("fine-tuning requested but no labeled queries were provided")
-    return _train_docid(
+    _train_docid(
         "finetune", encoder, w_doc,
         lambda ep: [fine_pairs[i] for i in stage_rng(cfg.seed, 3, ep).permutation(len(fine_pairs))],
         cfg.finetune_epochs, cfg, logs,
@@ -213,12 +206,13 @@ def train_vanilla(
     if cfg.pretrain_epochs > 0:
         if not pretrain_pairs:
             raise ValueError("pre-training requested but no pairs were provided")
-        w_doc = _train_docid(
+        _train_docid(
             "pretrain", encoder, w_doc,
             lambda ep: mixed_task_epoch(pretrain_pairs, cfg.task_weights, stage_rng(cfg.seed, 2, ep)),
             cfg.pretrain_epochs, cfg, logs,
         )
-    return encoder, _finetune(encoder, w_doc, fine_pairs, cfg, logs), logs
+    _finetune(encoder, w_doc, fine_pairs, cfg, logs)
+    return encoder, w_doc, logs
 
 
 def train_overdense(
@@ -246,4 +240,5 @@ def train_overdense(
     fine_pairs = query_pairs(queries, qrels)
     _validate_targets(fine_pairs, len(corpus))
     logs: list[EpochLog] = []
-    return encoder, _finetune(encoder, w_doc, fine_pairs, cfg, logs), logs
+    _finetune(encoder, w_doc, fine_pairs, cfg, logs)
+    return encoder, w_doc, logs

@@ -292,6 +292,28 @@ def test_retrieve_rejects_bad_corpus_line(workspace, tmp_path, capsys, case):
     assert not (tmp_path / "run" / "run.txt").exists()
 
 
+@pytest.mark.parametrize("token_ids, message", [
+    ("[3.0, 4]", ": number 3.0 is not an integer"),
+    ("[3, 4, 1e0]", ": number 1e0 is not an integer"),
+    ("[3, true, 4]", " (docid 'a'): token ids must be integers"),
+    ("[false]", " (docid 'a'): token ids must be integers"),
+    ('[3, "4"]', " (docid 'a'): token ids must be integers"),
+    ("[3, [4]]", " (docid 'a'): token ids must be integers"),
+], ids=["float", "exponent", "true", "false", "string", "list"])
+def test_pairs_rejects_token_id_that_is_not_an_integer(workspace, tmp_path, capsys,
+                                                        token_ids, message):
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(workspace["corpus"], corpus_dir)
+    docs = corpus_dir / "docs.jsonl"
+    lines = docs.read_text().splitlines(keepends=True)
+    lines[2] = f'{{"docid":"a","token_ids":{token_ids}}}\n'
+    docs.write_text("".join(lines))
+    assert run_cli("pairs", "--corpus-dir", corpus_dir, "--out-dir", tmp_path / "pairs",
+                   "--config", workspace["cfg"]) == 1
+    assert f"error: docs.jsonl line 3{message}" in capsys.readouterr().err
+    assert not (tmp_path / "pairs" / "pairs.tsv").exists()
+
+
 def _train_vanilla_cli(workspace, out, cfg, *flags) -> None:
     assert run_cli("train-vanilla", "--corpus-dir", workspace["corpus"],
                    "--queries", workspace["data"] / "train_queries.tsv",

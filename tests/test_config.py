@@ -42,9 +42,15 @@ def test_input_paths_are_flags_not_config_keys(tmp_path, key):
         load_config(path)
 
 
-def test_invalid_value_rejected():
-    with pytest.raises(ValueError, match="invalid value"):
-        ExperimentConfig({"lr": "-1"})
+@pytest.mark.parametrize("key, value, shown", [
+    ("lr", "-1", "-1.0"),
+    ("d_model", "abc", "'abc'"),
+    ("lr", "fast", "'fast'"),
+    ("freeze_encoder", "maybe", "'maybe'"),
+], ids=["range", "int", "float", "bool"])
+def test_invalid_value_rejected(key, value, shown):
+    with pytest.raises(ValueError, match=f"^config key '{key}' has invalid value {shown}$"):
+        ExperimentConfig({key: value})
 
 
 def test_heads_must_divide_width():

@@ -6,6 +6,7 @@ import pytest
 
 from paramdex.nn import (
     LN_EPS,
+    AdamWState,
     Encoder,
     EncoderConfig,
     _attention_softmax,
@@ -313,11 +314,14 @@ class TestKernelsMatchTextbookExactly:
         params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
         cfg = TrainConfig(lr=3e-3, weight_decay=0.05)
         state = adamw_init(params)
-        want_p, want_m, want_v = dict(params), dict(state.m), dict(state.v)
+        want_p = {k: a.copy() for k, a in params.items()}
+        want_m = {k: a.copy() for k, a in state.m.items()}
+        want_v = {k: a.copy() for k, a in state.v.items()}
         for step in range(1, 5):
             grads = {k: (rng.normal(size=s) * 10.0 ** rng.uniform(-4, 1)).astype(dtype)
                      for k, s in shapes.items()}
-            params, state = adamw_step(params, grads, state, cfg)
+            assert adamw_step(params, grads, state, cfg) is None
+            assert state.step == step
             for k in shapes:
                 want_p[k], want_m[k], want_v[k] = textbook_adamw(
                     want_p[k], grads[k], want_m[k], want_v[k], step, cfg)
@@ -420,8 +424,10 @@ class TestAdamW:
         params = {"w": np.array([1.0, -2.0, 3.0], dtype=np.float32)}
         grads = {"w": np.zeros(3, dtype=np.float32)}
         hyper = TrainConfig(lr=1e-3, weight_decay=0.0)
-        new, state = adamw_step(params, grads, adamw_init(params), hyper)
-        assert np.array_equal(new["w"], params["w"])
+        before = params["w"].copy()
+        state = adamw_init(params)
+        adamw_step(params, grads, state, hyper)
+        assert np.array_equal(params["w"], before)
         assert state.step == 1
 
     def test_hand_executed_first_step(self):
@@ -430,24 +436,46 @@ class TestAdamW:
         hyper = TrainConfig(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([0.5])}
-        new, _ = adamw_step(params, grads, adamw_init(params), hyper)
+        adamw_step(params, grads, adamw_init(params), hyper)
         mhat = 0.05 / (1 - 0.9)
         vhat = 0.00025 / (1 - 0.999)
         expected = 1.0 - 1e-3 * (mhat / (math.sqrt(vhat) + 1e-8)) - 1e-3 * 0.01 * 1.0
-        assert new["w"][0] == pytest.approx(expected, abs=1e-12)
+        assert params["w"][0] == pytest.approx(expected, abs=1e-12)
 
-    def test_deterministic_and_pure(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(0)
         params = {"a": rng.normal(size=(4, 3)).astype(np.float32)}
         grads = {"a": rng.normal(size=(4, 3)).astype(np.float32)}
-        before = params["a"].copy()
-        state = adamw_init(params)
-        out1, s1 = adamw_step(params, grads, state, TrainConfig())
-        out2, s2 = adamw_step(params, grads, state, TrainConfig())
-        assert np.array_equal(out1["a"], out2["a"])
-        assert np.array_equal(s1.m["a"], s2.m["a"])
-        assert np.array_equal(params["a"], before)  # inputs untouched
-        assert state.step == 0 and s1.step == 1
+        runs = []
+        for _ in range(2):
+            p = {k: a.copy() for k, a in params.items()}
+            state = adamw_init(p)
+            for _ in range(3):
+                adamw_step(p, grads, state, TrainConfig())
+            runs.append((p, state))
+        (p1, s1), (p2, s2) = runs
+        assert not np.array_equal(p1["a"], params["a"])
+        for got, want in ((p1, p2), (s1.m, s2.m), (s1.v, s2.v)):
+            assert np.array_equal(got["a"], want["a"])
+        assert s1.step == s2.step == 3
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype"])
+    def test_rejected_step_changes_nothing(self, bad):
+        # a pin: the update runs only after every gradient has been checked,
+        # so a bad last gradient leaves the first parameters and moments alone
+        rng = np.random.default_rng(1)
+        params, grads, m, v = ({k: rng.normal(size=(4, 3)).astype(np.float32) for k in "abc"}
+                               for _ in range(4))
+        state = AdamWState(step=3, m=m, v={k: np.abs(a) for k, a in v.items()})
+        grads["c"] = (np.zeros((3, 4), np.float32) if bad == "shape"
+                      else grads["c"].astype(np.float64))
+        before = [{k: a.copy() for k, a in d.items()} for d in (params, state.m, state.v)]
+        with pytest.raises(ValueError, match=f"{bad}.*'c'"):
+            adamw_step(params, grads, state, TrainConfig())
+        for got, want in zip((params, state.m, state.v), before):
+            for k in want:
+                assert np.array_equal(got[k], want[k]), k
+        assert state.step == 3
 
     def test_shape_mismatch_rejected(self):
         params = {"a": np.zeros(3)}

@@ -293,3 +293,15 @@ class TestTrainOverdense:
         train_overdense(corp, index, tower, queries, qrels, tcfg)
         for k in before:
             assert np.array_equal(tower.params[k], before[k])
+
+    def test_does_not_mutate_a_transposed_docid_matrix(self):
+        # a pin: train-overdense passes the dense model's docid matrix as
+        # w_doc.T, a transposed view whose .T is the caller's own array;
+        # fine-tuning must train a copy of it
+        corp, queries, qrels, tower, index = self._dense_setup()
+        w = init_overdense(index)
+        before = w.copy()
+        tcfg = TrainConfig(lr=3e-3, batch_size=8, finetune_epochs=2, seed=0)
+        _, w_doc, _ = train_overdense(corp, w.T, tower, queries, qrels, tcfg)
+        assert np.array_equal(w, before)
+        assert not np.array_equal(w_doc, before)
