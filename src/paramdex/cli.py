@@ -450,7 +450,7 @@ def main(argv=None) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(args, cfg, out)
-    except (ValueError, FileNotFoundError, FloatingPointError) as e:
+    except (ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -1,20 +1,22 @@
 """Flat key/value experiment configuration.
 
 A config file is ``key = value`` lines (``#`` starts a comment). Every key
-is listed in FIELDS below with its type, default and valid range; unknown
-keys are rejected. Input paths are command-line flags, not config keys.
-The flags --seed, --skip-pretrain and --skip-finetune override file values
-(the latter two as pretrain_epochs = 0 and finetune_epochs = 0). The resolved
-config hashes to a short hex digest that is stamped into every artifact's
-sidecar, so artifacts are traceable to the exact settings and seed that
-produced them.
+is listed in FIELDS below with its type, default and valid range (a float
+must also be finite); unknown keys are rejected. Input paths are flags, not
+config keys. The flags --seed, --skip-pretrain and --skip-finetune override
+file values (the last two as pretrain_epochs = 0 and finetune_epochs = 0).
+The resolved config hashes to a short hex digest that is stamped into every
+artifact's sidecar, so artifacts are traceable to the exact settings and
+seed that produced them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 
+from .corpus import text_lines, valid_id
 from .nn import EncoderConfig
 from .training import TrainConfig
 
@@ -78,7 +80,7 @@ FIELDS: dict[str, tuple] = {
     "eval_ks": (str, "1,20,100", None, "comma-separated recall cutoffs"),
     "freeze_encoder": (_bool, _T.freeze_encoder, None, "train only the docid matrix"),
     "separate_towers": (_bool, False, None, "untie the two-tower weights"),
-    "run_tag": (str, "paramdex", None, "tag column for run files"),
+    "run_tag": (str, "paramdex", valid_id, "tag column for run files"),
 }
 
 
@@ -104,16 +106,16 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name, (_, _, check, _) in FIELDS.items():
+        for name, (parse, _, check, _) in FIELDS.items():
             value = getattr(self, name)
-            if check is not None and not check(value):
+            if (check is not None and not check(value)) or (parse is float and not math.isfinite(value)):
                 raise ValueError(f"config key '{name}' has invalid value {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         try:
             self.ks()
         except ValueError as e:
-            raise ValueError(f"bad eval_ks: {e}") from e
+            raise ValueError(f"config key 'eval_ks' has invalid value {self.eval_ks!r}: {e}") from None
 
     def ks(self) -> tuple[int, ...]:
         ks = tuple(int(x) for x in self.eval_ks.split(","))
@@ -148,17 +150,16 @@ class ExperimentConfig:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in values:
-                raise ValueError(f"line {lineno}: duplicate key '{key}'")
-            values[key] = value
+    for where, line in text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:  # a comment
+            continue
+        if "=" not in line:
+            raise ValueError(f"{where}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ValueError(f"{where}: duplicate key '{key}'")
+        values[key] = value
     return values
 
 

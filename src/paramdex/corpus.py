@@ -1,12 +1,17 @@
 """Corpus ingestion, tokenization, vocabulary, and evaluation-subset sampling.
 
 File formats:
-  documents  one JSON object per line: {"docid": str, "text": str, "clicks": int?}
-  queries    tab-separated ``qid \\t text``, UTF-8
+  documents  one JSON object per line: {"docid": str | int, "text": str, "clicks": int?}
+  queries    tab-separated ``qid \\t text``
   qrels      tab-separated ``qid \\t docid`` (external ids), one positive per query
 
-Docids and qids must be non-empty and free of whitespace, because run
-files separate their columns by whitespace.
+Input files are UTF-8. Every line reader (these, docs.jsonl, pairs, run
+files, shard manifests, configs) goes through text_lines: blank and
+whitespace-only lines are skipped, and errors read ``<path> line <n>: ...``.
+vocab.tsv is positional and keeps its blank lines. Docids and qids must be
+non-empty and free of whitespace, because run files separate their columns
+by whitespace. A docid is a JSON string or integer; clicks, a non-negative
+integer.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -143,6 +148,47 @@ class Corpus:
         return Corpus(docs, self.vocab), id_map
 
 
+def text_lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Yield ``(where, line)`` for each line of a UTF-8 file that is not empty
+    or whitespace-only, without its line ending. `where` is ``"<path> line
+    <n>"``, the prefix of every error about the line. Invalid UTF-8 raises."""
+    prefix = f"{path} line "
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for n, line in enumerate(f, start=1):
+            if line.isspace():
+                continue
+            # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF
+            if not line.isascii() and re.search("[\udc80-\udcff]", line):
+                raise ValueError(f"{prefix}{n}: not valid UTF-8")
+            yield f"{prefix}{n}", line.rstrip("\n")
+
+
+def _doc_record(decoder: json.JSONDecoder, line: str, where: str, body: str, kind: type) -> dict:
+    """The JSON record on a documents line: an object with 'docid' and a `body` of type `kind`."""
+    try:
+        rec = decoder.decode(line)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{where}: invalid JSON ({e.msg})") from None
+    except ValueError as e:  # a float in docs.jsonl, or an integer too long to convert
+        raise ValueError(f"{where}: {e}") from None
+    if not (isinstance(rec, dict) and "docid" in rec and isinstance(rec.get(body), kind)):
+        raise ValueError(f"{where}: expected a record with 'docid' and a '{body}' {kind.__name__}")
+    return rec
+
+
+def _doc_fields(rec: dict, where: str) -> tuple[str, int]:
+    """The external docid and the click count of a docs.jsonl record."""
+    ext, clicks = rec["docid"], rec.get("clicks", 0)
+    if type(ext) not in (str, int):  # the type of true and false is bool
+        raise ValueError(f"{where}: docid must be a string or an integer, got {ext!r}")
+    ext = str(ext)
+    if not valid_id(ext):
+        raise ValueError(f"{where}: docid {ext!r} is empty or contains whitespace")
+    if type(clicks) is not int or clicks < 0:
+        raise ValueError(f"{where}: clicks must be a non-negative integer, got {clicks!r}")
+    return ext, clicks
+
+
 def ingest_corpus(path: str | Path, min_freq: int = 1) -> Corpus:
     """Read a JSONL document file, tokenize, and build the corpus vocabulary.
 
@@ -151,33 +197,17 @@ def ingest_corpus(path: str | Path, min_freq: int = 1) -> Corpus:
     """
     records: list[tuple[str, list[str], int]] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"line {lineno}: invalid JSON ({e.msg})") from e
-            if "docid" not in rec:
-                raise ValueError(f"line {lineno}: record missing 'docid' field")
-            if "text" not in rec:
-                raise ValueError(f"line {lineno}: record missing 'text' field")
-            ext = str(rec["docid"])
-            if not valid_id(ext):
-                raise ValueError(f"line {lineno}: docid {ext!r} is empty or contains whitespace")
-            if ext in seen:
-                raise ValueError(f"line {lineno}: duplicate docid '{ext}'")
-            seen.add(ext)
-            clicks = int(rec.get("clicks", 0))
-            if clicks < 0:
-                raise ValueError(f"line {lineno}: negative click count")
-            tokens = tokenize(str(rec["text"]))
-            if not tokens:
-                log.warning("line %d: document '%s' is empty after tokenization, skipped", lineno, ext)
-                continue
-            records.append((ext, tokens, clicks))
+    for where, line in text_lines(path):
+        rec = _doc_record(_JSON_DECODER, line, where, "text", str)
+        ext, clicks = _doc_fields(rec, where)
+        if ext in seen:
+            raise ValueError(f"{where}: duplicate docid '{ext}'")
+        seen.add(ext)
+        tokens = tokenize(rec["text"])
+        if not tokens:
+            log.warning("%s: document '%s' is empty after tokenization, skipped", where, ext)
+            continue
+        records.append((ext, tokens, clicks))
     vocab = build_vocabulary((toks for _, toks, _ in records), min_freq=min_freq)
     docs = [
         Document(i, ext, [vocab.lookup(t) for t in toks], clicks)
@@ -190,21 +220,16 @@ def load_queries(path: str | Path, vocab: Vocabulary) -> list[Query]:
     """Read a `qid \\t text` file and tokenize with the corpus vocabulary."""
     queries: list[Query] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'qid<TAB>text'")
-            qid, text = parts
-            if not valid_id(qid):
-                raise ValueError(f"line {lineno}: qid {qid!r} is empty or contains whitespace")
-            if qid in seen:
-                raise ValueError(f"line {lineno}: duplicate qid '{qid}'")
-            seen.add(qid)
-            queries.append(Query(qid, tokenize(text, vocab)))
+    for where, line in text_lines(path):
+        qid, tab, text = line.partition("\t")
+        if not tab:
+            raise ValueError(f"{where}: expected 'qid<TAB>text'")
+        if not valid_id(qid):
+            raise ValueError(f"{where}: qid {qid!r} is empty or contains whitespace")
+        if qid in seen:
+            raise ValueError(f"{where}: duplicate qid '{qid}'")
+        seen.add(qid)
+        queries.append(Query(qid, tokenize(text, vocab)))
     return queries
 
 
@@ -214,32 +239,27 @@ def read_qrels_file(path: str | Path) -> dict[str, str]:
     A query with several positives keeps the first and logs a warning.
     """
     qrels: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'qid<TAB>docid'")
-            qid, docid = parts
-            if qid in qrels:
-                log.warning("line %d: extra positive for qid '%s' ignored", lineno, qid)
-                continue
-            qrels[qid] = docid
+    for where, line in text_lines(path):
+        qid, _, docid = line.partition("\t")
+        if not (valid_id(qid) and valid_id(docid)):
+            raise ValueError(f"{where}: expected 'qid<TAB>docid', got {line!r}")
+        if qid in qrels:
+            log.warning("%s: extra positive for qid '%s' ignored", where, qid)
+            continue
+        qrels[qid] = docid
     return qrels
 
 
-def resolve_qrels(qrels_ext: dict[str, str], corpus: Corpus) -> dict[str, int]:
+def resolve_qrels(qrels_ext: dict[str, str], corpus: Corpus, source: str = "qrels") -> dict[str, int]:
     """Map external qrels docids to internal ids; unknown docids raise."""
     missing = sorted(d for d in qrels_ext.values() if d not in corpus.by_external)
     if missing:
-        raise ValueError(f"qrels reference unknown docids: {missing[:10]}")
+        raise ValueError(f"{source}: unknown docids {missing[:10]}")
     return {qid: corpus.by_external[d] for qid, d in qrels_ext.items()}
 
 
 def load_qrels(path: str | Path, corpus: Corpus) -> dict[str, int]:
-    return resolve_qrels(read_qrels_file(path), corpus)
+    return resolve_qrels(read_qrels_file(path), corpus, source=str(path))
 
 
 def sample_subset(
@@ -296,6 +316,7 @@ def _not_an_integer(literal: str):
     raise ValueError(f"number {literal} is not an integer")
 
 
+_JSON_DECODER = json.JSONDecoder()
 # docs.jsonl holds integers only; this decoder refuses a float as it reads one,
 # which costs nothing on the lines that have none
 _DOCS_DECODER = json.JSONDecoder(parse_float=_not_an_integer)
@@ -304,42 +325,41 @@ _DOCS_DECODER = json.JSONDecoder(parse_float=_not_an_integer)
 def load_corpus(in_dir: str | Path) -> Corpus:
     """Load a corpus persisted by save_corpus."""
     src = Path(in_dir)
-    with open(src / "vocab.tsv", encoding="utf-8") as f:
-        id_to_token = [line.rstrip("\n") for line in f]
+    # vocab.tsv is positional (line n holds token id n - 1): read whole, blank lines included
+    vocab_path = src / "vocab.tsv"
+    data = vocab_path.read_bytes()
+    try:
+        id_to_token = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        n = data.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{vocab_path} line {n}: not valid UTF-8") from None
     if tuple(id_to_token[:3]) != RESERVED_TOKENS:
-        raise ValueError("vocab.tsv does not start with the reserved tokens")
+        raise ValueError(f"{vocab_path}: lines 1-3 must be the reserved tokens {' '.join(RESERVED_TOKENS)}")
+    first: dict[str, int] = {}
+    for n, token in enumerate(id_to_token, start=1):
+        if first.setdefault(token, n) != n:
+            raise ValueError(f"{vocab_path} line {n}: token {token!r} is already on line {first[token]}")
     vocab = Vocabulary(id_to_token[3:])
     valid_ids = frozenset(range(len(vocab)))  # one hash lookup per token: cheaper than min + max
     docs: list[Document] = []
-    with open(src / "docs.jsonl", encoding="utf-8") as f:
-        for i, line in enumerate(f):
-            where = f"docs.jsonl line {i + 1}"
-            try:
-                rec = _DOCS_DECODER.decode(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{where}: invalid JSON ({e.msg})") from None
-            except ValueError as e:
-                raise ValueError(f"{where}: {e}") from None
-            if not (isinstance(rec, dict) and "docid" in rec and isinstance(rec.get("token_ids"), list)):
-                raise ValueError(f"{where}: expected a record with 'docid' and a 'token_ids' list")
-            tokens = rec["token_ids"]
-            try:
-                in_vocab = valid_ids.issuperset(tokens)
-            except TypeError:  # an unhashable list or object among the ids
-                in_vocab = False
-            # true and false equal 1 and 0, so a line that spells one of them, or
-            # that failed the lookup, gets the exact type check; looking for a 'u'
-            # or an 'f' first (one memchr each) is several times faster than the words
-            spells_bool = ("u" in line or "f" in line) and ("true" in line or "false" in line)
-            if (spells_bool or not in_vocab) and any(type(t) is not int for t in tokens):
-                raise ValueError(f"{where} (docid '{rec['docid']}'): token ids must be integers")
-            if not in_vocab:
-                raise ValueError(
-                    f"{where} (docid '{rec['docid']}'): "
-                    f"token id outside the vocabulary [0, {len(vocab)})"
-                )
-            ext = str(rec["docid"])
-            if not valid_id(ext):
-                raise ValueError(f"{where}: docid {ext!r} is empty or contains whitespace")
-            docs.append(Document(i, ext, tokens, int(rec.get("clicks", 0))))
+    for where, line in text_lines(src / "docs.jsonl"):
+        rec = _doc_record(_DOCS_DECODER, line, where, "token_ids", list)
+        tokens = rec["token_ids"]
+        try:
+            in_vocab = valid_ids.issuperset(tokens)
+        except TypeError:  # an unhashable list or object among the ids
+            in_vocab = False
+        # true and false equal 1 and 0, so a line that spells one of them, or
+        # that failed the lookup, gets the exact type check; looking for a 'u'
+        # or an 'f' first (one memchr each) is several times faster than the words
+        spells_bool = ("u" in line or "f" in line) and ("true" in line or "false" in line)
+        if (spells_bool or not in_vocab) and any(type(t) is not int for t in tokens):
+            raise ValueError(f"{where} (docid '{rec['docid']}'): token ids must be integers")
+        if not in_vocab:
+            raise ValueError(
+                f"{where} (docid '{rec['docid']}'): "
+                f"token id outside the vocabulary [0, {len(vocab)})"
+            )
+        ext, clicks = _doc_fields(rec, where)
+        docs.append(Document(len(docs), ext, tokens, clicks))
     return Corpus(docs, vocab)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, text_lines
 from .retriever import DocidRetriever, RankedList
 
 _STD_FLOOR = 1e-12
@@ -183,30 +183,29 @@ def write_manifest(path: str | Path, plan: ShardPlan, corpus: Corpus) -> None:
 def read_manifest(path: str | Path, corpus: Corpus) -> ShardPlan:
     """Read a write_manifest file: each document of corpus in exactly one of
     g nonempty groups. Bad input raises ValueError naming the line or group."""
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        fields = dict(part.partition("=")[::2] for part in header[1:].split()) if header[:1] == "#" else {}
-        try:
-            g, seed = int(fields["g"]), int(fields["seed"])
-        except (KeyError, ValueError):
-            raise ValueError(f"{path} line 1: expected the header '# g=<g> seed=<seed>'") from None
-        group_of = np.full(len(corpus), -1, dtype=np.int64)
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            gid_s, _, ext = line.partition("\t")
-            if not gid_s.removeprefix("-").isdecimal() or not ext or "\t" in ext:
-                raise ValueError(f"{path} line {lineno}: expected 'gid<TAB>docid', got {line!r}")
-            gid = int(gid_s)
-            if ext not in corpus.by_external:
-                raise ValueError(f"{path} line {lineno}: unknown docid '{ext}'")
-            if not 0 <= gid < g:
-                raise ValueError(f"{path} line {lineno}: group id {gid} outside [0, {g})")
-            doc = corpus.by_external[ext]
-            if group_of[doc] >= 0:
-                raise ValueError(f"{path} line {lineno}: docid '{ext}' is already in group {group_of[doc]}")
-            group_of[doc] = gid
+    lines = text_lines(path)
+    where, header = next(lines, (f"{path} line 1", ""))
+    header = header.strip()
+    fields = dict(part.partition("=")[::2] for part in header[1:].split()) if header[:1] == "#" else {}
+    try:
+        g, seed = int(fields["g"]), int(fields["seed"])
+    except (KeyError, ValueError):
+        raise ValueError(f"{where}: expected the header '# g=<g> seed=<seed>'") from None
+    owner = [-1] * len(corpus)  # a list: numpy scalar indexing costs more per line
+    for where, line in lines:
+        gid_s, _, ext = line.strip().partition("\t")
+        if not gid_s.removeprefix("-").isdecimal() or not ext or "\t" in ext:
+            raise ValueError(f"{where}: expected 'gid<TAB>docid', got {line!r}")
+        gid = int(gid_s)
+        doc = corpus.by_external.get(ext)
+        if doc is None:
+            raise ValueError(f"{where}: unknown docid '{ext}'")
+        if not 0 <= gid < g:
+            raise ValueError(f"{where}: group id {gid} outside [0, {g})")
+        if owner[doc] >= 0:
+            raise ValueError(f"{where}: docid '{ext}' is already in group {owner[doc]}")
+        owner[doc] = gid
+    group_of = np.array(owner, dtype=np.int64)
     if (group_of < 0).any():
         raise ValueError(f"{path}: manifest does not cover the corpus")
     groups = [np.flatnonzero(group_of == gid) for gid in range(g)]

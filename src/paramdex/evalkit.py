@@ -20,24 +20,20 @@ DEFAULT_CUTOFF = 100
 class MetricReport:
     metrics: dict[str, float]
     query_count: int
-    per_query: dict[str, dict]
 
     def has_nan(self) -> bool:
         return any(math.isnan(v) for v in self.metrics.values())
 
 
-def _check_qids(runs: dict, qrels: dict) -> None:
+def _check_qids(runs: dict, qrels: dict, what: str = "run contains qids missing from qrels") -> None:
     extra = sorted(q for q in runs if q not in qrels)
     if extra:
-        raise ValueError(f"run contains qids missing from qrels: {extra[:10]}")
+        raise ValueError(f"{what}: {extra[:10]}")
 
 
 def _positive_rank(docids: list, positive) -> int:
     """1-based rank of the positive in a ranking, 0 when absent."""
-    for i, d in enumerate(docids, start=1):
-        if d == positive:
-            return i
-    return 0
+    return docids.index(positive) + 1 if positive in docids else 0
 
 
 def recall_at_k(runs: dict[str, list], qrels: dict, k: int) -> float:
@@ -78,19 +74,11 @@ def evaluate(
     ks: tuple[int, ...] = DEFAULT_KS,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> MetricReport:
-    _check_qids(runs, qrels)
     if not runs and qrels:
         log.warning("empty run: all metrics are 0 over %d queries", len(qrels))
     metrics = {f"recall@{k}": recall_at_k(runs, qrels, k) for k in ks}
     metrics["mrr"] = mrr(runs, qrels, cutoff)
-    per_query = {}
-    for qid, pos in qrels.items():
-        rank = _positive_rank(runs.get(qid, []), pos)
-        per_query[qid] = {
-            "rank": rank,
-            "rr": 1.0 / rank if 0 < rank <= cutoff else 0.0,
-        }
-    return MetricReport(metrics, len(qrels), per_query)
+    return MetricReport(metrics, len(qrels))
 
 
 def evaluate_run_file(
@@ -99,9 +87,10 @@ def evaluate_run_file(
     ks: tuple[int, ...] = DEFAULT_KS,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> MetricReport:
-    run = read_run(run_path)
-    runs = {qid: [docid for docid, _, _ in entries] for qid, entries in run.items()}
-    return evaluate(runs, read_qrels_file(qrels_path), ks=ks, cutoff=cutoff)
+    runs = {qid: [docid for docid, _, _ in entries] for qid, entries in read_run(run_path).items()}
+    qrels = read_qrels_file(qrels_path)
+    _check_qids(runs, qrels, f"{run_path}: qids missing from {qrels_path}")
+    return evaluate(runs, qrels, ks=ks, cutoff=cutoff)
 
 
 def render_table(report: MetricReport) -> str:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Document, Query
+from .corpus import Corpus, Document, Query, text_lines
 
 log = logging.getLogger(__name__)
 
@@ -196,21 +196,17 @@ def save_pairs(path: str | Path, pairs: list[TrainingPair], corpus: Corpus) -> N
 
 def load_pairs(path: str | Path, corpus: Corpus) -> list[TrainingPair]:
     pairs: list[TrainingPair] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
-            task, ext, text = parts
-            if task not in TASKS:
-                raise ValueError(f"line {lineno}: unknown task '{task}'")
-            if ext not in corpus.by_external:
-                raise ValueError(f"line {lineno}: pair targets unknown docid '{ext}'")
-            tokens = [corpus.vocab.lookup(t) for t in text.split(" ") if t]
-            if not tokens:
-                raise ValueError(f"line {lineno}: pair has no tokens")
-            pairs.append(TrainingPair(tokens, corpus.by_external[ext], task))
+    for where, line in text_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{where}: expected 3 tab-separated fields")
+        task, ext, text = parts
+        if task not in TASKS:
+            raise ValueError(f"{where}: unknown task '{task}'")
+        if ext not in corpus.by_external:
+            raise ValueError(f"{where}: pair targets unknown docid '{ext}'")
+        tokens = [corpus.vocab.lookup(t) for t in text.split(" ") if t]
+        if not tokens:
+            raise ValueError(f"{where}: pair has no tokens")
+        pairs.append(TrainingPair(tokens, corpus.by_external[ext], task))
     return pairs

@@ -9,8 +9,8 @@ internal docid i. Retrieval encodes the queries in blocks of QUERY_BLOCK,
 scores each block with one (B, d_model) x (d_model, n_docs) product, and
 keeps each row's top k. Ranking uses the raw logits: softmax is monotone,
 so probabilities rank identically, and raw scores are what the sharded
-merge diagnostics need. top_order is the one selection routine for every
-ranked list: model, dense, shard and BM25.
+merge diagnostics need. top_order ranks the model, dense, BM25 and
+per-shard lists; distributed.merge_score_lists sorts the merged list itself.
 """
 
 from __future__ import annotations

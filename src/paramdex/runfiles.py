@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable
 
-from .corpus import valid_id
+from .corpus import text_lines, valid_id
 from .retriever import RankedList
 
 
@@ -33,20 +33,14 @@ def write_run(
 def read_run(path: str | Path) -> dict[str, list[tuple[str, int, float]]]:
     """Parse a run file into qid -> [(external docid, rank, score)] by rank."""
     runs: dict[str, list[tuple[str, int, float]]] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValueError(f"line {lineno}: expected 6 whitespace-separated columns")
-            qid, _, docid, rank, score, _ = parts
-            try:
-                entry = (docid, int(rank), float(score))
-            except ValueError as e:
-                raise ValueError(f"line {lineno}: bad rank or score") from e
-            runs.setdefault(qid, []).append(entry)
-    for qid in runs:
-        runs[qid].sort(key=lambda e: e[1])
-    return runs
+    for where, line in text_lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            raise ValueError(f"{where}: expected 6 whitespace-separated columns")
+        qid, _, docid, rank, score, _ = parts
+        try:
+            entry = (docid, int(rank), float(score))
+        except ValueError:
+            raise ValueError(f"{where}: bad rank or score") from None
+        runs.setdefault(qid, []).append(entry)
+    return {qid: sorted(entries, key=lambda e: e[1]) for qid, entries in runs.items()}

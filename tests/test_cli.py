@@ -247,6 +247,23 @@ def test_eval_error_on_unknown_run_qid(workspace, tmp_path):
                    "--out-dir", tmp_path, "--config", workspace["cfg"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--queries", "--run", "--qrels", "--config"])
+def test_directory_given_as_input_file_is_an_error(workspace, tmp_path, capsys, flag):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    run = tmp_path / "a.run"
+    run.write_text("tq00001 Q0 doc00000 1 1.000000 t\n")
+    inputs = {"--queries": workspace["data"] / "train_queries.tsv", "--run": run,
+              "--qrels": workspace["data"] / "train_qrels.tsv", "--config": workspace["cfg"]}
+    inputs[flag] = folder
+    argv = ["eval", "--run", inputs["--run"], "--qrels", inputs["--qrels"]] if flag in ("--run", "--qrels") \
+        else ["retrieve", "--corpus-dir", workspace["corpus"], "--method", "bm25", "--queries", inputs["--queries"]]
+    assert run_cli(*argv, "--out-dir", tmp_path / "out", "--config", inputs["--config"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"Is a directory: '{folder}'" in err
+    assert "Traceback" not in err
+
+
 def test_shard_merge_rejects_model_with_other_vocabulary(workspace, tmp_path, capsys):
     corp = load_corpus(workspace["corpus"])
     plan = partition(len(corp), 2, seed=0)
@@ -288,7 +305,7 @@ def test_retrieve_rejects_bad_corpus_line(workspace, tmp_path, capsys, case):
     assert run_cli("retrieve", "--corpus-dir", corpus_dir,
                    "--queries", workspace["data"] / "train_queries.tsv", "--method", "bm25",
                    "--out-dir", tmp_path / "run", "--config", workspace["cfg"]) == 1
-    assert f"error: docs.jsonl line 3: {message}" in capsys.readouterr().err
+    assert f"error: {docs} line 3: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run" / "run.txt").exists()
 
 
@@ -310,7 +327,7 @@ def test_pairs_rejects_token_id_that_is_not_an_integer(workspace, tmp_path, caps
     docs.write_text("".join(lines))
     assert run_cli("pairs", "--corpus-dir", corpus_dir, "--out-dir", tmp_path / "pairs",
                    "--config", workspace["cfg"]) == 1
-    assert f"error: docs.jsonl line 3{message}" in capsys.readouterr().err
+    assert f"error: {docs} line 3{message}" in capsys.readouterr().err
     assert not (tmp_path / "pairs" / "pairs.tsv").exists()
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from paramdex.config import ExperimentConfig, load_config, parse_config_file
+from paramdex.config import FIELDS, ExperimentConfig, load_config, parse_config_file
 
 
 def test_defaults_are_valid():
@@ -51,6 +51,13 @@ def test_input_paths_are_flags_not_config_keys(tmp_path, key):
 def test_invalid_value_rejected(key, value, shown):
     with pytest.raises(ValueError, match=f"^config key '{key}' has invalid value {shown}$"):
         ExperimentConfig({key: value})
+
+
+@pytest.mark.parametrize("key", [k for k, field in FIELDS.items() if field[0] is float])
+def test_float_value_must_be_finite(key):
+    # inf passes the range checks of lr, adam_eps and the weights
+    with pytest.raises(ValueError, match=f"^config key '{key}' has invalid value inf$"):
+        ExperimentConfig({key: "inf"})
 
 
 def test_heads_must_divide_width():

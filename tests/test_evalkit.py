@@ -175,7 +175,7 @@ class TestRunFiles:
 
 class TestRendering:
     def _report(self):
-        return MetricReport({"recall@1": 0.5, "mrr": 0.416667}, 3, {})
+        return MetricReport({"recall@1": 0.5, "mrr": 0.416667}, 3)
 
     def test_table(self):
         table = render_table(self._report())
