@@ -7,9 +7,11 @@ Layout (all little-endian):
 
 The payload is float32 arrays in param_shapes() order plus the slot (see
 _payload_layout), then the docid matrix (d_model x n_docs) when n_docs > 0.
-The checksum is an 8-byte blake2b of the payload. The dense baseline is
-stored as such a model: its query tower plus the transposed dense index as
-the docid matrix.
+The header has no d_ff: the payload size is affine in d_ff, so load_model
+solves for it from the layout's sizes at d_ff = 1 and 2, and rejects a
+payload whose size no d_ff >= 1 gives. The checksum is an 8-byte blake2b
+of the payload. The dense baseline is stored as such a model: its query
+tower plus the transposed dense index as the docid matrix.
 
 write_meta gives an artifact a deterministic sidecar ``<path>.meta.json``
 recording the config hash and seed that produced it (no timestamps, so
@@ -27,6 +29,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -107,20 +110,19 @@ def load_model(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray], 
     d_model, n_layers, n_heads, vocab_size, max_len, n_docs = fields
     if n_layers == 0:
         raise ValueError(f"{path}: header has 0 encoder layers; not a model checkpoint")
-    # d_ff is not in the header; recover it from the payload size.
-    # total = base + L*(attn/ln fixed) + L*(d_ff*(2*d_model+1) + d_model) + n_docs*d_model
-    base = vocab_size * d_model + max_len * d_model + 2 * d_model
-    per_layer_fixed = 4 * d_model * d_model + 8 * d_model
-    total = len(payload) // 4 - n_docs * d_model
-    per_layer_ffn = (total - base - n_layers * per_layer_fixed) // n_layers
-    d_ff = (per_layer_ffn - d_model) // (2 * d_model + 1)
     try:
         cfg = EncoderConfig(
             vocab_size=vocab_size, d_model=d_model, n_layers=n_layers,
-            n_heads=n_heads, d_ff=max(d_ff, 1), max_len=max_len,
+            n_heads=n_heads, d_ff=1, max_len=max_len,
         )
     except ValueError as e:
         raise ValueError(f"{path}: bad header: {e}") from None
+    at_1, at_2 = (sum(math.prod(shape) for _, shape in _payload_layout(replace(cfg, d_ff=f)))
+                  for f in (1, 2))
+    extra, rest = divmod(len(payload) - 4 * (at_1 + d_model * n_docs), 4 * (at_2 - at_1))
+    if rest or extra < 0:
+        raise ValueError(f"{path}: payload size does not match header")
+    cfg = replace(cfg, d_ff=1 + extra)
     data = np.frombuffer(payload, dtype="<f4")
     params: dict[str, np.ndarray] = {}
     off = 0
@@ -129,13 +131,7 @@ def load_model(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray], 
         if name:
             params[name] = data[off : off + size].reshape(shape).copy()
         off += size
-    w_doc = None
-    if n_docs > 0:
-        size = d_model * n_docs
-        w_doc = data[off : off + size].reshape(d_model, n_docs).copy()
-        off += size
-    if off != data.size:
-        raise ValueError(f"{path}: payload size does not match header")
+    w_doc = data[off:].reshape(d_model, n_docs).copy() if n_docs > 0 else None
     return cfg, params, w_doc
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import baselines, checkpoint, corpus as corpus_mod, distributed, evalkit, pairs as pairs_mod
 from .config import ExperimentConfig, load_config
-from .nn import Encoder, EncoderConfig, finite_diff_check, forward_backward
+from .nn import Encoder, finite_diff_check, forward_backward
 from .pairs import TrainingPair
 from .retriever import DocidRetriever, RankedList, init_overdense, train_overdense, train_vanilla
 from .runfiles import read_run, write_run
@@ -314,10 +314,7 @@ def cmd_diag_scores(args, cfg, out) -> int:
 
 
 def cmd_gradcheck(args, cfg, out) -> int:
-    enc_cfg = EncoderConfig(
-        vocab_size=args.vocab, d_model=args.d_model, n_layers=args.layers,
-        n_heads=args.heads, d_ff=args.d_ff, max_len=args.max_len,
-    )
+    enc_cfg = cfg.encoder_config(args.vocab)
     rng = np.random.default_rng(cfg.seed)
     enc = Encoder.init(enc_cfg, rng, dtype=np.float64)
     w_doc = rng.normal(0.0, 0.02, size=(enc_cfg.d_model, args.docs))
@@ -414,11 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--runs-dir", required=True, help="directory with group*.run files")
 
     sp = _command(sub, "gradcheck", cmd_gradcheck, "finite-difference check of the analytic gradients")
-    sp.add_argument("--d-model", type=int, default=16)
-    sp.add_argument("--layers", type=int, default=1)
-    sp.add_argument("--heads", type=int, default=2)
-    sp.add_argument("--d-ff", type=int, default=32)
-    sp.add_argument("--max-len", type=int, default=32)
     sp.add_argument("--vocab", type=int, default=32)
     sp.add_argument("--docs", type=int, default=8)
     sp.add_argument("--batch", type=int, default=6)

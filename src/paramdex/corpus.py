@@ -176,8 +176,9 @@ def _doc_record(decoder: json.JSONDecoder, line: str, where: str, body: str, kin
     return rec
 
 
-def _doc_fields(rec: dict, where: str) -> tuple[str, int]:
-    """The external docid and the click count of a docs.jsonl record."""
+def _doc_fields(rec: dict, where: str, seen: dict[str, str]) -> tuple[str, int]:
+    """The external docid and the click count of a docs.jsonl record; seen maps
+    the docids of earlier lines to their line, and a docid already in it is rejected."""
     ext, clicks = rec["docid"], rec.get("clicks", 0)
     if type(ext) not in (str, int):  # the type of true and false is bool
         raise ValueError(f"{where}: docid must be a string or an integer, got {ext!r}")
@@ -186,6 +187,8 @@ def _doc_fields(rec: dict, where: str) -> tuple[str, int]:
         raise ValueError(f"{where}: docid {ext!r} is empty or contains whitespace")
     if type(clicks) is not int or clicks < 0:
         raise ValueError(f"{where}: clicks must be a non-negative integer, got {clicks!r}")
+    if seen.setdefault(ext, where) != where:
+        raise ValueError(f"{where}: duplicate docid '{ext}'")
     return ext, clicks
 
 
@@ -196,13 +199,10 @@ def ingest_corpus(path: str | Path, min_freq: int = 1) -> Corpus:
     nothing are skipped with a warning; duplicate or missing fields raise.
     """
     records: list[tuple[str, list[str], int]] = []
-    seen: set[str] = set()
+    seen: dict[str, str] = {}
     for where, line in text_lines(path):
         rec = _doc_record(_JSON_DECODER, line, where, "text", str)
-        ext, clicks = _doc_fields(rec, where)
-        if ext in seen:
-            raise ValueError(f"{where}: duplicate docid '{ext}'")
-        seen.add(ext)
+        ext, clicks = _doc_fields(rec, where, seen)
         tokens = tokenize(rec["text"])
         if not tokens:
             log.warning("%s: document '%s' is empty after tokenization, skipped", where, ext)
@@ -342,6 +342,7 @@ def load_corpus(in_dir: str | Path) -> Corpus:
     vocab = Vocabulary(id_to_token[3:])
     valid_ids = frozenset(range(len(vocab)))  # one hash lookup per token: cheaper than min + max
     docs: list[Document] = []
+    seen: dict[str, str] = {}
     for where, line in text_lines(src / "docs.jsonl"):
         rec = _doc_record(_DOCS_DECODER, line, where, "token_ids", list)
         tokens = rec["token_ids"]
@@ -360,6 +361,6 @@ def load_corpus(in_dir: str | Path) -> Corpus:
                 f"{where} (docid '{rec['docid']}'): "
                 f"token id outside the vocabulary [0, {len(vocab)})"
             )
-        ext, clicks = _doc_fields(rec, where)
+        ext, clicks = _doc_fields(rec, where, seen)
         docs.append(Document(len(docs), ext, tokens, clicks))
     return Corpus(docs, vocab)

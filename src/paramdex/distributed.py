@@ -1,10 +1,12 @@
 """Sharded retrieval: partition the corpus, retrieve per group, merge lists.
 
 Each group owns an independently trained retriever over its slice of the
-corpus. Raw-score merging concatenates per-group lists and resorts; since
-independently trained models put their logits on different scales, the
-module also offers per-shard z-score calibration (experimental) and a
-score-distribution diagnostic that makes the scale mismatch visible.
+corpus. Raw-score merging pools the per-group lists and ranks them again
+with retriever.top_order, the one ranking routine for every list, merged
+lists included. Since independently trained models put their logits on
+different scales, the module also offers per-shard z-score calibration
+(experimental) and a score-distribution diagnostic that makes the scale
+mismatch visible.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, text_lines
-from .retriever import DocidRetriever, RankedList
+from .retriever import DocidRetriever, RankedList, top_order
 
 _STD_FLOOR = 1e-12
 
@@ -89,8 +91,8 @@ def shard_retrieve(
 def merge_score_lists(lists: list[list[tuple]], k: int, mode: str = "raw") -> list[tuple]:
     """Merge per-group (docid, score) lists into one top-k list.
 
-    raw sorts the concatenation by score (ties by ascending docid). zscore
-    first standardizes each group's scores by that group's mean and
+    raw ranks the pooled scores with top_order (ties by ascending docid).
+    zscore first standardizes each group's scores by that group's mean and
     standard deviation, which makes the merge invariant to any positive
     affine rescaling of a single group's scores. A docid appearing in
     several lists keeps its best score.
@@ -113,8 +115,9 @@ def merge_score_lists(lists: list[list[tuple]], k: int, mode: str = "raw") -> li
         for d, s in entries:
             if d not in pooled or s > pooled[d]:
                 pooled[d] = s
-    ranked = sorted(pooled.items(), key=lambda e: (-e[1], e[0]))[:k]
-    return [(d, float(s)) for d, s in ranked]
+    docids = sorted(pooled)  # so top_order's ties by position are ties by docid
+    scores = np.array([pooled[d] for d in docids], dtype=np.float64)
+    return [(docids[i], float(scores[i])) for i in top_order(scores, k).tolist()]
 
 
 def merge_runs(runs: list[ShardRun], k: int, mode: str = "raw") -> RankedList:

@@ -69,9 +69,9 @@ def term_importance(doc: Document, corpus: Corpus, df: np.ndarray | None = None)
     return {t: c * float(np.log(1.0 + n_docs / df[t])) for t, c in counts.items()}
 
 
-def _weighted_sample_without_replacement(
-    items: list[int], weights: np.ndarray, k: int, rng: np.random.Generator
-) -> list[int]:
+def weighted_sample_without_replacement(
+    items: list, weights: np.ndarray, k: int, rng: np.random.Generator
+) -> list:
     """Draw k distinct items sequentially with probability proportional to weight."""
     w = weights.astype(np.float64).copy()
     if not np.any(w > 0):
@@ -107,7 +107,7 @@ def sample_term_sets(
         else:
             hi = min(MAX_TERM_SAMPLE, n_distinct)
             length = int(rng.integers(MIN_TERM_SAMPLE, hi + 1))
-        sampled = _weighted_sample_without_replacement(items, w, length, rng)
+        sampled = weighted_sample_without_replacement(items, w, length, rng)
         pairs.append(TrainingPair(sampled, doc.internal_id, "terms"))
     return pairs
 

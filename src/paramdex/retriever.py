@@ -9,8 +9,8 @@ internal docid i. Retrieval encodes the queries in blocks of QUERY_BLOCK,
 scores each block with one (B, d_model) x (d_model, n_docs) product, and
 keeps each row's top k. Ranking uses the raw logits: softmax is monotone,
 so probabilities rank identically, and raw scores are what the sharded
-merge diagnostics need. top_order ranks the model, dense, BM25 and
-per-shard lists; distributed.merge_score_lists sorts the merged list itself.
+merge diagnostics need. top_order ranks every list: model, dense, BM25,
+per-shard and merged (distributed.merge_score_lists).
 """
 
 from __future__ import annotations

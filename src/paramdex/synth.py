@@ -25,6 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .pairs import weighted_sample_without_replacement
+
+TOPIC_VOCAB = 30  # words in each topic's pool
+N_COMMON = 20  # topic-free filler words
+COMMON_FRAC = 0.1  # chance that a document token is a filler word
+CONCENTRATION = 8.0  # Dirichlet concentration of a document's topic-word weights
+
 
 def _topic_word(t: int, j: int) -> str:
     return f"t{t:02d}w{j:02d}"
@@ -34,16 +41,12 @@ def generate(
     out_dir: str | Path,
     n_docs: int = 1000,
     n_topics: int | None = None,
-    topic_vocab: int = 30,
-    n_common: int = 20,
     doc_len: tuple[int, int] = (40, 80),
     query_len: tuple[int, int] = (4, 8),
     query_distractors: tuple[int, int] = (1, 2),
     distractor_head: int = 5,
     n_train: int | None = None,
     n_heldout: int | None = None,
-    common_frac: float = 0.1,
-    concentration: float = 8.0,
     seed: int = 0,
 ) -> dict[str, Path]:
     """Write docs.jsonl, {train,heldout}_queries.tsv and matching qrels.
@@ -60,29 +63,29 @@ def generate(
         raise ValueError("n_train + n_heldout cannot exceed n_docs")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
 
-    base = 1.0 / np.arange(1, topic_vocab + 1)
+    base = 1.0 / np.arange(1, TOPIC_VOCAB + 1)
     base /= base.sum()
-    common_words = [f"fill{j:02d}" for j in range(n_common)]
+    common_words = [f"fill{j:02d}" for j in range(N_COMMON)]
 
     doc_tokens: list[list[str]] = []
     doc_topic_counts: list[dict[str, int]] = []
     clicks = np.minimum(rng.pareto(1.0, size=n_docs) * 3.0, 500.0).astype(np.int64)
     for i in range(n_docs):
         topic = i % n_topics
-        theta = rng.dirichlet(concentration * base)
+        theta = rng.dirichlet(CONCENTRATION * base)
         length = int(rng.integers(doc_len[0], doc_len[1] + 1))
         words = []
         counts: dict[str, int] = {}
         for _ in range(length):
-            if rng.random() < common_frac:
-                words.append(common_words[int(rng.integers(n_common))])
+            if rng.random() < COMMON_FRAC:
+                words.append(common_words[int(rng.integers(N_COMMON))])
             else:
-                j = int(rng.choice(topic_vocab, p=theta))
+                j = int(rng.choice(TOPIC_VOCAB, p=theta))
                 w = _topic_word(topic, j)
                 words.append(w)
                 counts[w] = counts.get(w, 0) + 1
         if not counts:  # force at least one topic word
-            j = int(rng.choice(topic_vocab, p=theta))
+            j = int(rng.choice(TOPIC_VOCAB, p=theta))
             words.append(_topic_word(topic, j))
             counts[_topic_word(topic, j)] = 1
         doc_tokens.append(words)
@@ -93,14 +96,7 @@ def generate(
         words = sorted(counts)
         weights = np.array([counts[w] for w in words], dtype=np.float64)
         length = min(len(words), int(qrng.integers(query_len[0], query_len[1] + 1)))
-        picked = []
-        w = weights.copy()
-        for _ in range(length):
-            cum = np.cumsum(w)
-            u = qrng.random() * cum[-1]
-            idx = int(np.searchsorted(cum, u, side="right"))
-            picked.append(words[idx])
-            w[idx] = 0.0
+        picked = weighted_sample_without_replacement(words, weights, length, qrng)
         n_distract = int(qrng.integers(query_distractors[0], query_distractors[1] + 1))
         own_topic = doc_idx % n_topics
         distract = []

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -101,6 +102,32 @@ def test_bad_header_rejected_naming_the_file(tmp_path):
     path = tmp_path / "model.ckpt"
     checkpoint._write(path, (16, 1, 0, 10, 8, 0), [np.zeros(100, dtype=np.float32)])
     with pytest.raises(ValueError, match=re.escape(f"{path}: bad header: n_heads must be >= 1")):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d_model", 32), ("n_layers", 10), ("vocab_size", 5000), ("max_len", 2000), ("n_docs", 1000),
+])
+def test_header_that_disagrees_with_the_payload_rejected(tmp_path, field, value):
+    # the checksum covers the payload only, so it passes a wrong header value
+    path = tmp_path / "model.ckpt"
+    save_model(path, CFG, Encoder.init(CFG, seed=10).params, np.ones((16, 7), dtype=np.float32))
+    raw = path.read_bytes()
+    magic, version, *fields = checkpoint._HEADER.unpack_from(raw)
+    fields[("d_model", "n_layers", "n_heads", "vocab_size", "max_len", "n_docs").index(field)] = value
+    path.write_bytes(checkpoint._HEADER.pack(magic, version, *fields) + raw[checkpoint._HEADER.size :])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: payload size does not match header")):
+        load_model(path)
+
+
+def test_payload_of_partial_floats_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_model(path, CFG, Encoder.init(CFG, seed=11).params)
+    raw = path.read_bytes()
+    payload = raw[checkpoint._HEADER.size : -8] + b"\x00\x00"  # 4k + 2 bytes
+    checksum = struct.pack("<Q", checkpoint.payload_checksum(payload))
+    path.write_bytes(raw[: checkpoint._HEADER.size] + payload + checksum)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: payload size does not match header")):
         load_model(path)
 
 

@@ -215,6 +215,19 @@ def test_gradcheck_command(capsys):
     assert "max relative error" in out
 
 
+@pytest.mark.parametrize("config, layer1_rows", [(None, True), ("n_layers = 1\n", False)],
+                         ids=["default", "one-layer-config"])
+def test_gradcheck_takes_the_encoder_from_the_config(tmp_path, capsys, config, layer1_rows):
+    argv = ["gradcheck", "--coords", 1]
+    if config:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv += ["--config", tmp_path / "exp.cfg"]
+    assert run_cli(*argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert any(r.startswith("layer0.") for r in rows)
+    assert any(r.startswith("layer1.") for r in rows) == layer1_rows
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")

@@ -156,6 +156,7 @@ class TestMerge:
         with pytest.raises(ValueError, match="mode"):
             merge_score_lists([[(0, 1.0)]], 1, mode="softmax")
 
+    @pytest.mark.parametrize("mode", ["raw", "zscore"])
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         lists=st.lists(
@@ -171,13 +172,21 @@ class TestMerge:
         ),
         k=st.integers(1, 20),
     )
-    def test_raw_merge_matches_reference(self, lists, k):
-        flat = [e for entries in lists for e in entries]
+    def test_raw_merge_matches_reference(self, mode, lists, k):
+        ref_lists = lists
+        if mode == "zscore":  # standardize each list as the merge always has
+            ref_lists = []
+            for entries in filter(None, lists):
+                scores = np.array([s for _, s in entries], dtype=np.float64)
+                mean, std = float(scores.mean()), float(scores.std())
+                std = std if std >= 1e-12 else 1.0
+                ref_lists.append([(d, (s - mean) / std) for d, s in entries])
+        flat = [e for entries in ref_lists for e in entries]
         docids = sorted({d for d, _ in flat})
         best = [max(s for d2, s in flat if d2 == d) for d in docids]
         order = np.lexsort((np.array(docids, dtype=np.int64), -np.array(best, dtype=np.float64)))
         expected = [(docids[i], best[i]) for i in order[:k]]
-        assert merge_score_lists(lists, k, mode="raw") == expected
+        assert merge_score_lists(lists, k, mode=mode) == expected
 
 
 class TestScoreStats:

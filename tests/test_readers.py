@@ -106,6 +106,15 @@ def test_docid_must_be_a_string_or_an_integer(tmp_path, reader, docid):
         read(path)
 
 
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_duplicate_docid_names_the_line(tmp_path, reader):
+    read, write = READERS[reader]
+    first = {"ingest": "a", "load": "d0"}[reader]  # the docid on line 1
+    path = write(tmp_path, {"docid": first})
+    with pytest.raises(ValueError, match=_named(path, 2, f"duplicate docid '{first}'$")):
+        read(path)
+
+
 @pytest.mark.parametrize("line", ["5", "null", '"text"', "[1, 2]", '{"docid": "b"}', '{"text": "x"}',
                                   '{"docid": "b", "text": null}'])
 def test_ingest_line_must_be_a_record_with_docid_and_text(tmp_path, line):
