@@ -113,7 +113,7 @@ def bm25_retrieve(index: InvertedIndex, query: Query, k: int) -> RankedList:
     # every posting weight is > 0, so the matched documents are the positive scores
     matched = np.flatnonzero(scores > 0.0)
     docids = matched[top_order(scores[matched], k)]
-    return RankedList(query.qid, list(zip(docids.tolist(), scores[docids].tolist())))
+    return RankedList(query.qid, docids, scores[docids])
 
 
 def train_two_tower(

@@ -297,8 +297,9 @@ def cmd_diag_scores(args, cfg, out) -> int:
     by_group = []
     for path in run_paths:
         parsed = read_run(path)
+        # the statistics read only the scores; the ids are list positions
         by_group.append([
-            RankedList(qid, [(i, score) for i, (_, _, score) in enumerate(entries)])
+            RankedList(qid, np.arange(len(entries)), np.array([score for _, _, score in entries]))
             for qid, entries in parsed.items()
         ])
     rows = distributed.score_distribution_stats(by_group)

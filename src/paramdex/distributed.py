@@ -1,12 +1,12 @@
 """Sharded retrieval: partition the corpus, retrieve per group, merge lists.
 
 Each group owns an independently trained retriever over its slice of the
-corpus. Raw-score merging pools the per-group lists and ranks them again
-with retriever.top_order, the one ranking routine for every list, merged
-lists included. Since independently trained models put their logits on
-different scales, the module also offers per-shard z-score calibration
-(experimental) and a score-distribution diagnostic that makes the scale
-mismatch visible.
+corpus. Raw-score merging pools the per-group lists' id and score arrays
+and ranks them again with retriever.top_order, the one ranking routine for
+every list, merged lists included. Since independently trained models put
+their logits on different scales, the module also offers per-shard z-score
+calibration (experimental) and a score-distribution diagnostic that makes
+the scale mismatch visible.
 """
 
 from __future__ import annotations
@@ -82,53 +82,48 @@ def shard_retrieve(
         if model is None:
             raise ValueError(f"missing model for group {gid}")
         local = model.retrieve(query, min(per_group_k, len(plan.groups[gid])))
-        ids, scores = zip(*local.items)  # groups are non-empty and k >= 1
-        items = list(zip(plan.groups[gid][list(ids)].tolist(), scores))
-        runs.append(ShardRun(gid, RankedList(local.qid, items)))
+        runs.append(ShardRun(gid, RankedList(local.qid, plan.groups[gid][local.ids], local.scores)))
     return runs
 
 
-def merge_score_lists(lists: list[list[tuple]], k: int, mode: str = "raw") -> list[tuple]:
-    """Merge per-group (docid, score) lists into one top-k list.
+def _zscore(scores: np.ndarray) -> np.ndarray:
+    """float64 scores standardized by their own mean and standard deviation."""
+    scores = scores.astype(np.float64)
+    if scores.size == 0:
+        return scores
+    std = scores.std()
+    return (scores - scores.mean()) / (1.0 if std < _STD_FLOOR else std)
 
-    raw ranks the pooled scores with top_order (ties by ascending docid).
-    zscore first standardizes each group's scores by that group's mean and
-    standard deviation, which makes the merge invariant to any positive
-    affine rescaling of a single group's scores. A docid appearing in
-    several lists keeps its best score.
+
+def merge_runs(runs: list[ShardRun], k: int, mode: str = "raw") -> RankedList:
+    """Merge one query's shard runs into one top-k list; no runs give an empty list.
+
+    A docid appearing in several lists keeps its best score, the earliest
+    list's on a tie. raw ranks the pooled scores with top_order (ties by
+    ascending docid). zscore first standardizes each list's scores by that
+    list's mean and standard deviation, which makes the merge invariant to
+    any positive affine rescaling of a single group's scores.
     """
     if mode not in ("raw", "zscore"):
         raise ValueError(f"unknown merge mode '{mode}'")
     if k < 1:
         raise ValueError("k must be >= 1")
-    pooled: dict = {}
-    for entries in lists:
-        if not entries:
-            continue
-        if mode == "zscore":
-            scores = np.array([s for _, s in entries], dtype=np.float64)
-            mean = float(scores.mean())
-            std = float(scores.std())
-            if std < _STD_FLOOR:
-                std = 1.0
-            entries = [(d, (s - mean) / std) for d, s in entries]
-        for d, s in entries:
-            if d not in pooled or s > pooled[d]:
-                pooled[d] = s
-    docids = sorted(pooled)  # so top_order's ties by position are ties by docid
-    scores = np.array([pooled[d] for d in docids], dtype=np.float64)
-    return [(docids[i], float(scores[i])) for i in top_order(scores, k).tolist()]
-
-
-def merge_runs(runs: list[ShardRun], k: int, mode: str = "raw") -> RankedList:
-    """Merge one query's shard runs; empty input yields an empty list."""
     if not runs:
-        return RankedList("", [])
+        return RankedList("", np.empty(0, dtype=np.int64), np.empty(0))
     qids = {r.ranked.qid for r in runs}
     if len(qids) > 1:
         raise ValueError(f"shard runs mix qids: {sorted(qids)}")
-    merged = merge_score_lists([r.ranked.items for r in runs], k, mode)
-    return RankedList(runs[0].ranked.qid, merged)
+    norm = _zscore if mode == "zscore" else lambda s: s
+    ids = np.concatenate([r.ranked.ids for r in runs])
+    scores = np.concatenate([norm(r.ranked.scores) for r in runs], dtype=np.float64)
+    # by docid, best score first; the sort is stable, so a tie keeps list order
+    order = np.lexsort((-scores, ids))
+    ids, scores = ids[order], scores[order]
+    first = np.ones(ids.size, dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    ids, scores = ids[first], scores[first]  # ascending docids: top_order's ties are ties by docid
+    keep = top_order(scores, k)
+    return RankedList(runs[0].ranked.qid, ids[keep], scores[keep])
 
 
 def score_distribution_stats(runs_by_group: list[list[RankedList]]) -> list[dict]:
@@ -137,9 +132,7 @@ def score_distribution_stats(runs_by_group: list[list[RankedList]]) -> list[dict
         raise ValueError("no shard runs given")
     rows = []
     for gid, ranked_lists in enumerate(runs_by_group):
-        scores = np.array(
-            [s for rl in ranked_lists for _, s in rl.items], dtype=np.float64
-        )
+        scores = np.concatenate([rl.scores for rl in ranked_lists] or [np.empty(0)], dtype=np.float64)
         if scores.size == 0:
             raise ValueError(f"group {gid} returned no scores")
         deciles = np.percentile(scores, np.arange(10, 100, 10))

@@ -10,13 +10,20 @@ scores each block with one (B, d_model) x (d_model, n_docs) product, and
 keeps each row's top k. Ranking uses the raw logits: softmax is monotone,
 so probabilities rank identically, and raw scores are what the sharded
 merge diagnostics need. top_order ranks every list: model, dense, BM25,
-per-shard and merged (distributed.merge_score_lists).
+per-shard and merged (distributed.merge_runs).
+
+A RankedList carries its docids and scores as two numpy arrays, from the
+ranking that makes them to the run file that write_run formats from them;
+the scores keep the scorer's dtype. Its `items` is a (docid, score) list
+of Python numbers built on first read and cached, for tests and oracles
+that compare whole lists.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,10 +51,16 @@ log = logging.getLogger(__name__)
 QUERY_BLOCK = 64
 
 
-@dataclass
+@dataclass(eq=False)  # == on arrays has no single truth value; compare .items
 class RankedList:
     qid: str
-    items: list[tuple[int, float]]  # (docid, raw logit), scores non-increasing
+    ids: np.ndarray  # int64 docids, best first
+    scores: np.ndarray  # their raw scores, non-increasing
+
+    @cached_property
+    def items(self) -> list[tuple[int, float]]:
+        """(docid, score) pairs as Python numbers, built once."""
+        return list(zip(self.ids.tolist(), self.scores.tolist()))
 
 
 def score_all(v: np.ndarray, w_doc: np.ndarray) -> np.ndarray:
@@ -79,10 +92,10 @@ def top_order(scores: np.ndarray, k: int) -> np.ndarray:
     return cand[np.lexsort((cand, -scores[cand]))][:k]
 
 
-def top_k(logits: np.ndarray, k: int) -> list[tuple[int, float]]:
-    """(docid, logit) of the first min(k, n) of the descending sort, ties by ascending docid."""
+def top_k(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Docids and logits of the first min(k, n) of the descending sort, ties by ascending docid."""
     order = top_order(logits, k)
-    return list(zip(order.tolist(), logits[order].tolist()))
+    return order, logits[order]
 
 
 def init_overdense(dense_index: np.ndarray, n_docs: int | None = None) -> np.ndarray:
@@ -120,7 +133,7 @@ class DocidRetriever:
             block = queries[start : start + QUERY_BLOCK]
             v, _ = self.encoder.forward_batch([q.tokens for q in block], need_cache=False)
             logits = score_all(v, self.w_doc)
-            ranked += [RankedList(q.qid, top_k(row, k)) for q, row in zip(block, logits)]
+            ranked += [RankedList(q.qid, *top_k(row, k)) for q, row in zip(block, logits)]
         return ranked
 
 

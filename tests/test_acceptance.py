@@ -26,7 +26,6 @@ from paramdex.corpus import ingest_corpus, load_qrels, load_queries
 from paramdex.distributed import (
     mean_spread_ratio,
     merge_runs,
-    merge_score_lists,
     partition,
     render_stats_csv,
     score_distribution_stats,
@@ -47,7 +46,7 @@ from paramdex.runfiles import write_run
 from paramdex.synth import generate
 from paramdex.training import TrainConfig
 
-from conftest import corpus_from_texts
+from conftest import as_pairs, corpus_from_texts, merged_items
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -133,7 +132,7 @@ def test_criterion_3_oracle_equivalences():
     logits[777] = logits[4242]  # force a tie
     oracle = sorted(range(10_000), key=lambda i: (-logits[i], i))
     topk_ok = all(
-        [d for d, _ in top_k(logits, k)] == oracle[:k]
+        top_k(logits, k)[0].tolist() == oracle[:k]
         for k in (1, 10, 100, 10_000)
     )
 
@@ -167,8 +166,8 @@ def test_criterion_3_oracle_equivalences():
         for members in plan.groups
     ]
     merge_ok = all(
-        merge_score_lists(shard_lists, k, mode="raw")
-        == top_k(full_logits, k)
+        merged_items(shard_lists, k, mode="raw")
+        == as_pairs(*top_k(full_logits, k))
         for k in (1, 7, 50, 500)
     )
 
@@ -350,8 +349,8 @@ def test_criterion_7_distributed_diagnosis(tmp_path):
                 scores[0] = 3.5 + shift  # positive near its own shard's top
                 positives[qid] = ids[0]
             lists.append(list(zip(ids, map(float, scores))))
-        fixture_raw[qid] = [d for d, _ in merge_score_lists(lists, 20, mode="raw")]
-        fixture_z[qid] = [d for d, _ in merge_score_lists(lists, 20, mode="zscore")]
+        fixture_raw[qid] = [d for d, _ in merged_items(lists, 20, mode="raw")]
+        fixture_z[qid] = [d for d, _ in merged_items(lists, 20, mode="zscore")]
     fr = mrr(fixture_raw, positives, cutoff=20)
     fz = mrr(fixture_z, positives, cutoff=20)
 

@@ -7,7 +7,6 @@ from paramdex.distributed import (
     ShardRun,
     mean_spread_ratio,
     merge_runs,
-    merge_score_lists,
     partition,
     read_manifest,
     render_stats_csv,
@@ -17,9 +16,10 @@ from paramdex.distributed import (
     write_manifest,
 )
 from paramdex.nn import Encoder, EncoderConfig
-from paramdex.retriever import DocidRetriever, RankedList
+from paramdex.retriever import DocidRetriever
+from paramdex.runfiles import write_run
 
-from conftest import corpus_from_texts
+from conftest import corpus_from_texts, merged_items, ranked_list
 
 
 class TestPartition:
@@ -100,7 +100,7 @@ class TestShardRetrieve:
 class TestMerge:
     def test_single_shard_is_identity_truncated(self):
         items = [(4, 3.0), (1, 2.0), (9, 1.0)]
-        run = ShardRun(0, RankedList("q", items))
+        run = ShardRun(0, ranked_list("q", items))
         assert merge_runs([run], 2).items == items[:2]
 
     def test_same_model_shards_merge_to_global_topk(self):
@@ -119,9 +119,9 @@ class TestMerge:
                    key=lambda e: -e[1])
         b = sorted(((100 + i, float(s) + 5.0) for i, s in enumerate(rng.normal(0, 1, 50))),
                    key=lambda e: -e[1])
-        raw = merge_score_lists([a, b], 10, mode="raw")
+        raw = merged_items([a, b], 10, mode="raw")
         assert all(d >= 100 for d, _ in raw)
-        z = merge_score_lists([a, b], 10, mode="zscore")
+        z = merged_items([a, b], 10, mode="zscore")
         groups = {d >= 100 for d, _ in z}
         assert groups == {True, False}
 
@@ -129,32 +129,42 @@ class TestMerge:
         rng = np.random.default_rng(1)
         a = [(i, float(s)) for i, s in enumerate(rng.normal(0, 1, 20))]
         b = [(50 + i, float(s)) for i, s in enumerate(rng.normal(3, 2, 20))]
-        base = merge_score_lists([a, b], 15, mode="zscore")
+        base = merged_items([a, b], 15, mode="zscore")
         scaled = [(d, 7.0 * s + 11.0) for d, s in a]
-        again = merge_score_lists([scaled, b], 15, mode="zscore")
+        again = merged_items([scaled, b], 15, mode="zscore")
         assert [d for d, _ in base] == [d for d, _ in again]
 
     def test_empty_input(self):
         assert merge_runs([], 5).items == []
 
     def test_mixed_qids_rejected(self):
-        r1 = ShardRun(0, RankedList("q1", [(0, 1.0)]))
-        r2 = ShardRun(1, RankedList("q2", [(1, 1.0)]))
+        r1 = ShardRun(0, ranked_list("q1", [(0, 1.0)]))
+        r2 = ShardRun(1, ranked_list("q2", [(1, 1.0)]))
         with pytest.raises(ValueError, match="mix"):
             merge_runs([r1, r2], 5)
 
     def test_duplicate_docid_keeps_best_score(self):
-        out = merge_score_lists([[(3, 1.0)], [(3, 2.0)]], 5)
+        out = merged_items([[(3, 1.0)], [(3, 2.0)]], 5)
         assert out == [(3, 2.0)]
+
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_tie_keeps_the_first_lists_score(self, tmp_path, first, second):
+        # 0.0 == -0.0, so only the written text shows which entry the merge kept
+        runs = [ShardRun(0, ranked_list("q", [(7, 1.0), (3, first)])),
+                ShardRun(1, ranked_list("q", [(3, second), (5, -1.0)]))]
+        path = tmp_path / "merged.run"
+        write_run(path, [merge_runs(runs, 5)], lambda d: f"d{d}", tag="t")
+        assert path.read_text() == (f"q Q0 d7 1 1.000000 t\nq Q0 d3 2 {first:.6f} t\n"
+                                    "q Q0 d5 3 -1.000000 t\n")
 
     def test_merge_length_bound(self):
         lists = [[(0, 1.0), (1, 0.5)], [(2, 0.7)]]
-        assert len(merge_score_lists(lists, 10)) == 3
-        assert len(merge_score_lists(lists, 2)) == 2
+        assert len(merged_items(lists, 10)) == 3
+        assert len(merged_items(lists, 2)) == 2
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            merge_score_lists([[(0, 1.0)]], 1, mode="softmax")
+            merged_items([[(0, 1.0)]], 1, mode="softmax")
 
     @pytest.mark.parametrize("mode", ["raw", "zscore"])
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -186,19 +196,19 @@ class TestMerge:
         best = [max(s for d2, s in flat if d2 == d) for d in docids]
         order = np.lexsort((np.array(docids, dtype=np.int64), -np.array(best, dtype=np.float64)))
         expected = [(docids[i], best[i]) for i in order[:k]]
-        assert merge_score_lists(lists, k, mode=mode) == expected
+        assert merged_items(lists, k, mode=mode) == expected
 
 
 class TestScoreStats:
     def test_constant_scores_have_zero_std(self):
-        runs = [[RankedList("q", [(0, 2.0), (1, 2.0)])]]
+        runs = [[ranked_list("q", [(0, 2.0), (1, 2.0)])]]
         rows = score_distribution_stats(runs)
         assert rows[0]["std"] == 0.0 and rows[0]["mean"] == 2.0
 
     def test_same_distribution_means_close(self):
         rng = np.random.default_rng(2)
         runs = [
-            [RankedList(f"q{i}", [(j, float(s)) for j, s in enumerate(rng.normal(0, 1, 50))])
+            [ranked_list(f"q{i}", [(j, float(s)) for j, s in enumerate(rng.normal(0, 1, 50))])
              for i in range(20)]
             for _ in range(3)
         ]
@@ -209,13 +219,13 @@ class TestScoreStats:
 
     def test_shifted_group_is_visible(self):
         rng = np.random.default_rng(3)
-        mk = lambda mu: [RankedList("q", [(j, float(s)) for j, s in
+        mk = lambda mu: [ranked_list("q", [(j, float(s)) for j, s in
                                           enumerate(rng.normal(mu, 1, 200))])]
         rows = score_distribution_stats([mk(0.0), mk(4.0)])
         assert mean_spread_ratio(rows) > 2.0
 
     def test_csv_rendering(self):
-        runs = [[RankedList("q", [(i, float(i)) for i in range(10)])]]
+        runs = [[ranked_list("q", [(i, float(i)) for i in range(10)])]]
         csv = render_stats_csv(score_distribution_stats(runs))
         lines = csv.strip().split("\n")
         assert lines[0] == "group,mean,std,min,max,d1,d2,d3,d4,d5,d6,d7,d8,d9"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paramdex.evalkit import (
     MetricReport,
@@ -14,8 +14,40 @@ from paramdex.evalkit import (
 from paramdex.retriever import RankedList
 from paramdex.runfiles import read_run, write_run
 
+from conftest import ranked_list
+
 # run-file ids: non-empty, no whitespace (every whitespace character is in Cc or Z*)
 _ID = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1, max_size=8)
+# ids that mean something to %-formatting or str.format
+_FORMAT_ID = st.one_of(st.sampled_from(["%", "%%", "%s", "%.6f", "%(x)s", "{", "}", "{}", "{0}", "a%b{c}"]), _ID)
+# scores whose 6-decimal text is easy to get wrong: signed zeros, subnormals, huge values, half-ulp ties
+_EDGE_SCORES = [0.0, -0.0, 5e-324, -5e-324, 1e-45, -1e-45, 1e300, -1e300, 3.4e38, 5e-7, -5e-7,
+                2.5e-6, 0.1234565, -1.0000005]
+
+
+@st.composite
+def _ranked_lists(draw):
+    """(external ids, ranked lists): up to 4 lists of up to 4 docids, float32 or float64 scores."""
+    exts = draw(st.lists(_FORMAT_ID, min_size=1, max_size=8, unique=True))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    edge = [s for s in _EDGE_SCORES if abs(s) <= float(np.finfo(dtype).max)]
+    score = st.one_of(st.sampled_from(edge), st.floats(allow_nan=False, allow_infinity=False,
+                                                       width=np.finfo(dtype).bits))
+    lists = draw(st.dictionaries(
+        _FORMAT_ID,
+        st.lists(st.tuples(st.integers(0, len(exts) - 1), score), max_size=4, unique_by=lambda e: e[0]),
+        max_size=4,
+    ))
+    return exts, [RankedList(qid, np.array([d for d, _ in items], dtype=np.int64),
+                             np.array([s for _, s in items], dtype=dtype))
+                  for qid, items in lists.items()]
+
+
+def _reference_run(ranked, external_of, tag: str) -> str:
+    """The per-line format write_run must reproduce byte for byte."""
+    return "".join(f"{rl.qid} Q0 {external_of(d)} {rank} {s:.6f} {tag}\n"
+                   for rl in ranked
+                   for rank, (d, s) in enumerate(zip(rl.ids.tolist(), rl.scores.tolist()), start=1))
 
 
 class TestRecall:
@@ -119,8 +151,8 @@ class TestEvaluate:
 class TestRunFiles:
     def test_roundtrip(self, tmp_path):
         ranked = [
-            RankedList("q1", [(0, 2.5), (2, 1.25)]),
-            RankedList("q2", [(1, -0.5)]),
+            ranked_list("q1", [(0, 2.5), (2, 1.25)]),
+            ranked_list("q2", [(1, -0.5)]),
         ]
         path = tmp_path / "run.txt"
         write_run(path, ranked, lambda d: f"doc{d}", tag="test")
@@ -133,7 +165,7 @@ class TestRunFiles:
     @pytest.mark.parametrize("qid,tag", [("q 1", "t"), ("", "t"), ("q1", "my tag"), ("q1", "")])
     def test_unreadable_qid_or_tag_rejected_before_writing(self, tmp_path, qid, tag):
         path = tmp_path / "run.txt"
-        ranked = [RankedList("q0", [(0, 1.0)]), RankedList(qid, [(1, 0.5)])]
+        ranked = [ranked_list("q0", [(0, 1.0)]), ranked_list(qid, [(1, 0.5)])]
         with pytest.raises(ValueError, match="is empty or contains whitespace"):
             write_run(path, ranked, lambda d: f"doc{d}", tag=tag)
         assert not path.exists()
@@ -142,12 +174,15 @@ class TestRunFiles:
     @given(
         exts=st.lists(_ID, min_size=1, max_size=8, unique=True),
         lists=st.dictionaries(
-            _ID, st.lists(st.tuples(st.integers(0, 7), st.floats(-1e6, 1e6)), max_size=5), max_size=6
+            _ID,
+            st.lists(st.tuples(st.integers(0, 7), st.floats(-1e6, 1e6)), max_size=5, unique_by=lambda e: e[0]),
+            max_size=6,
         ),
         tag=_ID,
     )
     def test_write_read_roundtrip(self, tmp_path_factory, exts, lists, tag):
-        ranked = [RankedList(qid, [(d % len(exts), s) for d, s in items]) for qid, items in lists.items()]
+        # a docid appears at most once per list, as in every list the program ranks
+        ranked = [ranked_list(qid, [(d, s) for d, s in items if d < len(exts)]) for qid, items in lists.items()]
         path = tmp_path_factory.mktemp("run") / "run.txt"
         write_run(path, ranked, exts.__getitem__, tag=tag)
         # a list without items writes no line, so read_run does not see its qid
@@ -155,6 +190,38 @@ class TestRunFiles:
             rl.qid: [(exts[d], rank, float(f"{s:.6f}")) for rank, (d, s) in enumerate(rl.items, start=1)]
             for rl in ranked if rl.items
         }
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=_ranked_lists(), tag=_FORMAT_ID)
+    @example(case=(["d%0", "{d1}"], [RankedList("q%s", np.array([1, 0]), np.array([-0.0, 1e-45], np.float32)),
+                                     RankedList("{q}", np.array([], np.int64), np.array([], np.float32))]),
+             tag="%")
+    def test_write_run_matches_per_line_format(self, tmp_path_factory, case, tag):
+        exts, ranked = case
+        path = tmp_path_factory.mktemp("run") / "run.txt"
+        write_run(path, ranked, exts.__getitem__, tag=tag)
+        assert path.read_bytes() == _reference_run(ranked, exts.__getitem__, tag).encode()
+
+    @pytest.mark.parametrize("text,error", [
+        ("q1 Q0 d0 1 0.5 t\nq1 Q0 d0 2 0.4 t\n", r"line 2: docid 'd0' repeated for qid 'q1'"),
+        ("q1 Q0 d0 1 0.5 t\nq2 Q0 d1 1 0.5 t\nq1 Q0 d1 1 0.4 t\n", r"line 3: rank 1 repeated for qid 'q1'"),
+        # the first repeated line of the file is named, whichever qid it belongs to
+        ("q1 Q0 d0 1 0.5 t\nq2 Q0 d0 1 0.5 t\nq2 Q0 d0 2 0.4 t\nq1 Q0 d1 1 0.4 t\n",
+         r"line 3: docid 'd0' repeated for qid 'q2'"),
+        ("q1 Q0 d0 1 nan t\n", r"line 1: score nan is not finite"),
+        ("q1 Q0 d0 1 0.5 t\nq1 Q0 d1 2 inf t\n", r"line 2: score inf is not finite"),
+        ("q1 Q0 d0 1 -Infinity t\n", r"line 1: score -Infinity is not finite"),
+    ])
+    def test_repeated_docid_or_rank_and_non_finite_score_rejected(self, tmp_path, text, error):
+        path = tmp_path / "run.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"run.txt {error}"):
+            read_run(path)
+
+    def test_same_docid_and_rank_under_two_qids_accepted(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d0 1 0.5 t\nq2 Q0 d0 1 0.5 t\n")
+        assert read_run(path) == {"q1": [("d0", 1, 0.5)], "q2": [("d0", 1, 0.5)]}
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "run.txt"
@@ -164,7 +231,7 @@ class TestRunFiles:
 
     def test_evaluate_run_file(self, tmp_path):
         run_path = tmp_path / "run.txt"
-        write_run(run_path, [RankedList("q1", [(0, 1.0), (1, 0.5)])], lambda d: f"doc{d}")
+        write_run(run_path, [ranked_list("q1", [(0, 1.0), (1, 0.5)])], lambda d: f"doc{d}")
         qrels_path = tmp_path / "qrels.tsv"
         qrels_path.write_text("q1\tdoc1\nq2\tdoc0\n")
         report = evaluate_run_file(run_path, qrels_path, ks=(1, 2), cutoff=10)

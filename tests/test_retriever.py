@@ -18,7 +18,7 @@ from paramdex.retriever import (
 )
 from paramdex.training import TrainConfig
 
-from conftest import corpus_from_texts
+from conftest import as_pairs, corpus_from_texts
 
 
 class TestScoreAll:
@@ -67,17 +67,18 @@ class TestScoreAll:
 
 class TestTopK:
     def test_basic_argsort(self):
-        assert top_k(np.array([1.0, 3.0, 2.0]), 2) == [(1, 3.0), (2, 2.0)]
+        assert as_pairs(*top_k(np.array([1.0, 3.0, 2.0]), 2)) == [(1, 3.0), (2, 2.0)]
 
     def test_tie_break_by_docid(self):
-        assert top_k(np.array([2.0, 2.0, 1.0]), 2) == [(0, 2.0), (1, 2.0)]
+        assert as_pairs(*top_k(np.array([2.0, 2.0, 1.0]), 2)) == [(0, 2.0), (1, 2.0)]
 
     def test_k_nonpositive(self):
         with pytest.raises(ValueError):
             top_k(np.array([1.0]), 0)
 
     def test_k_exceeding_corpus(self):
-        assert len(top_k(np.array([1.0, 2.0]), 10)) == 2
+        ids, scores = top_k(np.array([1.0, 2.0]), 10)
+        assert len(ids) == len(scores) == 2
 
     def test_matches_exhaustive_sort_oracle(self):
         rng = np.random.default_rng(3)
@@ -85,7 +86,7 @@ class TestTopK:
         logits[17] = logits[101]  # force one tie
         oracle = sorted(range(200), key=lambda i: (-logits[i], i))
         for k in (1, 5, 10, 200):
-            assert [d for d, _ in top_k(logits, k)] == oracle[:k]
+            assert top_k(logits, k)[0].tolist() == oracle[:k]
 
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -113,7 +114,9 @@ class TestTopK:
         logits = np.array(values, dtype=dtype)
         # last key is primary: descending score, then ascending docid
         order = np.lexsort((np.arange(len(logits)), -logits))[:k]
-        assert top_k(logits, k) == [(int(i), float(logits[i])) for i in order]
+        ids, scores = top_k(logits, k)
+        assert ids.dtype == np.int64 and scores.dtype == logits.dtype
+        assert as_pairs(ids, scores) == [(int(i), float(logits[i])) for i in order]
 
 
 def _rankings_agree(got, want, rtol=1e-5):
@@ -251,7 +254,7 @@ class TestTrainOverdense:
         model = DocidRetriever(enc, w_doc)
         for q in queries:
             v = tower.encode(q.tokens)
-            expected = top_k(v @ init_overdense(index), 5)
+            expected = as_pairs(*top_k(v @ init_overdense(index), 5))
             assert model.retrieve(q, 5).items == expected
 
     @pytest.mark.parametrize("epochs", [0, 2])
