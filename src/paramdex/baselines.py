@@ -6,8 +6,8 @@ term-frequency and weight arrays, sorted by docid. Each posting's BM25
 contribution is computed once, at build time. A query adds each distinct
 term's weights into a dense score array and ranks the matched documents
 with retriever.top_order. The dense baseline is a two-tower encoder pair
-(shared weights by default) trained with softmax cross-entropy over
-in-batch negatives. It has no retriever of its own:
+(shared weights unless TrainConfig.separate_towers) trained with softmax
+cross-entropy over in-batch negatives. It has no retriever of its own:
 retriever.init_overdense turns its encoded corpus into a docid matrix, so
 dense retrieval is DocidRetriever(query tower, init_overdense(index)),
 the model that init-from-dense fine-tuning starts from.
@@ -23,6 +23,7 @@ import numpy as np
 from .corpus import Corpus, Query, UNK_ID
 from .nn import Encoder, EncoderConfig, softmax_xent
 from .nn import adamw_step  # noqa: F401 -- perfbench's traced run shims baselines.adamw_step
+from .pairs import query_pairs
 from .retriever import RankedList, run_stage, top_order
 from .training import EpochLog, TrainConfig, batches, stage_rng
 
@@ -122,25 +123,25 @@ def train_two_tower(
     qrels: dict[str, int],
     enc_cfg: EncoderConfig,
     cfg: TrainConfig,
-    shared: bool = True,
 ) -> tuple[Encoder, Encoder, list[EpochLog]]:
     """Train query/document towers with in-batch softmax cross entropy.
 
-    Runs for cfg.finetune_epochs (with plateau stopping). A trailing batch
-    of one pair is folded into the previous batch, since a single pair has
-    no in-batch negatives.
+    The towers are one encoder unless cfg.separate_towers. Trains on the
+    pairs of pairs.query_pairs for cfg.finetune_epochs (with plateau
+    stopping). A trailing batch of one pair is folded into the previous
+    batch, since a single pair has no in-batch negatives.
     """
     if cfg.batch_size < 2:
         raise ValueError("in-batch negatives need batch_size >= 2")
-    pairs = [(q.tokens, qrels[q.qid]) for q in queries if q.qid in qrels and q.tokens]
+    pairs = query_pairs(queries, qrels)
     if len(pairs) < 2:
         raise ValueError("two-tower training needs at least 2 labeled queries")
     q_enc = Encoder.init(enc_cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 10])))
-    if shared:
-        d_enc, towers = q_enc, {"q.": q_enc}
-    else:
+    if cfg.separate_towers:
         d_enc = Encoder.init(enc_cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 11])))
         towers = {"q.": q_enc, "d.": d_enc}
+    else:
+        d_enc, towers = q_enc, {"q.": q_enc}
     trainable = {p + k: v for p, enc in towers.items() for k, v in enc.params.items()}
 
     def epoch_batches(epoch):
@@ -158,15 +159,15 @@ def train_two_tower(
     cache: dict[str, tuple] = {}
 
     def loss_and_grad(batch):
-        q_vec, cache["q"] = q_enc.forward_batch([q for q, _ in batch])
-        d_vec, cache["d"] = d_enc.forward_batch([corpus.doc(d).tokens for _, d in batch])
+        q_vec, cache["q"] = q_enc.forward_batch([p.tokens for p in batch])
+        d_vec, cache["d"] = d_enc.forward_batch([corpus.doc(p.target).tokens for p in batch])
         # in-batch negatives: query i's positive is document i of the batch
         loss, dscores = softmax_xent(q_vec @ d_vec.T, np.arange(len(batch)))
         gq = q_enc.backward_batch(cache["q"], dscores @ d_vec)
         gd = d_enc.backward_batch(cache["d"], dscores.T @ q_vec)
-        if shared:
-            return loss, {"q." + k: gq[k] + gd[k] for k in gq}
-        return loss, {**{"q." + k: v for k, v in gq.items()}, **{"d." + k: v for k, v in gd.items()}}
+        if cfg.separate_towers:
+            return loss, {**{"q." + k: v for k, v in gq.items()}, **{"d." + k: v for k, v in gd.items()}}
+        return loss, {"q." + k: gq[k] + gd[k] for k in gq}
 
     logs: list[EpochLog] = []
     run_stage("two_tower", trainable, epoch_batches, loss_and_grad, cfg.finetune_epochs, cfg, logs)

@@ -101,9 +101,7 @@ def _pretrain_pairs(corp, cfg: ExperimentConfig, seed: int) -> list[TrainingPair
 def _train_dense(corp, queries, qrels, cfg: ExperimentConfig, tcfg):
     """Two-tower training, then the corpus encoded by the document tower."""
     q_enc, d_enc, logs = baselines.train_two_tower(
-        corp, queries, qrels, cfg.encoder_config(len(corp.vocab)), tcfg,
-        shared=not cfg.separate_towers,
-    )
+        corp, queries, qrels, cfg.encoder_config(len(corp.vocab)), tcfg)
     return q_enc, d_enc, baselines.dense_encode_corpus(d_enc, corp, batch_size=cfg.batch_size), logs
 
 

@@ -2,18 +2,20 @@
 
 A config file is ``key = value`` lines (``#`` starts a comment). Every key
 is listed in FIELDS below with its type, default and valid range (a float
-must also be finite); unknown keys are rejected. Input paths are flags, not
-config keys. The flags --seed, --skip-pretrain and --skip-finetune override
-file values (the last two as pretrain_epochs = 0 and finetune_epochs = 0).
-The resolved config hashes to a short hex digest that is stamped into every
-artifact's sidecar, so artifacts are traceable to the exact settings and
-seed that produced them.
+must also be finite); unknown keys are rejected. Each field of TrainConfig,
+and of EncoderConfig but vocab_size, is the key of the same name and
+default. Input paths are flags, not config keys. The flags --seed,
+--skip-pretrain and --skip-finetune override file values (the last two as
+pretrain_epochs = 0 and finetune_epochs = 0). The resolved config hashes
+to a short hex digest that is stamped into every artifact's sidecar, so
+artifacts are traceable to the exact settings and seed that produced them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import fields
 from pathlib import Path
 
 from .corpus import text_lines, valid_id
@@ -58,13 +60,13 @@ FIELDS: dict[str, tuple] = {
     "ngram_n": (int, 3, _pos, "n-gram order"),
     "ngram_min_df": (int, 2, _pos, "minimum n-gram document frequency"),
     "max_ngrams": (int, 0, _nonneg, "n-gram cap (0 = 10 * corpus size)"),
-    "weight_passage": (float, _T.task_weights[0], _nonneg, "passage task sampling weight"),
-    "weight_terms": (float, _T.task_weights[1], _nonneg, "term-set task sampling weight"),
-    "weight_ngram": (float, _T.task_weights[2], _nonneg, "n-gram task sampling weight"),
+    "weight_passage": (float, _T.weight_passage, _nonneg, "passage task sampling weight"),
+    "weight_terms": (float, _T.weight_terms, _nonneg, "term-set task sampling weight"),
+    "weight_ngram": (float, _T.weight_ngram, _nonneg, "n-gram task sampling weight"),
     "lr": (float, _T.lr, _pos, "AdamW learning rate"),
     "beta1": (float, _T.beta1, _unit, "AdamW beta1"),
     "beta2": (float, _T.beta2, _unit, "AdamW beta2"),
-    "adam_eps": (float, _T.eps, _pos, "AdamW epsilon"),
+    "adam_eps": (float, _T.adam_eps, _pos, "AdamW epsilon"),
     "weight_decay": (float, _T.weight_decay, _nonneg, "decoupled weight decay"),
     "batch_size": (int, _T.batch_size, _pos, "training batch size"),
     "pretrain_epochs": (int, _T.pretrain_epochs, _nonneg, "max pre-training epochs"),
@@ -79,7 +81,7 @@ FIELDS: dict[str, tuple] = {
     "mrr_cutoff": (int, 100, _pos, "MRR rank cutoff"),
     "eval_ks": (str, "1,20,100", None, "comma-separated recall cutoffs"),
     "freeze_encoder": (_bool, _T.freeze_encoder, None, "train only the docid matrix"),
-    "separate_towers": (_bool, False, None, "untie the two-tower weights"),
+    "separate_towers": (_bool, _T.separate_towers, None, "untie the two-tower weights"),
     "run_tag": (str, "paramdex", valid_id, "tag column for run files"),
 }
 
@@ -110,8 +112,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if (check is not None and not check(value)) or (parse is float and not math.isfinite(value)):
                 raise ValueError(f"config key '{name}' has invalid value {value!r}")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
+        self.encoder_config(1)  # EncoderConfig's own checks: n_heads divides d_model
         try:
             self.ks()
         except ValueError as e:
@@ -131,21 +132,11 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
-        return EncoderConfig(
-            vocab_size=vocab_size, d_model=self.d_model, n_layers=self.n_layers,
-            n_heads=self.n_heads, d_ff=self.d_ff, max_len=self.max_len,
-        )
+        return EncoderConfig(vocab_size, **{f.name: getattr(self, f.name)
+                                            for f in fields(EncoderConfig) if f.name != "vocab_size"})
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.adam_eps,
-            weight_decay=self.weight_decay, batch_size=self.batch_size,
-            pretrain_epochs=self.pretrain_epochs, finetune_epochs=self.finetune_epochs,
-            plateau_patience=self.plateau_patience, plateau_min_delta=self.plateau_min_delta,
-            seed=self.seed,
-            task_weights=(self.weight_passage, self.weight_terms, self.weight_ngram),
-            freeze_encoder=self.freeze_encoder,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:

@@ -250,16 +250,24 @@ def read_qrels_file(path: str | Path) -> dict[str, str]:
     return qrels
 
 
-def resolve_qrels(qrels_ext: dict[str, str], corpus: Corpus, source: str = "qrels") -> dict[str, int]:
+def resolve_qrels(qrels_ext: dict[str, str], corpus: Corpus) -> dict[str, int]:
     """Map external qrels docids to internal ids; unknown docids raise."""
     missing = sorted(d for d in qrels_ext.values() if d not in corpus.by_external)
     if missing:
-        raise ValueError(f"{source}: unknown docids {missing[:10]}")
+        raise ValueError(f"qrels: unknown docids {missing[:10]}")
     return {qid: corpus.by_external[d] for qid, d in qrels_ext.items()}
 
 
 def load_qrels(path: str | Path, corpus: Corpus) -> dict[str, int]:
-    return resolve_qrels(read_qrels_file(path), corpus, source=str(path))
+    """read_qrels_file resolved against the corpus. A kept docid that the
+    corpus lacks raises naming its line; only then is the file read again."""
+    qrels_ext = read_qrels_file(path)
+    if any(d not in corpus.by_external for d in qrels_ext.values()):
+        for where, line in text_lines(path):
+            qid, _, docid = line.partition("\t")
+            if qrels_ext[qid] == docid and docid not in corpus.by_external:
+                raise ValueError(f"{where}: unknown docid '{docid}'")
+    return resolve_qrels(qrels_ext, corpus)
 
 
 def sample_subset(

@@ -430,7 +430,7 @@ def adamw_step(
     cfg: TrainConfig,
 ) -> None:
     """One decoupled-weight-decay Adam update with bias correction, using
-    cfg's lr, beta1, beta2, eps and weight_decay.
+    cfg's lr, beta1, beta2, adam_eps and weight_decay.
 
     Runs in place: the arrays in params, state.m and state.v are updated and
     state.step advances. Each gradient must have its parameter's key, shape
@@ -438,7 +438,7 @@ def adamw_step(
     rejected call changes nothing. The operation order is that of
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
-        p = p - lr * ((m / c1) / (sqrt(v / c2) + eps) + weight_decay * p)
+        p = p - lr * ((m / c1) / (sqrt(v / c2) + adam_eps) + weight_decay * p)
     """
     if set(grads) != set(params):
         raise ValueError("gradient keys do not match parameter keys")
@@ -462,7 +462,7 @@ def adamw_step(
         v += tmp
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += cfg.eps
+        tmp += cfg.adam_eps
         update = m / c1
         update /= tmp
         np.multiply(p, cfg.weight_decay, out=tmp)

@@ -38,7 +38,6 @@ from .nn import (
 from .pairs import TrainingPair, query_pairs
 from .training import (
     EpochLog,
-    PlateauStopper,
     TrainConfig,
     batches,
     mixed_task_epoch,
@@ -119,10 +118,6 @@ class DocidRetriever:
         self.encoder = encoder
         self.w_doc = w_doc
 
-    @property
-    def n_docs(self) -> int:
-        return self.w_doc.shape[1]
-
     def retrieve(self, query: Query, k: int) -> RankedList:
         return self.retrieve_all([query], k)[0]
 
@@ -153,9 +148,12 @@ def run_stage(
     logs: list[EpochLog],
 ) -> None:
     """AdamW epochs with plateau stopping. The arrays in trainable are the
-    models' own and are updated in place."""
+    models' own and are updated in place. An epoch is stale unless its loss
+    is below best - plateau_min_delta, best being the lowest earlier epoch
+    loss; the stage stops once plateau_patience epochs in a row are stale,
+    so at patience 0 it stops after epoch 0."""
     state = adamw_init(trainable)
-    stopper = PlateauStopper(cfg.plateau_min_delta, cfg.plateau_patience)
+    best, stale = float("inf"), 0
     for epoch in range(n_epochs):
         total, count = 0.0, 0
         for batch in epoch_batches(epoch):
@@ -166,7 +164,9 @@ def run_stage(
         mean_loss = total / max(count, 1)
         logs.append(EpochLog(stage, epoch, mean_loss))
         log.info("%s epoch %d: loss %.6f", stage, epoch, mean_loss)
-        if stopper.update(mean_loss):
+        stale = 0 if mean_loss < best - cfg.plateau_min_delta else stale + 1
+        best = min(best, mean_loss)
+        if stale >= cfg.plateau_patience:
             log.info("%s: loss plateau, stopping after epoch %d", stage, epoch)
             break
 
@@ -221,7 +221,7 @@ def train_vanilla(
             raise ValueError("pre-training requested but no pairs were provided")
         _train_docid(
             "pretrain", encoder, w_doc,
-            lambda ep: mixed_task_epoch(pretrain_pairs, cfg.task_weights, stage_rng(cfg.seed, 2, ep)),
+            lambda ep: mixed_task_epoch(pretrain_pairs, cfg, stage_rng(cfg.seed, 2, ep)),
             cfg.pretrain_epochs, cfg, logs,
         )
     _finetune(encoder, w_doc, fine_pairs, cfg, logs)

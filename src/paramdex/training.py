@@ -1,4 +1,6 @@
-"""Shared training-loop plumbing: config, batching, plateau stopping."""
+"""Shared training-loop plumbing: the training config, batching and the
+pre-training task mix. Each TrainConfig field is the config key
+(config.FIELDS) of the same name and default."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ class TrainConfig:
     lr: float = 5e-5
     beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
+    adam_eps: float = 1e-8
     weight_decay: float = 0.01
     batch_size: int = 32
     pretrain_epochs: int = 10
@@ -23,9 +25,12 @@ class TrainConfig:
     plateau_patience: int = 3
     plateau_min_delta: float = 1e-4
     seed: int = 0
-    # relative sampling weights for the passage / terms / ngram tasks
-    task_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    # relative sampling weights of the pre-training tasks
+    weight_passage: float = 1.0
+    weight_terms: float = 1.0
+    weight_ngram: float = 1.0
     freeze_encoder: bool = False
+    separate_towers: bool = False  # two-tower baseline: untie the towers' weights
 
 
 def stage_rng(seed: int, stage: int, epoch: int) -> np.random.Generator:
@@ -42,19 +47,20 @@ def batches(items: Sequence, size: int) -> Iterator[list]:
 
 def mixed_task_epoch(
     pairs: Sequence[TrainingPair],
-    weights: tuple[float, float, float],
+    cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> list[TrainingPair]:
     """Draw an epoch's worth of pre-training pairs, tasks mixed by weight.
 
     Each draw picks a task with probability proportional to its weight
-    (tasks with no pairs are dropped) and then a pair uniformly within the
-    task, with replacement. There is one draw per available pair.
+    (cfg.weight_passage, weight_terms, weight_ngram; tasks with no pairs
+    are dropped) and then a pair uniformly within the task, with
+    replacement. There is one draw per available pair.
     """
     by_task: dict[str, list[TrainingPair]] = {}
     for p in pairs:
         by_task.setdefault(p.task, []).append(p)
-    w = {"passage": weights[0], "terms": weights[1], "ngram": weights[2]}
+    w = {"passage": cfg.weight_passage, "terms": cfg.weight_terms, "ngram": cfg.weight_ngram}
     tasks = [t for t in ("passage", "terms", "ngram") if by_task.get(t) and w[t] > 0]
     if not tasks:
         raise ValueError("no pre-training pairs available under the given task weights")
@@ -66,29 +72,6 @@ def mixed_task_epoch(
         bucket = by_task[tasks[int(t_idx)]]
         out.append(bucket[int(rng.integers(len(bucket)))])
     return out
-
-
-class PlateauStopper:
-    """Stop a stage once the epoch loss stops improving.
-
-    An epoch "improves" when its loss beats the best seen by at least
-    min_delta; `patience` consecutive non-improving epochs trigger a stop.
-    """
-
-    def __init__(self, min_delta: float = 1e-4, patience: int = 3):
-        self.min_delta = min_delta
-        self.patience = patience
-        self.best = float("inf")
-        self.bad = 0
-
-    def update(self, loss: float) -> bool:
-        """Record an epoch loss; returns True when training should stop."""
-        if loss < self.best - self.min_delta:
-            self.bad = 0
-        else:
-            self.bad += 1
-        self.best = min(self.best, loss)
-        return self.bad >= self.patience
 
 
 @dataclass

@@ -255,9 +255,10 @@ class TestTwoTower:
     def test_shared_towers_share_parameters(self):
         corp, queries, qrels, cfg = _two_tower_data()
         tcfg = TrainConfig(lr=1e-3, batch_size=8, finetune_epochs=1, seed=0)
-        q_enc, d_enc, _ = train_two_tower(corp, queries, qrels, cfg, tcfg, shared=True)
+        q_enc, d_enc, _ = train_two_tower(corp, queries, qrels, cfg, tcfg)
         assert q_enc is d_enc
-        q2, d2, _ = train_two_tower(corp, queries, qrels, cfg, tcfg, shared=False)
+        tcfg = TrainConfig(lr=1e-3, batch_size=8, finetune_epochs=1, seed=0, separate_towers=True)
+        q2, d2, _ = train_two_tower(corp, queries, qrels, cfg, tcfg)
         assert q2 is not d2
         assert not np.array_equal(q2.params["tok_emb"], d2.params["tok_emb"])
 

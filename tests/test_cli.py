@@ -71,7 +71,7 @@ def test_subset_command(workspace, tmp_path):
                    "--qrels", workspace["data"] / "train_qrels.tsv",
                    "--strategy", "top_click", "--size", 20,
                    "--out-dir", out, "--config", workspace["cfg"]) == 0
-    assert sum(1 for _ in open(out / "docs.jsonl")) == 20
+    assert len((out / "docs.jsonl").read_text().splitlines()) == 20
     assert (out / "qrels.tsv").exists()
 
 
@@ -405,7 +405,7 @@ def test_shard_pipeline_overdense(workspace80, tmp_path, separate_towers):
     assert run_cli("shard-merge", "--shards-dir", shards_dir, "--corpus-dir", workspace80["corpus"],
                    "--queries", queries, "--out-dir", merge_dir, "--config", cfg) == 0
     merged = (merge_dir / "merged.run").read_text().splitlines()
-    n_queries = sum(1 for _ in open(queries, encoding="utf-8"))
+    n_queries = len(queries.read_text(encoding="utf-8").splitlines())
     assert len({line.split()[0] for line in merged}) == n_queries
     assert len(merged) == n_queries * 10  # k = 10
 

@@ -1,6 +1,10 @@
+import dataclasses
+
 import pytest
 
 from paramdex.config import FIELDS, ExperimentConfig, load_config, parse_config_file
+from paramdex.nn import EncoderConfig
+from paramdex.training import TrainConfig
 
 
 def test_defaults_are_valid():
@@ -100,4 +104,26 @@ def test_derived_configs():
     enc = cfg.encoder_config(vocab_size=100)
     assert enc.d_model == 32 and enc.vocab_size == 100
     tc = cfg.train_config()
-    assert tc.lr == 0.01 and tc.task_weights == (1.0, 1.0, 1.0)
+    assert tc.lr == 0.01 and (tc.weight_passage, tc.weight_terms, tc.weight_ngram) == (1.0, 1.0, 1.0)
+
+
+# a valid value other than the default, by the default's type
+_OTHER = {bool: lambda d: not d, int: lambda d: d * 2 or 1, float: lambda d: d / 2}
+
+
+@pytest.mark.parametrize("cls, build", [
+    (TrainConfig, ExperimentConfig.train_config),
+    (EncoderConfig, lambda cfg: cfg.encoder_config(vocab_size=100)),
+], ids=["TrainConfig", "EncoderConfig"])
+def test_dataclass_fields_are_config_keys(cls, build):
+    defaults = build(ExperimentConfig())
+    for f in dataclasses.fields(cls):
+        if f.name == "vocab_size":  # set by the corpus, not the config
+            continue
+        assert f.name in FIELDS, f"{cls.__name__}.{f.name} is not a config key"
+        default = FIELDS[f.name][1]
+        # same value and type, so the config hash of a default config is unchanged
+        assert (default, type(default)) == (f.default, type(f.default)), f.name
+        value = _OTHER[type(default)](default)
+        got = build(ExperimentConfig({f.name: str(value)}))
+        assert got == dataclasses.replace(defaults, **{f.name: value}), f.name

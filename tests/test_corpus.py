@@ -143,7 +143,14 @@ class TestQueriesQrels:
     def test_unknown_docid_rejected(self, tmp_path, tiny_corpus):
         p = tmp_path / "qrels.tsv"
         p.write_text("q1\tnope\n")
-        with pytest.raises(ValueError, match="unknown docids"):
+        with pytest.raises(ValueError, match=r"qrels\.tsv line 1: unknown docid 'nope'$"):
+            load_qrels(p, tiny_corpus)
+
+    def test_unknown_docid_names_the_kept_line(self, tmp_path, tiny_corpus):
+        # line 2 is an ignored extra positive; line 4 is the first kept unknown docid
+        p = tmp_path / "qrels.tsv"
+        p.write_text("q0\td0\nq0\tnope\nq1\td1\nq2\tgone\nq3\talso_gone\n")
+        with pytest.raises(ValueError, match=r"qrels\.tsv line 4: unknown docid 'gone'$"):
             load_qrels(p, tiny_corpus)
 
 

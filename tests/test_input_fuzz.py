@@ -4,9 +4,10 @@ One field of one line is replaced at a time with a bad value: null, a
 string, a negative, a boolean, a float, a list, empty, whitespace, nan/inf,
 a non-UTF-8 byte and a 3000-character token. Each run of the CLI must exit
 0, or exit 1 with ``error: <path> line <n>: ...`` (the config key named, for
-a config value), and no exception may escape ``main``. A few faults span two
-files, such as a run qid that the qrels lack; their errors name the file
-without a line.
+a config value), and no exception may escape ``main``. A qrels docid that
+the corpus lacks is named by its qrels line. Two faults span two files: a
+bad qid in the run or in the qrels leaves the run with a qid that the qrels
+lack. That one error names both files, without a line.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _inputs(w):
 
 
 # (input, field) pairs whose bad values can only conflict with another file
-CROSS_FILE = {("qrels_eval", "qid"), ("qrels_subset", "docid"), ("run", "qid")}
+CROSS_FILE = {("qrels_eval", "qid"), ("run", "qid")}
 
 
 def _edit(line: bytes, sep, fields: tuple, field: str, value) -> bytes:

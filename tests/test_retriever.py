@@ -11,6 +11,7 @@ from paramdex.retriever import (
     QUERY_BLOCK,
     DocidRetriever,
     init_overdense,
+    run_stage,
     score_all,
     top_k,
     train_overdense,
@@ -208,6 +209,31 @@ def _toy_training_setup(n_docs=10, seed=0):
     enc_cfg = EncoderConfig(vocab_size=len(corp.vocab), d_model=32, n_layers=1,
                             n_heads=2, d_ff=64, max_len=32)
     return corp, queries, qrels, enc_cfg
+
+
+class TestRunStage:
+    # Losses are exact binary fractions, so `best - min_delta` has no rounding.
+    @pytest.mark.parametrize("losses, patience, expected_epochs", [
+        # every epoch improves by more than min_delta: all of them run
+        ([8.0, 7.0, 6.0, 5.0, 4.0], 2, 5),
+        # each epoch improves by min_delta or less: stale, yet it lowers best,
+        # so epoch 2 is measured against 7.875 and does not improve on it
+        ([8.0, 7.875, 7.625, 7.5, 7.0], 2, 3),
+        # a rise, a recovery that resets the count, then two rises
+        ([8.0, 9.0, 7.0, 6.0, 10.0, 11.0, 12.0], 2, 6),
+        # patience 0 stops after epoch 0, whatever the loss does (current behaviour)
+        ([8.0, 7.0, 6.0], 0, 1),
+    ], ids=["steady", "small_steps", "rise_and_recover", "patience_0"])
+    def test_plateau_stopping(self, losses, patience, expected_epochs):
+        cfg = TrainConfig(plateau_patience=patience, plateau_min_delta=0.25)
+        logs = []
+        run_stage(
+            "scripted", {"w": np.zeros(1)},
+            lambda epoch: [[epoch]],  # one batch of one item: the epoch number
+            lambda batch: (losses[batch[0]], {"w": np.zeros(1)}),
+            len(losses), cfg, logs,
+        )
+        assert [(e.epoch, e.loss) for e in logs] == list(enumerate(losses[:expected_epochs]))
 
 
 class TestTrainVanilla:
