@@ -46,10 +46,6 @@ class InvertedIndex:
             return slice(0, 0)
         return slice(int(self.indptr[token]), int(self.indptr[token + 1]))
 
-    def df(self, token: int) -> int:
-        s = self.span(token)
-        return s.stop - s.start
-
 
 def _idf(n_docs: int, df):
     return np.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))

@@ -140,7 +140,3 @@ def write_meta(artifact_path: str | Path, **fields) -> Path:
     meta_path = Path(str(artifact_path) + ".meta.json")
     meta_path.write_text(json.dumps(fields, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return meta_path
-
-
-def read_meta(artifact_path: str | Path) -> dict:
-    return json.loads(Path(str(artifact_path) + ".meta.json").read_text(encoding="utf-8"))

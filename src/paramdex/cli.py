@@ -28,7 +28,7 @@ from . import baselines, checkpoint, corpus as corpus_mod, distributed, evalkit,
 from .config import ExperimentConfig, load_config
 from .nn import Encoder, finite_diff_check, forward_backward
 from .pairs import TrainingPair
-from .retriever import DocidRetriever, RankedList, init_overdense, train_overdense, train_vanilla
+from .retriever import DocidRetriever, init_overdense, train_overdense, train_vanilla
 from .runfiles import read_run, write_run
 from .synth import generate as synth_generate
 from .training import format_logs
@@ -292,15 +292,10 @@ def cmd_diag_scores(args, cfg, out) -> int:
     run_paths = sorted(runs_dir.glob("group*.run"))
     if not run_paths:
         raise ValueError(f"no group*.run files under {runs_dir}")
-    by_group = []
-    for path in run_paths:
-        parsed = read_run(path)
-        # the statistics read only the scores; the ids are list positions
-        by_group.append([
-            RankedList(qid, np.arange(len(entries)), np.array([score for _, _, score in entries]))
-            for qid, entries in parsed.items()
-        ])
-    rows = distributed.score_distribution_stats(by_group)
+    rows = distributed.score_distribution_stats([
+        np.array([score for entries in read_run(path).values() for _, _, score in entries])
+        for path in run_paths
+    ])
     ratio = distributed.mean_spread_ratio(rows)
     csv_path = out / "score_stats.csv"
     csv_path.write_text(distributed.render_stats_csv(rows), encoding="utf-8")

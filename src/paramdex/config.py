@@ -71,7 +71,8 @@ FIELDS: dict[str, tuple] = {
     "batch_size": (int, _T.batch_size, _pos, "training batch size"),
     "pretrain_epochs": (int, _T.pretrain_epochs, _nonneg, "max pre-training epochs"),
     "finetune_epochs": (int, _T.finetune_epochs, _nonneg, "max fine-tuning epochs"),
-    "plateau_patience": (int, _T.plateau_patience, _nonneg, "epochs without improvement before stop"),
+    "plateau_patience": (int, _T.plateau_patience, _nonneg,
+                         "epochs without improvement before stop (0 = never stop)"),
     "plateau_min_delta": (float, _T.plateau_min_delta, _nonneg, "loss improvement threshold"),
     "seed": (int, _T.seed, None, "master random seed"),
     "n_groups": (int, 4, _pos, "shard count"),

@@ -126,13 +126,13 @@ def merge_runs(runs: list[ShardRun], k: int, mode: str = "raw") -> RankedList:
     return RankedList(runs[0].ranked.qid, ids[keep], scores[keep])
 
 
-def score_distribution_stats(runs_by_group: list[list[RankedList]]) -> list[dict]:
+def score_distribution_stats(scores_by_group: list[np.ndarray]) -> list[dict]:
     """Per-group statistics of all returned scores: mean/std/min/max/deciles."""
-    if not runs_by_group:
+    if not scores_by_group:
         raise ValueError("no shard runs given")
     rows = []
-    for gid, ranked_lists in enumerate(runs_by_group):
-        scores = np.concatenate([rl.scores for rl in ranked_lists] or [np.empty(0)], dtype=np.float64)
+    for gid, group_scores in enumerate(scores_by_group):
+        scores = np.asarray(group_scores, dtype=np.float64)
         if scores.size == 0:
             raise ValueError(f"group {gid} returned no scores")
         deciles = np.percentile(scores, np.arange(10, 100, 10))

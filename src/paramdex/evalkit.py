@@ -1,4 +1,10 @@
-"""Recall@k and MRR over ranked runs with single-positive qrels."""
+"""Recall@k and MRR over ranked runs with single-positive qrels.
+
+`evaluate` finds each query's positive rank once, and every metric reads
+those ranks. The MRR adds its reciprocals one by one in qrels order, so
+its last bit does not depend on the Python version: `sum()` of floats
+rounds differently from Python 3.12 on.
+"""
 
 from __future__ import annotations
 
@@ -31,53 +37,35 @@ def _check_qids(runs: dict, qrels: dict, what: str = "run contains qids missing 
         raise ValueError(f"{what}: {extra[:10]}")
 
 
-def _positive_rank(docids: list, positive) -> int:
-    """1-based rank of the positive in a ranking, 0 when absent."""
-    return docids.index(positive) + 1 if positive in docids else 0
-
-
-def recall_at_k(runs: dict[str, list], qrels: dict, k: int) -> float:
-    """Fraction of qrels queries whose positive appears in the run's top k.
-
-    Queries in qrels but missing from the run count as misses.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_qids(runs, qrels)
-    if not qrels:
-        return float("nan")
-    hits = sum(
-        1 for qid, pos in qrels.items()
-        if 0 < _positive_rank(runs.get(qid, [])[:k], pos)
-    )
-    return hits / len(qrels)
-
-
-def mrr(runs: dict[str, list], qrels: dict, cutoff: int = DEFAULT_CUTOFF) -> float:
-    """Mean reciprocal rank of the positive, zero beyond the cutoff."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    _check_qids(runs, qrels)
-    if not qrels:
-        return float("nan")
-    total = 0.0
-    for qid, pos in qrels.items():
-        rank = _positive_rank(runs.get(qid, [])[:cutoff], pos)
-        if rank:
-            total += 1.0 / rank
-    return total / len(qrels)
-
-
 def evaluate(
     runs: dict[str, list],
     qrels: dict,
     ks: tuple[int, ...] = DEFAULT_KS,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> MetricReport:
+    """Recall@k for each k and MRR within the cutoff, over the qrels queries.
+
+    Queries in qrels but missing from the run count as misses.
+    """
     if not runs and qrels:
         log.warning("empty run: all metrics are 0 over %d queries", len(qrels))
-    metrics = {f"recall@{k}": recall_at_k(runs, qrels, k) for k in ks}
-    metrics["mrr"] = mrr(runs, qrels, cutoff)
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    _check_qids(runs, qrels)
+    if not qrels:
+        return MetricReport(dict.fromkeys([*(f"recall@{k}" for k in ks), "mrr"], float("nan")), 0)
+    ranks = []  # 1-based rank of each query's positive, 0 when absent
+    for qid, pos in qrels.items():
+        docids = runs.get(qid, [])
+        ranks.append(docids.index(pos) + 1 if pos in docids else 0)
+    metrics = {f"recall@{k}": sum(1 for r in ranks if 0 < r <= k) / len(qrels) for k in ks}
+    total = 0.0
+    for r in ranks:  # not sum(): from Python 3.12 it compensates float rounding
+        if 0 < r <= cutoff:
+            total += 1.0 / r
+    metrics["mrr"] = total / len(qrels)
     return MetricReport(metrics, len(qrels))
 
 

@@ -150,8 +150,8 @@ def run_stage(
     """AdamW epochs with plateau stopping. The arrays in trainable are the
     models' own and are updated in place. An epoch is stale unless its loss
     is below best - plateau_min_delta, best being the lowest earlier epoch
-    loss; the stage stops once plateau_patience epochs in a row are stale,
-    so at patience 0 it stops after epoch 0."""
+    loss; the stage stops once plateau_patience epochs in a row are stale.
+    Patience 0 never stops early."""
     state = adamw_init(trainable)
     best, stale = float("inf"), 0
     for epoch in range(n_epochs):
@@ -166,7 +166,7 @@ def run_stage(
         log.info("%s epoch %d: loss %.6f", stage, epoch, mean_loss)
         stale = 0 if mean_loss < best - cfg.plateau_min_delta else stale + 1
         best = min(best, mean_loss)
-        if stale >= cfg.plateau_patience:
+        if cfg.plateau_patience and stale >= cfg.plateau_patience:
             log.info("%s: loss plateau, stopping after epoch %d", stage, epoch)
             break
 

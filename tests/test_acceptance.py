@@ -32,7 +32,7 @@ from paramdex.distributed import (
     shard_retrieve,
     split_corpus,
 )
-from paramdex.evalkit import evaluate_run_file, mrr, recall_at_k
+from paramdex.evalkit import evaluate, evaluate_run_file
 from paramdex.nn import Encoder, EncoderConfig, finite_diff_check, forward_backward, softmax
 from paramdex.pairs import TrainingPair, generate_pretrain_pairs
 from paramdex.retriever import (
@@ -320,7 +320,8 @@ def test_criterion_7_distributed_diagnosis(tmp_path):
         merged_raw.append(merge_runs(runs, 100, mode="raw"))
 
     # the diagnostic report: parse the rendered CSV back into rows
-    csv_text = render_stats_csv(score_distribution_stats(group_runs))
+    csv_text = render_stats_csv(score_distribution_stats(
+        [np.concatenate([rl.scores for rl in runs]) for runs in group_runs]))
     header, *lines = csv_text.strip().split("\n")
     cols = header.split(",")
     rows = [dict(zip(cols, (float(x) for x in ln.split(",")))) for ln in lines]
@@ -331,8 +332,8 @@ def test_criterion_7_distributed_diagnosis(tmp_path):
         local = {qid: d for qid, d in tqr.items() if plan.group_of[d] == gid}
         local_runs = {rl.qid: [d for d, _ in rl.items]
                       for rl in group_runs[gid] if rl.qid in local}
-        best_local = max(best_local, mrr(local_runs, local, cutoff=100))
-    raw_mrr = mrr(_runs_dict(merged_raw), tqr, cutoff=100)
+        best_local = max(best_local, evaluate(local_runs, local, cutoff=100).metrics["mrr"])
+    raw_mrr = evaluate(_runs_dict(merged_raw), tqr, cutoff=100).metrics["mrr"]
 
     # constructed shifted-score fixture: one shard's scale sits +5 higher
     rng = np.random.default_rng(0)
@@ -351,8 +352,8 @@ def test_criterion_7_distributed_diagnosis(tmp_path):
             lists.append(list(zip(ids, map(float, scores))))
         fixture_raw[qid] = [d for d, _ in merged_items(lists, 20, mode="raw")]
         fixture_z[qid] = [d for d, _ in merged_items(lists, 20, mode="zscore")]
-    fr = mrr(fixture_raw, positives, cutoff=20)
-    fz = mrr(fixture_z, positives, cutoff=20)
+    fr = evaluate(fixture_raw, positives, ks=(20,), cutoff=20).metrics["mrr"]
+    fz = evaluate(fixture_z, positives, ks=(20,), cutoff=20).metrics["mrr"]
 
     ok = ratio > 0.5 and raw_mrr < best_local and fz > fr
     report(7, "distributed diagnosis", ok,
@@ -462,15 +463,16 @@ def test_criterion_9_metric_kit():
     docs = [f"d{i}" for i in range(50)]
     runs = {f"q{i}": list(rng.permutation(docs))[:25] for i in range(100)}
     qrels = {f"q{i}": docs[rng.integers(50)] for i in range(100)}
+    metrics = evaluate(runs, qrels, ks=(1, 5, 20, 25), cutoff=25).metrics
     exact = True
     for k in (1, 5, 20, 25):
         hits = sum(1 for qid, pos in qrels.items() if pos in runs[qid][:k])
-        exact = exact and recall_at_k(runs, qrels, k) == hits / 100
+        exact = exact and metrics[f"recall@{k}"] == hits / 100
     rr_total = 0.0
     for qid, pos in qrels.items():
         ranked = runs[qid][:25]
         rr_total += 1.0 / (ranked.index(pos) + 1) if pos in ranked else 0.0
-    exact = exact and mrr(runs, qrels, cutoff=25) == rr_total / 100
+    exact = exact and metrics["mrr"] == rr_total / 100
 
     fixture = {
         "q1": ["p1", "x", "y"],
@@ -478,7 +480,7 @@ def test_criterion_9_metric_kit():
         "q3": ["a", "b"],
     }
     fixture_qrels = {"q1": "p1", "q2": "p2", "q3": "p3"}
-    value = mrr(fixture, fixture_qrels, cutoff=100)
+    value = evaluate(fixture, fixture_qrels, cutoff=100).metrics["mrr"]
     fixture_ok = abs(value - (1.0 + 0.25 + 0.0) / 3) < 1e-12 and f"{value:.6f}" == "0.416667"
 
     ok = exact and fixture_ok

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import struct
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from paramdex import checkpoint
-from paramdex.checkpoint import load_model, read_meta, save_model, write_meta
+from paramdex.checkpoint import load_model, save_model, write_meta
 from paramdex.nn import Encoder, EncoderConfig, param_shapes
 
 from test_nn import full_width_cls
@@ -179,7 +180,7 @@ def test_meta_sidecar(tmp_path):
     artifact = tmp_path / "run.txt"
     artifact.write_text("x")
     write_meta(artifact, config_hash="abc123", seed=7, command="retrieve")
-    meta = read_meta(artifact)
+    meta = json.loads((tmp_path / "run.txt.meta.json").read_text())
     assert meta == {"config_hash": "abc123", "seed": 7, "command": "retrieve"}
     first = (tmp_path / "run.txt.meta.json").read_bytes()
     write_meta(artifact, config_hash="abc123", seed=7, command="retrieve")

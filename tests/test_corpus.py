@@ -48,11 +48,11 @@ class TestVocabulary:
 
     def test_min_freq_threshold(self):
         vocab = build_vocabulary([["a", "a", "b"]], min_freq=2)
-        assert "a" in vocab and "b" not in vocab
+        assert "a" in vocab.token_to_id and "b" not in vocab.token_to_id
 
     def test_min_freq_one_keeps_all(self):
         vocab = build_vocabulary([["a", "b"], ["c"]], min_freq=1)
-        assert all(t in vocab for t in "abc")
+        assert all(t in vocab.token_to_id for t in "abc")
 
     def test_equal_frequency_tie_is_lexicographic(self):
         vocab = build_vocabulary([["zeta", "alpha"]], min_freq=1)

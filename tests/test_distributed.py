@@ -201,35 +201,34 @@ class TestMerge:
 
 class TestScoreStats:
     def test_constant_scores_have_zero_std(self):
-        runs = [[ranked_list("q", [(0, 2.0), (1, 2.0)])]]
-        rows = score_distribution_stats(runs)
+        rows = score_distribution_stats([np.array([2.0, 2.0])])
         assert rows[0]["std"] == 0.0 and rows[0]["mean"] == 2.0
 
     def test_same_distribution_means_close(self):
         rng = np.random.default_rng(2)
-        runs = [
-            [ranked_list(f"q{i}", [(j, float(s)) for j, s in enumerate(rng.normal(0, 1, 50))])
-             for i in range(20)]
-            for _ in range(3)
-        ]
-        rows = score_distribution_stats(runs)
+        rows = score_distribution_stats([rng.normal(0, 1, 20 * 50) for _ in range(3)])
         means = [r["mean"] for r in rows]
         assert max(means) - min(means) < 0.2
         assert mean_spread_ratio(rows) < 0.5
 
     def test_shifted_group_is_visible(self):
         rng = np.random.default_rng(3)
-        mk = lambda mu: [ranked_list("q", [(j, float(s)) for j, s in
-                                          enumerate(rng.normal(mu, 1, 200))])]
-        rows = score_distribution_stats([mk(0.0), mk(4.0)])
+        rows = score_distribution_stats([rng.normal(0.0, 1, 200), rng.normal(4.0, 1, 200)])
         assert mean_spread_ratio(rows) > 2.0
 
     def test_csv_rendering(self):
-        runs = [[ranked_list("q", [(i, float(i)) for i in range(10)])]]
-        csv = render_stats_csv(score_distribution_stats(runs))
+        csv = render_stats_csv(score_distribution_stats([np.arange(10.0)]))
         lines = csv.strip().split("\n")
         assert lines[0] == "group,mean,std,min,max,d1,d2,d3,d4,d5,d6,d7,d8,d9"
         assert lines[1].startswith("0,4.500000")
+
+    @pytest.mark.parametrize("groups, error", [
+        ([], "no shard runs given"),
+        ([np.ones(3), np.array([])], "group 1 returned no scores"),
+    ])
+    def test_no_group_or_empty_group_rejected(self, groups, error):
+        with pytest.raises(ValueError, match=error):
+            score_distribution_stats(groups)
 
 
 def test_split_corpus_localizes_qrels():

@@ -6,8 +6,6 @@ from paramdex.evalkit import (
     MetricReport,
     evaluate,
     evaluate_run_file,
-    mrr,
-    recall_at_k,
     render_csv,
     render_table,
 )
@@ -54,28 +52,30 @@ class TestRecall:
     def test_rank_two_positive(self):
         runs = {"q": ["d3", "d7", "d1"]}
         qrels = {"q": "d7"}
-        assert recall_at_k(runs, qrels, 1) == 0.0
-        assert recall_at_k(runs, qrels, 2) == 1.0
+        metrics = evaluate(runs, qrels, ks=(1, 2)).metrics
+        assert metrics["recall@1"] == 0.0
+        assert metrics["recall@2"] == 1.0
 
     def test_absent_positive_contributes_zero(self):
         runs = {"q": ["d1", "d2"]}
-        assert recall_at_k(runs, {"q": "d9"}, 10) == 0.0
+        assert evaluate(runs, {"q": "d9"}, ks=(10,)).metrics["recall@10"] == 0.0
 
     def test_query_missing_from_run_counts_as_miss(self):
         runs = {"q1": ["d0"]}
         qrels = {"q1": "d0", "q2": "d5"}
-        assert recall_at_k(runs, qrels, 1) == 0.5
+        assert evaluate(runs, qrels, ks=(1,)).metrics["recall@1"] == 0.5
 
     def test_run_qid_missing_from_qrels_rejected(self):
         with pytest.raises(ValueError, match="q9"):
-            recall_at_k({"q9": ["d0"]}, {"q1": "d0"}, 1)
+            evaluate({"q9": ["d0"]}, {"q1": "d0"}, ks=(1,))
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(0)
         docs = [f"d{i}" for i in range(30)]
         runs = {f"q{i}": list(rng.permutation(docs)) for i in range(40)}
         qrels = {f"q{i}": docs[rng.integers(30)] for i in range(40)}
-        values = [recall_at_k(runs, qrels, k) for k in range(1, 31)]
+        metrics = evaluate(runs, qrels, ks=tuple(range(1, 31))).metrics
+        values = [metrics[f"recall@{k}"] for k in range(1, 31)]
         assert values == sorted(values)
 
     def test_matches_naive_recount_on_100_queries(self):
@@ -83,19 +83,20 @@ class TestRecall:
         docs = [f"d{i}" for i in range(50)]
         runs = {f"q{i}": list(rng.permutation(docs))[:20] for i in range(100)}
         qrels = {f"q{i}": docs[rng.integers(50)] for i in range(100)}
+        metrics = evaluate(runs, qrels, ks=(1, 5, 20)).metrics
         for k in (1, 5, 20):
             hits = 0
             for qid, pos in qrels.items():  # independent recount
                 hits += int(pos in runs[qid][:k])
-            assert recall_at_k(runs, qrels, k) == hits / 100
+            assert metrics[f"recall@{k}"] == hits / 100
 
 
 class TestMRR:
     def test_rank_one(self):
-        assert mrr({"q": ["d0"]}, {"q": "d0"}) == 1.0
+        assert evaluate({"q": ["d0"]}, {"q": "d0"}).metrics["mrr"] == 1.0
 
     def test_rank_four(self):
-        assert mrr({"q": ["a", "b", "c", "d0"]}, {"q": "d0"}) == 0.25
+        assert evaluate({"q": ["a", "b", "c", "d0"]}, {"q": "d0"}).metrics["mrr"] == 0.25
 
     def test_three_query_fixture(self):
         runs = {
@@ -104,20 +105,28 @@ class TestMRR:
             "q3": ["a", "b"],
         }
         qrels = {"q1": "p1", "q2": "p2", "q3": "p3"}
-        value = mrr(runs, qrels, cutoff=100)
+        value = evaluate(runs, qrels, cutoff=100).metrics["mrr"]
         assert value == pytest.approx((1.0 + 0.25 + 0.0) / 3, abs=1e-12)
         assert f"{value:.6f}" == "0.416667"
 
     def test_cutoff_zeroes_deep_ranks(self):
         runs = {"q": ["a", "b", "p"]}
-        assert mrr(runs, {"q": "p"}, cutoff=2) == 0.0
+        assert evaluate(runs, {"q": "p"}, cutoff=2).metrics["mrr"] == 0.0
 
     def test_bounded_by_recall_at_cutoff(self):
         rng = np.random.default_rng(2)
         docs = [f"d{i}" for i in range(40)]
         runs = {f"q{i}": list(rng.permutation(docs))[:25] for i in range(60)}
         qrels = {f"q{i}": docs[rng.integers(40)] for i in range(60)}
-        assert mrr(runs, qrels, cutoff=25) <= recall_at_k(runs, qrels, 25) + 1e-12
+        metrics = evaluate(runs, qrels, ks=(25,), cutoff=25).metrics
+        assert metrics["mrr"] <= metrics["recall@25"] + 1e-12
+
+    def test_reciprocals_added_left_to_right(self):
+        # 1 + 1/3 + 1 summed in qrels order, then divided by 3; a compensated
+        # sum (math.fsum, or sum() on Python >= 3.12) gives 0.7777777777777778
+        runs = {"q1": ["p1"], "q2": ["a", "b", "p2"], "q3": ["p3"]}
+        qrels = {"q1": "p1", "q2": "p2", "q3": "p3"}
+        assert evaluate(runs, qrels).metrics["mrr"] == 0.7777777777777777
 
 
 class TestEvaluate:
@@ -146,6 +155,14 @@ class TestEvaluate:
     def test_nan_flag_when_no_queries(self):
         report = evaluate({}, {}, ks=(1,))
         assert report.has_nan()
+
+    @pytest.mark.parametrize("ks, cutoff, error", [
+        ((1, 0), 10, "k must be >= 1"),
+        ((1,), 0, "cutoff must be >= 1"),
+    ])
+    def test_nonpositive_k_or_cutoff_rejected(self, ks, cutoff, error):
+        with pytest.raises(ValueError, match=error):
+            evaluate({"q": ["d0"]}, {"q": "d0"}, ks=ks, cutoff=cutoff)
 
 
 class TestRunFiles:

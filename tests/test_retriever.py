@@ -221,8 +221,8 @@ class TestRunStage:
         ([8.0, 7.875, 7.625, 7.5, 7.0], 2, 3),
         # a rise, a recovery that resets the count, then two rises
         ([8.0, 9.0, 7.0, 6.0, 10.0, 11.0, 12.0], 2, 6),
-        # patience 0 stops after epoch 0, whatever the loss does (current behaviour)
-        ([8.0, 7.0, 6.0], 0, 1),
+        # patience 0 turns plateau stopping off: every epoch runs, stale or not
+        ([8.0, 9.0, 10.0], 0, 3),
     ], ids=["steady", "small_steps", "rise_and_recover", "patience_0"])
     def test_plateau_stopping(self, losses, patience, expected_epochs):
         cfg = TrainConfig(plateau_patience=patience, plateau_min_delta=0.25)
