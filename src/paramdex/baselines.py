@@ -7,7 +7,8 @@ contribution is computed once, at build time. A query adds each distinct
 term's weights into a dense score array and ranks the matched documents
 with retriever.top_order. The dense baseline is a two-tower encoder pair
 (shared weights unless TrainConfig.separate_towers) trained with softmax
-cross-entropy over in-batch negatives. It has no retriever of its own:
+cross-entropy over in-batch negatives; each step encodes the batch's
+distinct positive documents once. It has no retriever of its own:
 retriever.init_overdense turns its encoded corpus into a docid matrix, so
 dense retrieval is DocidRetriever(query tower, init_overdense(index)),
 the model that init-from-dense fine-tuning starts from.
@@ -23,7 +24,7 @@ import numpy as np
 from .corpus import Corpus, Query, UNK_ID
 from .nn import Encoder, EncoderConfig, softmax_xent
 from .nn import adamw_step  # noqa: F401 -- perfbench's traced run shims baselines.adamw_step
-from .pairs import query_pairs
+from .pairs import TrainingPair, query_pairs
 from .retriever import RankedList, run_stage, top_order
 from .training import EpochLog, TrainConfig, batches, stage_rng
 
@@ -113,6 +114,39 @@ def bm25_retrieve(index: InvertedIndex, query: Query, k: int) -> RankedList:
     return RankedList(query.qid, docids, scores[docids])
 
 
+def two_tower_step(
+    q_enc: Encoder,
+    d_enc: Encoder,
+    corpus: Corpus,
+    batch: list[TrainingPair],
+    cache: dict[str, tuple],
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean in-batch softmax loss of one batch and its gradients, keyed by
+    "q." and "d." plus the parameter name; "q." alone when d_enc is q_enc.
+
+    The document tower runs once over the batch's distinct positives, and
+    the score matrix gathers their vectors back into batch order: query i's
+    positive is column i, and any other copy of that document in the batch
+    is one of its negatives. The gradients of a document's copies are summed
+    before its backward pass. cache["q"] and cache["d"] hold each tower's
+    activations until the next step replaces them.
+    """
+    docs, slot = np.unique([p.target for p in batch], return_inverse=True)
+    q_vec, cache["q"] = q_enc.forward_batch([p.tokens for p in batch])
+    u_vec, cache["d"] = d_enc.forward_batch([corpus.doc(t).tokens for t in docs.tolist()])
+    d_vec = u_vec[slot]
+    loss, dscores = softmax_xent(q_vec @ d_vec.T, np.arange(len(batch)))
+    gq = q_enc.backward_batch(cache["q"], dscores @ d_vec)
+    d_grad = np.zeros_like(u_vec)
+    np.add.at(d_grad, slot, dscores.T @ q_vec)
+    gd = d_enc.backward_batch(cache["d"], d_grad)
+    if d_enc is q_enc:
+        for k, g in gq.items():
+            g += gd[k]
+        return loss, {"q." + k: g for k, g in gq.items()}
+    return loss, {**{"q." + k: g for k, g in gq.items()}, **{"d." + k: g for k, g in gd.items()}}
+
+
 def train_two_tower(
     corpus: Corpus,
     queries: list[Query],
@@ -154,27 +188,19 @@ def train_two_tower(
     # (2-core Xeon, one BLAS thread).
     cache: dict[str, tuple] = {}
 
-    def loss_and_grad(batch):
-        q_vec, cache["q"] = q_enc.forward_batch([p.tokens for p in batch])
-        d_vec, cache["d"] = d_enc.forward_batch([corpus.doc(p.target).tokens for p in batch])
-        # in-batch negatives: query i's positive is document i of the batch
-        loss, dscores = softmax_xent(q_vec @ d_vec.T, np.arange(len(batch)))
-        gq = q_enc.backward_batch(cache["q"], dscores @ d_vec)
-        gd = d_enc.backward_batch(cache["d"], dscores.T @ q_vec)
-        if cfg.separate_towers:
-            return loss, {**{"q." + k: v for k, v in gq.items()}, **{"d." + k: v for k, v in gd.items()}}
-        return loss, {"q." + k: gq[k] + gd[k] for k in gq}
-
     logs: list[EpochLog] = []
-    run_stage("two_tower", trainable, epoch_batches, loss_and_grad, cfg.finetune_epochs, cfg, logs)
+    run_stage("two_tower", trainable, epoch_batches,
+              lambda batch: two_tower_step(q_enc, d_enc, corpus, batch, cache),
+              cfg.finetune_epochs, cfg, logs)
     return q_enc, d_enc, logs
 
 
 def dense_encode_corpus(doc_encoder: Encoder, corpus: Corpus, batch_size: int = 32) -> np.ndarray:
-    """Encode every document (file order, fixed batching) into an n_docs x d index."""
+    """Encode every document (file order, fixed batching) into an n_docs x d
+    index of the encoder's dtype."""
     rows = []
     for i in range(0, len(corpus), batch_size):
         chunk = [d.tokens for d in corpus.docs[i : i + batch_size]]
         vec, _ = doc_encoder.forward_batch(chunk, need_cache=False)
         rows.append(vec)
-    return np.concatenate(rows, axis=0).astype(np.float32)
+    return np.concatenate(rows, axis=0)

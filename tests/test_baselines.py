@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paramdex.baselines import (
     bm25_retrieve,
@@ -9,10 +10,12 @@ from paramdex.baselines import (
     build_inverted_index,
     dense_encode_corpus,
     train_two_tower,
+    two_tower_step,
 )
 from paramdex.corpus import UNK_ID, Query
-from paramdex.nn import Encoder, EncoderConfig, softmax_xent
-from paramdex.retriever import DocidRetriever, init_overdense
+from paramdex.nn import Encoder, EncoderConfig, finite_diff_check, softmax_xent
+from paramdex.pairs import TrainingPair
+from paramdex.retriever import DocidRetriever, init_overdense, train_overdense
 from paramdex.training import TrainConfig
 
 from conftest import corpus_from_texts
@@ -263,26 +266,96 @@ class TestTwoTower:
         assert not np.array_equal(q2.params["tok_emb"], d2.params["tok_emb"])
 
     def test_shared_tower_gradients_match_finite_differences(self):
-        from paramdex.nn import finite_diff_check
+        _check_step_gradients(separate=False)
 
-        cfg = EncoderConfig(vocab_size=25, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=12)
-        rng = np.random.default_rng(8)
-        enc = Encoder.init(cfg, rng, dtype=np.float64)
-        q_seqs = [list(rng.integers(3, 25, size=4)) for _ in range(5)]
-        d_seqs = [list(rng.integers(3, 25, size=7)) for _ in range(5)]
+    def test_separate_tower_gradients_match_finite_differences(self):
+        _check_step_gradients(separate=True)
 
-        def fn(params):
-            tower = Encoder(cfg, params)
-            q_vec, q_cache = tower.forward_batch(q_seqs)
-            d_vec, d_cache = tower.forward_batch(d_seqs)
-            loss, dscores = softmax_xent(q_vec @ d_vec.T, np.arange(len(q_seqs)))
-            gq = tower.backward_batch(q_cache, dscores @ d_vec)
-            gd = tower.backward_batch(d_cache, dscores.T @ q_vec)
-            return loss, {k: gq[k] + gd[k] for k in gq}
+    def test_document_tower_encodes_a_repeated_positive_once(self, monkeypatch):
+        corp, queries, _, cfg = _two_tower_data()
+        qrels = {q.qid: 5 for q in queries[:8]}
+        seen = []
+        forward_batch = Encoder.forward_batch
 
-        worst, _ = finite_diff_check(fn, enc.params, eps=1e-4, max_coords_per_param=3,
-                                     rng=np.random.default_rng(1))
-        assert worst < 1e-4
+        def counting(self, seqs, need_cache=True):
+            seen.append(len(seqs))
+            return forward_batch(self, seqs, need_cache)
+
+        monkeypatch.setattr(Encoder, "forward_batch", counting)
+        train_two_tower(corp, queries[:8], qrels, cfg,
+                        TrainConfig(batch_size=8, finetune_epochs=1, seed=0))
+        assert seen == [8, 1]  # the queries, then their one distinct positive
+
+    @pytest.mark.parametrize("separate", [False, True])
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_step_equals_per_row_reference(self, separate, data):
+        n_docs = len(_STEP_CORPUS)
+        targets = data.draw(st.lists(st.integers(0, n_docs - 1), min_size=2, max_size=9))
+        lens = data.draw(st.lists(st.integers(1, 9), min_size=len(targets), max_size=len(targets)))
+        rng = np.random.default_rng(len(targets))
+        batch = [TrainingPair(list(rng.integers(3, len(_STEP_CORPUS.vocab), size=n)), t, "query")
+                 for n, t in zip(lens, targets)]
+        for dtype in (np.float32, np.float64):
+            q_enc, d_enc = _step_towers(dtype, separate, seed=len(targets))
+            loss, grads = two_tower_step(q_enc, d_enc, _STEP_CORPUS, batch, {})
+            ref_loss, ref_grads = _per_row_step(q_enc, d_enc, _STEP_CORPUS, batch)
+            assert loss == ref_loss
+            assert grads.keys() == ref_grads.keys()
+            if dtype == np.float64:
+                # summing a repeated document's copies before its backward pass
+                # reorders additions: float64 rounding, ~1e-16 of the order-one
+                # terms, which is all there is where the terms cancel exactly
+                # (every row of a batch sharing one positive)
+                for k, g in ref_grads.items():
+                    np.testing.assert_allclose(grads[k], g, rtol=1e-10, atol=1e-12, err_msg=k)
+
+
+# documents of 1-14 tokens: four length groups in the document tower
+_STEP_CORPUS = corpus_from_texts([
+    "a b c", "a a d e f g", "b c d e f g h i j k", "c", "d e f g h i j k l m n o p q",
+    "e f g h i j", "a b c d e f g h i j k l m",
+])
+
+
+def _step_towers(dtype, separate, seed):
+    """Query and document towers over _STEP_CORPUS; d_enc is q_enc unless separate."""
+    cfg = EncoderConfig(vocab_size=len(_STEP_CORPUS.vocab), d_model=8, n_layers=2, n_heads=2,
+                        d_ff=16, max_len=12)
+    rng = np.random.default_rng(seed)
+    q_enc = Encoder.init(cfg, rng, dtype=dtype)
+    return q_enc, (Encoder.init(cfg, rng, dtype=dtype) if separate else q_enc)
+
+
+def _check_step_gradients(separate):
+    # positives 0 and 2 repeat: their copies' gradients are summed
+    q_enc, d_enc = _step_towers(np.float64, separate, seed=8)
+    rng = np.random.default_rng(8)
+    batch = [TrainingPair(list(rng.integers(3, len(_STEP_CORPUS.vocab), size=4)), t, "query")
+             for t in (0, 1, 0, 2, 0)]
+    towers = {"q.": q_enc, "d.": d_enc} if separate else {"q.": q_enc}
+    params = {p + k: v for p, enc in towers.items() for k, v in enc.params.items()}
+
+    def fn(params):
+        q, d = (Encoder(q_enc.cfg, {k[2:]: v for k, v in params.items() if k.startswith(p)})
+                for p in ("q.", "d."))
+        return two_tower_step(q, d if separate else q, _STEP_CORPUS, batch, {})
+
+    worst, _ = finite_diff_check(fn, params, eps=1e-4, max_coords_per_param=3,
+                                 rng=np.random.default_rng(1))
+    assert worst < 1e-4
+
+
+def _per_row_step(q_enc, d_enc, corpus, batch):
+    """Reference step: one document-tower row per batch row, repeats included."""
+    q_vec, q_cache = q_enc.forward_batch([p.tokens for p in batch])
+    d_vec, d_cache = d_enc.forward_batch([corpus.doc(p.target).tokens for p in batch])
+    loss, dscores = softmax_xent(q_vec @ d_vec.T, np.arange(len(batch)))
+    gq = q_enc.backward_batch(q_cache, dscores @ d_vec)
+    gd = d_enc.backward_batch(d_cache, dscores.T @ q_vec)
+    if d_enc is not q_enc:
+        return loss, {**{"q." + k: v for k, v in gq.items()}, **{"d." + k: v for k, v in gd.items()}}
+    return loss, {"q." + k: gq[k] + gd[k] for k in gq}
 
 
 class TestDenseIndex:
@@ -291,7 +364,18 @@ class TestDenseIndex:
         enc = Encoder.init(cfg, 2)
         index = dense_encode_corpus(enc, corp, batch_size=5)
         assert index.shape == (len(corp), cfg.d_model)
+        assert index.dtype == np.float32
         assert np.array_equal(index, dense_encode_corpus(enc, corp, batch_size=5))
+
+    def test_float64_towers_can_be_fine_tuned(self):
+        corp, queries, qrels, cfg = _two_tower_data()
+        enc = Encoder.init(cfg, 2, dtype=np.float64)
+        index = dense_encode_corpus(enc, corp, batch_size=5)
+        assert index.dtype == np.float64
+        tuned, w_doc, logs = train_overdense(corp, index, enc, queries, qrels,
+                                             TrainConfig(batch_size=8, finetune_epochs=1, seed=0))
+        assert w_doc.dtype == np.float64 and tuned.dtype == np.float64
+        assert [log.stage for log in logs] == ["finetune"]
 
     def test_identical_documents_get_identical_rows(self):
         corp = corpus_from_texts(["same words here", "same words here", "different text"])
