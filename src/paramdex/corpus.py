@@ -328,7 +328,12 @@ _DOCS_DECODER = json.JSONDecoder(parse_float=_not_an_integer)
 
 
 def load_corpus(in_dir: str | Path) -> Corpus:
-    """Load a corpus persisted by save_corpus."""
+    """Load a corpus persisted by save_corpus.
+
+    Every document's tokens hold the vocabulary's own int objects: an id used
+    by many documents is one object, not one per occurrence, so a token costs
+    its list slot and no int of its own. A docs.jsonl without documents raises.
+    """
     src = Path(in_dir)
     # vocab.tsv is positional (line n holds token id n - 1): read whole, blank lines included
     vocab_path = src / "vocab.tsv"
@@ -345,21 +350,25 @@ def load_corpus(in_dir: str | Path) -> Corpus:
         if first.setdefault(token, n) != n:
             raise ValueError(f"{vocab_path} line {n}: token {token!r} is already on line {first[token]}")
     vocab = Vocabulary(id_to_token[3:])
-    valid_ids = frozenset(range(len(vocab)))  # one hash lookup per token: cheaper than min + max
+    # one hash lookup per token both checks the id (cheaper than min + max) and
+    # swaps the decoder's int for the vocabulary's, which the corpus then shares
+    canonical = {i: i for i in range(len(vocab))}
     docs: list[Document] = []
     seen: dict[str, str] = {}
-    for where, line in text_lines(src / "docs.jsonl"):
+    docs_path = src / "docs.jsonl"
+    for where, line in text_lines(docs_path):
         rec = _doc_record(_DOCS_DECODER, line, where, "token_ids", list)
-        tokens = rec["token_ids"]
+        raw = rec["token_ids"]
         try:
-            in_vocab = valid_ids.issuperset(tokens)
-        except TypeError:  # an unhashable list or object among the ids
+            tokens = list(map(canonical.__getitem__, raw))
+            in_vocab = True
+        except (KeyError, TypeError):  # TypeError: an unhashable list or object among the ids
             in_vocab = False
         # true and false equal 1 and 0, so a line that spells one of them, or
         # that failed the lookup, gets the exact type check; looking for a 'u'
         # or an 'f' first (one memchr each) is several times faster than the words
         spells_bool = ("u" in line or "f" in line) and ("true" in line or "false" in line)
-        if (spells_bool or not in_vocab) and any(type(t) is not int for t in tokens):
+        if (spells_bool or not in_vocab) and any(type(t) is not int for t in raw):
             raise ValueError(f"{where} (docid '{rec['docid']}'): token ids must be integers")
         if not in_vocab:
             raise ValueError(
@@ -368,4 +377,6 @@ def load_corpus(in_dir: str | Path) -> Corpus:
             )
         ext, clicks = _doc_fields(rec, where, seen)
         docs.append(Document(len(docs), ext, tokens, clicks))
+    if not docs:
+        raise ValueError(f"{docs_path}: no documents")
     return Corpus(docs, vocab)

@@ -8,7 +8,9 @@ record type. Pairs persist as ``task \\t external_docid \\t tokens`` lines.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -72,17 +74,31 @@ def term_importance(doc: Document, corpus: Corpus, df: np.ndarray | None = None)
 def weighted_sample_without_replacement(
     items: list, weights: np.ndarray, k: int, rng: np.random.Generator
 ) -> list:
-    """Draw k distinct items sequentially with probability proportional to weight."""
-    w = weights.astype(np.float64).copy()
-    if not np.any(w > 0):
-        w = np.ones_like(w)
-    out: list[int] = []
-    for _ in range(k):
-        cum = np.cumsum(w)
-        u = rng.random() * cum[-1]
-        idx = int(np.searchsorted(cum, u, side="right"))
+    """Draw k distinct items sequentially with probability proportional to weight.
+
+    Weights must be finite and non-negative, one per item, and k at most the
+    number of positive weights; when every weight is zero the draw is uniform
+    over all items. Each draw scales one uniform from rng by the weight left
+    and bisects the running sums on Python floats: the additions and
+    comparisons of ``np.cumsum`` and ``np.searchsorted(side="right")``,
+    without their per-call cost on the short lists drawn here.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (len(items),):
+        raise ValueError(f"{w.size} weights for {len(items)} items")
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise ValueError("weights must be finite and non-negative")
+    n_positive = int(np.count_nonzero(w))
+    limit = n_positive or len(items)
+    if not 0 <= k <= limit:
+        raise ValueError(f"k = {k} is outside [0, {limit}], the number of items that can be drawn")
+    weight = w.tolist() if n_positive else [1.0] * len(items)
+    out: list = []
+    for u in rng.random(k).tolist():
+        cum = list(accumulate(weight))
+        idx = bisect_right(cum, u * cum[-1])
         out.append(items[idx])
-        w[idx] = 0.0
+        weight[idx] = 0.0
     return out
 
 

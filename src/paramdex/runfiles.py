@@ -50,15 +50,19 @@ def write_run(
 def read_run(path: str | Path) -> dict[str, list[tuple[str, int, float]]]:
     """Parse a run file into qid -> [(external docid, rank, score)] by rank.
 
-    Within a qid, each docid and each rank appears once; scores are finite."""
+    Within a qid, each docid and each rank appears once; scores are finite.
+    A docid listed under several qids is one str object in every entry."""
     runs: dict[str, list[tuple[str, int, float]]] = {}
+    # local to the call: sys.intern's table is process-wide, and some CPython
+    # versions never free what it holds
+    docids: dict[str, str] = {}
     for where, line in text_lines(path):
         parts = line.split()
         if len(parts) != 6:
             raise ValueError(f"{where}: expected 6 whitespace-separated columns")
         qid, _, docid, rank, score, _ = parts
         try:
-            entry = (docid, int(rank), float(score))
+            entry = (docids.setdefault(docid, docid), int(rank), float(score))
         except ValueError:
             raise ValueError(f"{where}: bad rank or score") from None
         if not math.isfinite(entry[2]):

@@ -207,6 +207,24 @@ def test_save_load_roundtrip(tmp_path, tiny_corpus):
         assert (a.external_id, a.tokens, a.click_count) == (b.external_id, b.tokens, b.click_count)
 
 
+def test_load_shares_the_vocabulary_ints(tmp_path):
+    # ids above 256 are not among CPython's cached small ints, so a reader that
+    # kept the decoder's ints would hold one object per occurrence
+    text = " ".join(f"w{i:03d}" for i in range(300))
+    save_corpus(corpus_from_texts([text, text]), tmp_path)
+    a, b = (d.tokens for d in load_corpus(tmp_path).docs)
+    assert a == b and max(a) >= 257
+    assert all(x is y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_load_rejects_docs_without_documents(tmp_path, tiny_corpus, content):
+    save_corpus(tiny_corpus, tmp_path)
+    (tmp_path / "docs.jsonl").write_text(content)
+    with pytest.raises(ValueError, match=r"docs.jsonl: no documents$"):
+        load_corpus(tmp_path)
+
+
 @pytest.mark.parametrize("bad_id", [-5, 8])
 def test_load_rejects_token_id_outside_vocabulary(tmp_path, tiny_corpus, bad_id):
     save_corpus(tiny_corpus, tmp_path)

@@ -240,6 +240,12 @@ class TestRunFiles:
         path.write_text("q1 Q0 d0 1 0.5 t\nq2 Q0 d0 1 0.5 t\n")
         assert read_run(path) == {"q1": [("d0", 1, 0.5)], "q2": [("d0", 1, 0.5)]}
 
+    def test_docid_under_two_qids_is_one_object(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 doc17 1 0.5 t\nq1 Q0 doc18 2 0.4 t\nq2 Q0 doc17 1 0.5 t\n")
+        runs = read_run(path)
+        assert runs["q1"][0][0] is runs["q2"][0][0]
+
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 d0 1 0.5 tag\nbroken line\n")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paramdex.corpus import Document
 from paramdex.pairs import (
@@ -12,6 +13,7 @@ from paramdex.pairs import (
     save_pairs,
     segment_passages,
     term_importance,
+    weighted_sample_without_replacement,
 )
 
 from conftest import corpus_from_texts
@@ -110,6 +112,65 @@ class TestSampleTermSets:
         sets = sample_term_sets(doc, 50, w, np.random.default_rng(5))
         orders = {tuple(p.tokens) for p in sets}
         assert len(orders) > 1
+
+
+def _numpy_weighted_sample(items, weights, k, rng):
+    """The sampler as numpy cumsum and searchsorted: the reference for the Python-float one."""
+    w = weights.astype(np.float64).copy()
+    if not np.any(w > 0):
+        w = np.ones_like(w)
+    out = []
+    for _ in range(k):
+        cum = np.cumsum(w)
+        u = rng.random() * cum[-1]
+        idx = int(np.searchsorted(cum, u, side="right"))
+        out.append(items[idx])
+        w[idx] = 0.0
+    return out
+
+
+class TestWeightedSample:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(1e-300, 1e-3)), max_size=40),
+        k_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy_reference(self, weights, k_frac, seed):
+        w = np.array(weights, dtype=np.float64)
+        items = [f"t{i}" for i in range(len(w))]
+        k = int(k_frac * (np.count_nonzero(w) or len(w)))
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert weighted_sample_without_replacement(items, w, k, ours) == _numpy_weighted_sample(items, w, k, ref)
+        # the generator is left where the reference leaves it
+        assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("weights,k,error", [
+        ([1.0, 2.0], 1, "2 weights for 3 items"),
+        ([1.0, -1.0, 2.0], 1, "finite and non-negative"),
+        ([1.0, float("nan"), 2.0], 1, "finite and non-negative"),
+        ([1.0, float("inf"), 2.0], 1, "finite and non-negative"),
+        ([1.0, 0.0, 2.0], 3, r"k = 3 is outside \[0, 2\]"),
+        ([0.0, 0.0, 0.0], 4, r"k = 4 is outside \[0, 3\]"),
+        ([1.0, 1.0, 1.0], -1, r"k = -1 is outside \[0, 3\]"),
+    ], ids=["too-few-weights", "negative", "nan", "inf", "k-above-positive", "k-above-items", "negative-k"])
+    def test_bad_weights_or_k_rejected(self, weights, k, error):
+        with pytest.raises(ValueError, match=error):
+            weighted_sample_without_replacement(["a", "b", "c"], np.array(weights), k, np.random.default_rng(0))
+
+    def test_zero_uniform_never_draws_a_zero_weight(self):
+        class Zeros:  # every uniform is 0.0, which ties with the running sums of leading zero weights
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
+
+        w, items = np.array([0.0, 0.0, 2.0, 0.0, 1.0]), list("abcde")
+        assert weighted_sample_without_replacement(items, w, 2, Zeros()) == ["c", "e"]
+        assert _numpy_weighted_sample(items, w, 2, Zeros()) == ["c", "e"]
+
+    def test_k_equal_to_positive_count_draws_every_positive_item(self):
+        out = weighted_sample_without_replacement(["a", "b", "c", "d"], np.array([0.0, 3.0, 0.0, 1.0]), 2,
+                                                  np.random.default_rng(0))
+        assert sorted(out) == ["b", "d"]
 
 
 class TestNgramPairs:
