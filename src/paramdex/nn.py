@@ -133,11 +133,20 @@ def _gelu(x: np.ndarray, need_grad: bool) -> tuple[np.ndarray, np.ndarray | None
     return h, grad
 
 
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=-1, keepdims=True), bit for bit: the sum, then one divide by the count.
+
+    The ufuncs are called directly, without ndarray.mean's Python-level wrapper."""
+    total = np.add.reduce(x, axis=-1, keepdims=True)
+    total /= x.shape[-1]
+    return total
+
+
 def _layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
     """Returns (y, xhat, inv): x centred once, variance as x.var computes it."""
-    xhat = x - x.mean(axis=-1, keepdims=True)
+    xhat = x - _mean_last(x)
     y = np.multiply(xhat, xhat)  # the squares first, then the output
-    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LN_EPS)
+    inv = 1.0 / np.sqrt(_mean_last(y) + LN_EPS)
     xhat *= inv
     np.multiply(xhat, scale, out=y)
     y += shift
@@ -152,12 +161,12 @@ def _layer_norm_backward(dy, xhat, inv, scale):
     """
     axes = tuple(range(dy.ndim - 1))
     buf = dy * xhat
-    dscale = buf.sum(axis=axes)
-    dshift = dy.sum(axis=axes)
+    dscale = np.add.reduce(buf, axis=axes)
+    dshift = np.add.reduce(dy, axis=axes)
     dx = dy * scale
     np.multiply(dx, xhat, out=buf)
-    np.multiply(xhat, buf.mean(axis=-1, keepdims=True), out=buf)
-    dx -= dx.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, _mean_last(buf), out=buf)
+    dx -= _mean_last(dx)
     dx -= buf
     dx *= inv
     return dx, dscale, dshift
@@ -168,16 +177,16 @@ def _attention_softmax(s: np.ndarray, scale: float, mask: np.ndarray) -> np.ndar
     z = s * scale + mask; e = exp(z - max(z)); att = e / sum(e)."""
     s *= scale
     s += mask
-    s -= s.max(axis=-1, keepdims=True)
+    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s /= np.add.reduce(s, axis=-1, keepdims=True)
     return s
 
 
 def _attention_softmax_backward(att: np.ndarray, datt: np.ndarray, scale: float) -> np.ndarray:
     """Gradient at s of att = _attention_softmax(s, scale, mask) given datt,
     att * (datt - sum(datt * att)) * scale, computed in datt and returned."""
-    datt -= (datt * att).sum(axis=-1, keepdims=True)
+    datt -= np.add.reduce(datt * att, axis=-1, keepdims=True)
     datt *= att
     datt *= scale
     return datt

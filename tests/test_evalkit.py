@@ -18,9 +18,17 @@ from conftest import ranked_list
 _ID = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1, max_size=8)
 # ids that mean something to %-formatting or str.format
 _FORMAT_ID = st.one_of(st.sampled_from(["%", "%%", "%s", "%.6f", "%(x)s", "{", "}", "{}", "{0}", "a%b{c}"]), _ID)
-# scores whose 6-decimal text is easy to get wrong: signed zeros, subnormals, huge values, half-ulp ties
+# scores whose 6-decimal text is easy to get wrong: signed zeros, subnormals, huge values, half-ulp ties,
+# exact 7th-decimal ties and their float32 and float64 neighbours, carries into the whole part, and
+# values either side of 1e15 and 2**53
+_TIES = [0.0078125, -3.9921875, 1.0234375]
 _EDGE_SCORES = [0.0, -0.0, 5e-324, -5e-324, 1e-45, -1e-45, 1e300, -1e300, 3.4e38, 5e-7, -5e-7,
-                2.5e-6, 0.1234565, -1.0000005]
+                2.5e-6, 0.1234565, -1.0000005, *_TIES,
+                *(float(np.nextafter(dtype(t), dtype(to))) for dtype in (np.float32, np.float64)
+                  for t in _TIES for to in (-np.inf, np.inf)),
+                0.9999995, 9.99999951, -99.9999996,
+                float(np.nextafter(1e15, 0)), 1e15, float(np.nextafter(1e15, np.inf)),
+                float(2**53 - 1), float(2**53), float(2**53 + 2), -float(2**53 + 2)]
 
 
 @st.composite
@@ -218,6 +226,53 @@ class TestRunFiles:
         path = tmp_path_factory.mktemp("run") / "run.txt"
         write_run(path, ranked, exts.__getitem__, tag=tag)
         assert path.read_bytes() == _reference_run(ranked, exts.__getitem__, tag).encode()
+
+    def test_write_run_matches_per_line_format_across_blocks(self, tmp_path):
+        # more lines than one assembled block: mixed list lengths, empty lists, non-ASCII ids and qids
+        rng = np.random.default_rng(7)
+        exts = [f"док{i}✓" if i % 3 else f"d%{i}" for i in range(30000)]
+        lengths = [20000, 0, 1, 23000, 0, 17000]
+        ranked = []
+        for i, n in enumerate(lengths):
+            dtype = np.float32 if i % 2 else np.float64
+            edge = [s for s in _EDGE_SCORES if abs(s) <= float(np.finfo(dtype).max)]
+            # random magnitudes (up to past 1e15), exact 7th-decimal ties k/128, and the edge scores
+            scores = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 17, n)
+            scores[::3] = rng.integers(-10**5, 10**5, len(scores[::3])) / 128
+            scores[:len(edge)] = edge[:n]
+            ranked.append(RankedList(f"запрос{i}€", rng.permutation(len(exts))[:n], scores.astype(dtype)))
+        path = tmp_path / "run.txt"
+        write_run(path, ranked, exts.__getitem__, tag="%s-тег")
+        assert path.read_bytes() == _reference_run(ranked, exts.__getitem__, "%s-тег").encode()
+
+    def test_external_of_called_once_per_distinct_docid(self, tmp_path):
+        calls = []
+
+        def external_of(d):
+            calls.append(d)
+            return f"doc{d}"
+
+        ranked = [ranked_list("q1", [(5, 1.0), (2, 0.5), (9, 0.1)]), ranked_list("q2", [(2, 3.0), (5, 1.0)]),
+                  ranked_list("q3", [(9, 0.2)])]
+        write_run(tmp_path / "run.txt", ranked, external_of, tag="t")
+        assert sorted(calls) == [2, 5, 9]
+        assert read_run(tmp_path / "run.txt")["q2"] == [("doc2", 1, 3.0), ("doc5", 2, 1.0)]
+
+    @pytest.mark.parametrize("ids,scores,error", [
+        ([0, 1], [1.0, np.nan], "score nan is not finite"),
+        ([0], np.array([np.inf], np.float32), "score inf is not finite"),
+        ([0, 1], [-np.inf, 0.5], "score -inf is not finite"),
+        ([0, 1], [1.0], "are not 1-D arrays of one length"),
+        ([0], [1.0, 0.5], "are not 1-D arrays of one length"),
+        ([[0, 1]], [[1.0, 0.5]], "are not 1-D arrays of one length"),
+    ])
+    def test_unreadable_ranked_list_rejected_before_writing(self, tmp_path, ids, scores, error):
+        # read_run rejects a non-finite score; ids and scores of different lengths have no lines
+        path = tmp_path / "run.txt"
+        ranked = [ranked_list("q0", [(0, 1.0)]), RankedList("q1", np.array(ids), np.asarray(scores))]
+        with pytest.raises(ValueError, match=f"qid 'q1': .*{error}"):
+            write_run(path, ranked, lambda d: f"doc{d}", tag="t")
+        assert not path.exists()
 
     @pytest.mark.parametrize("text,error", [
         ("q1 Q0 d0 1 0.5 t\nq1 Q0 d0 2 0.4 t\n", r"line 2: docid 'd0' repeated for qid 'q1'"),
