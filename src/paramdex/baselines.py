@@ -52,10 +52,10 @@ def _idf(n_docs: int, df):
     return np.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
 
-def _weight(idf, tf, dl, avgdl: float, k1: float, b: float):
+def _weight(idf, tf, dl, avgdl: float):
     """Okapi contribution of one term to one document; elementwise on arrays."""
-    norm = k1 * (1.0 - b + b * dl / avgdl)
-    return idf * tf * (k1 + 1.0) / (tf + norm)
+    norm = K1 * (1.0 - B + B * dl / avgdl)
+    return idf * tf * (K1 + 1.0) / (tf + norm)
 
 
 def build_inverted_index(corpus: Corpus) -> InvertedIndex:
@@ -79,13 +79,11 @@ def build_inverted_index(corpus: Corpus) -> InvertedIndex:
     counts = np.bincount(term, minlength=len(corpus.vocab))
     indptr = np.concatenate(([0], np.cumsum(counts)))
     avgdl = float(doc_len.mean())
-    weights = _weight(_idf(n, counts)[term], tf, doc_len[docids].astype(np.float64), avgdl, K1, B)
+    weights = _weight(_idf(n, counts)[term], tf, doc_len[docids].astype(np.float64), avgdl)
     return InvertedIndex(indptr, docids, tf, weights, doc_len, avgdl, n)
 
 
-def bm25_score(
-    index: InvertedIndex, query_tokens, docid: int, k1: float = K1, b: float = B
-) -> float:
+def bm25_score(index: InvertedIndex, query_tokens, docid: int) -> float:
     """Okapi score of one document for a query (distinct terms, +1-in-log idf).
 
     Recomputed from the term frequencies and document length, not read
@@ -98,7 +96,7 @@ def bm25_score(
         pos = s.start + int(np.searchsorted(index.docids[s], docid))
         if pos < s.stop and index.docids[pos] == docid:
             idf = float(_idf(index.n_docs, s.stop - s.start))
-            score += _weight(idf, int(index.tf[pos]), dl, index.avgdl, k1, b)
+            score += _weight(idf, int(index.tf[pos]), dl, index.avgdl)
     return score
 
 
@@ -166,9 +164,9 @@ def train_two_tower(
     pairs = query_pairs(queries, qrels)
     if len(pairs) < 2:
         raise ValueError("two-tower training needs at least 2 labeled queries")
-    q_enc = Encoder.init(enc_cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 10])))
+    q_enc = Encoder.init(enc_cfg, np.random.SeedSequence([cfg.seed, 10]))
     if cfg.separate_towers:
-        d_enc = Encoder.init(enc_cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 11])))
+        d_enc = Encoder.init(enc_cfg, np.random.SeedSequence([cfg.seed, 11]))
         towers = {"q.": q_enc, "d.": d_enc}
     else:
         d_enc, towers = q_enc, {"q.": q_enc}
@@ -188,10 +186,9 @@ def train_two_tower(
     # (2-core Xeon, one BLAS thread).
     cache: dict[str, tuple] = {}
 
-    logs: list[EpochLog] = []
-    run_stage("two_tower", trainable, epoch_batches,
-              lambda batch: two_tower_step(q_enc, d_enc, corpus, batch, cache),
-              cfg.finetune_epochs, cfg, logs)
+    logs = run_stage("two_tower", trainable, epoch_batches,
+                     lambda batch: two_tower_step(q_enc, d_enc, corpus, batch, cache),
+                     cfg.finetune_epochs, cfg)
     return q_enc, d_enc, logs
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 import time
 from pathlib import Path
@@ -92,9 +93,7 @@ def _load_retriever(path, corp, n_docs: int, what: str) -> DocidRetriever:
 def _pretrain_pairs(corp, cfg: ExperimentConfig, seed: int) -> list[TrainingPair]:
     return pairs_mod.generate_pretrain_pairs(
         corp, window=cfg.window, m_samples=cfg.m_samples, ngram_n=cfg.ngram_n,
-        ngram_min_df=cfg.ngram_min_df,
-        max_ngrams=cfg.max_ngrams or None,  # 0 means the default cap
-        seed=seed,
+        ngram_min_df=cfg.ngram_min_df, max_ngrams=cfg.max_ngrams, seed=seed,
     )
 
 
@@ -142,7 +141,7 @@ def cmd_pairs(args, cfg, out) -> int:
     generated = _pretrain_pairs(corp, cfg, cfg.seed)
     path = out / "pairs.tsv"
     pairs_mod.save_pairs(path, generated, corp)
-    counts = {t: sum(1 for p in generated if p.task == t) for t in ("passage", "terms", "ngram")}
+    counts = {t: sum(1 for p in generated if p.task == t) for t in pairs_mod.PRETRAIN_TASKS}
     _meta(path, cfg, "pairs", **counts)
     print(f"pairs: {counts}", file=sys.stderr)
     return _done(path)
@@ -169,9 +168,6 @@ def cmd_train_dense(args, cfg, out) -> int:
 
 
 def cmd_train_vanilla(args, cfg, out) -> int:
-    if not args.pairs and cfg.pretrain_epochs > 0:
-        raise ValueError("train-vanilla needs --pairs unless pre-training is off "
-                         "(--skip-pretrain or pretrain_epochs = 0)")
     corp, queries, qrels = _load_corpus_queries(args)
     pretrain = pairs_mod.load_pairs(args.pairs, corp) if args.pairs else []
     enc, w_doc, logs = train_vanilla(corp, pretrain, queries, qrels,
@@ -287,11 +283,24 @@ def cmd_shard_merge(args, cfg, out) -> int:
     return _done(*written)
 
 
+def _group_runs(runs_dir: Path) -> list[Path]:
+    """The n group<id>.run files under runs_dir in group order; their ids must be 0..n-1."""
+    paths = sorted(runs_dir.glob("group*.run"))
+    by_id = {}
+    for path in paths:
+        m = re.fullmatch(r"group([0-9]+)\.run", path.name)
+        if not m:
+            raise ValueError(f"{path}: expected a run file named group<id>.run")
+        by_id[int(m.group(1))] = path
+    for gid in range(len(paths) or 1):  # no file at all is a missing group 0
+        if gid not in by_id:
+            raise ValueError(f"no run file for group {gid} among the {len(paths)} group*.run "
+                             f"files under {runs_dir}")
+    return [by_id[gid] for gid in range(len(paths))]
+
+
 def cmd_diag_scores(args, cfg, out) -> int:
-    runs_dir = Path(args.runs_dir)
-    run_paths = sorted(runs_dir.glob("group*.run"))
-    if not run_paths:
-        raise ValueError(f"no group*.run files under {runs_dir}")
+    run_paths = _group_runs(Path(args.runs_dir))
     rows = distributed.score_distribution_stats([
         np.array([score for entries in read_run(path).values() for _, _, score in entries])
         for path in run_paths

@@ -69,7 +69,7 @@ def split_corpus(
 
 
 def shard_retrieve(
-    models: list[DocidRetriever | None],
+    models: list[DocidRetriever],
     plan: ShardPlan,
     query,
     per_group_k: int = 100,
@@ -79,8 +79,6 @@ def shard_retrieve(
         raise ValueError(f"expected {plan.n_groups} models, got {len(models)}")
     runs = []
     for gid, model in enumerate(models):
-        if model is None:
-            raise ValueError(f"missing model for group {gid}")
         local = model.retrieve(query, min(per_group_k, len(plan.groups[gid])))
         runs.append(ShardRun(gid, RankedList(local.qid, plan.groups[gid][local.ids], local.scores)))
     return runs

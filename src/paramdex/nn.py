@@ -89,19 +89,6 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Weights ~ N(0, 0.02), biases/shifts zero, layer-norm scales one."""
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(cfg).items():
-        if name.endswith(".scale"):
-            params[name] = np.ones(shape, dtype=dtype)
-        elif len(shape) == 1:
-            params[name] = np.zeros(shape, dtype=dtype)
-        else:
-            params[name] = rng.normal(0.0, 0.02, size=shape).astype(dtype)
-    return params
-
-
 def _gelu(x: np.ndarray, need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """tanh-approximated GELU of x, and with need_grad its derivative (else None).
 
@@ -217,9 +204,19 @@ class Encoder:
         self.params = params
 
     @classmethod
-    def init(cls, cfg: EncoderConfig, seed: int | np.random.Generator = 0, dtype=np.float32) -> "Encoder":
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        return cls(cfg, init_params(cfg, rng, dtype=dtype))
+    def init(cls, cfg: EncoderConfig, seed, dtype=np.float32) -> "Encoder":
+        """Weights ~ N(0, 0.02) drawn from np.random.default_rng(seed), which takes an
+        int, a SeedSequence or a Generator; biases/shifts zero, layer-norm scales one."""
+        rng = np.random.default_rng(seed)
+        params: dict[str, np.ndarray] = {}
+        for name, shape in param_shapes(cfg).items():
+            if name.endswith(".scale"):
+                params[name] = np.ones(shape, dtype=dtype)
+            elif len(shape) == 1:
+                params[name] = np.zeros(shape, dtype=dtype)
+            else:
+                params[name] = rng.normal(0.0, 0.02, size=shape).astype(dtype)
+        return cls(cfg, params)
 
     @property
     def dtype(self):
@@ -362,11 +359,11 @@ class Encoder:
         g["pos_emb"][:n] += dx.sum(axis=0)
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    z = logits - logits.max(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_xent(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -393,9 +390,10 @@ def forward_backward(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean negative log-likelihood of the targets under the docid softmax.
 
-    batch items carry .tokens and .target (a TrainingPair works). Gradients
-    cover every encoder parameter plus the docid matrix under key "w_doc";
-    with freeze_encoder only "w_doc" is produced.
+    batch items carry .tokens and .target (a TrainingPair works), and w_doc
+    has the encoder's dtype. Gradients cover every encoder parameter plus the
+    docid matrix under key "w_doc"; with freeze_encoder only "w_doc" is
+    produced.
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
@@ -407,7 +405,6 @@ def forward_backward(
         [p.tokens for p in batch], need_cache=not freeze_encoder
     )
     loss, dlogits = softmax_xent(cls_vec @ w_doc, targets)
-    dlogits = dlogits.astype(encoder.dtype)
     gw = cls_vec.T @ dlogits
     if freeze_encoder:
         grads: dict[str, np.ndarray] = {}
@@ -486,13 +483,13 @@ def finite_diff_check(
     eps: float = 1e-4,
     max_coords_per_param: int = 4,
     rng: np.random.Generator | None = None,
-    floor: float = 1e-6,
 ) -> tuple[float, dict[str, float]]:
     """Compare analytic gradients to central finite differences.
 
     Samples up to max_coords_per_param coordinates from every parameter
-    array, perturbs each by +/-eps, and reports the worst relative error
-    overall and per parameter. The loss callable must be pure.
+    array, perturbs each by +/-eps, and reports the worst relative error,
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-6), overall and per
+    parameter. The loss callable must be pure.
     """
     if eps <= 0:
         raise ValueError("epsilon must be positive")
@@ -514,7 +511,7 @@ def finite_diff_check(
             flat[c] = orig
             numeric = (lp - lm) / (2.0 * eps)
             analytic = float(grads[name].reshape(-1)[c])
-            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
             err = max(err, rel)
         per_param[name] = err
         worst = max(worst, err)

@@ -19,7 +19,8 @@ from .corpus import Corpus, Document, Query, text_lines
 
 log = logging.getLogger(__name__)
 
-TASKS = ("passage", "terms", "ngram", "query")
+# the tasks of a pairs file, which pre-training draws from (query pairs come from qrels)
+PRETRAIN_TASKS = ("passage", "terms", "ngram")
 
 # sampled term-set length bounds
 MIN_TERM_SAMPLE = 10
@@ -56,14 +57,12 @@ def document_frequencies(corpus: Corpus) -> np.ndarray:
     return df
 
 
-def term_importance(doc: Document, corpus: Corpus, df: np.ndarray | None = None) -> dict[int, float]:
+def term_importance(doc: Document, corpus: Corpus, df: np.ndarray) -> dict[int, float]:
     """TF-IDF weight per distinct token of the document.
 
-    weight = tf(token, doc) * ln(1 + |D| / df(token)). Keys are ordered by
-    first occurrence in the document.
+    weight = tf(token, doc) * ln(1 + |D| / df(token)), df being the corpus's
+    document_frequencies. Keys are ordered by first occurrence in the document.
     """
-    if df is None:
-        df = document_frequencies(corpus)
     n_docs = len(corpus)
     counts: dict[int, int] = {}
     for t in doc.tokens:
@@ -180,17 +179,17 @@ def generate_pretrain_pairs(
     m_samples: int = 10,
     ngram_n: int = 3,
     ngram_min_df: int = 2,
-    max_ngrams: int | None = None,
+    max_ngrams: int = 0,
     seed: int = 0,
 ) -> list[TrainingPair]:
     """All three self-supervised pair kinds for the corpus, deterministically.
 
     Term-set sampling uses a per-document generator seeded from
     (seed, internal_id), so generation is order-independent and
-    reproducible. max_ngrams defaults to 10 * |D|.
+    reproducible. max_ngrams caps the distinct n-grams kept, as the config
+    key of that name does: 0 means 10 * |D|.
     """
-    if max_ngrams is None:
-        max_ngrams = 10 * len(corpus)
+    max_ngrams = max_ngrams or 10 * len(corpus)
     df = document_frequencies(corpus)
     pairs: list[TrainingPair] = []
     for doc in corpus.docs:
@@ -217,8 +216,8 @@ def load_pairs(path: str | Path, corpus: Corpus) -> list[TrainingPair]:
         if len(parts) != 3:
             raise ValueError(f"{where}: expected 3 tab-separated fields")
         task, ext, text = parts
-        if task not in TASKS:
-            raise ValueError(f"{where}: unknown task '{task}'")
+        if task not in PRETRAIN_TASKS:
+            raise ValueError(f"{where}: task '{task}' is not a pre-training task {PRETRAIN_TASKS}")
         if ext not in corpus.by_external:
             raise ValueError(f"{where}: pair targets unknown docid '{ext}'")
         tokens = [corpus.vocab.lookup(t) for t in text.split(" ") if t]

@@ -3,6 +3,8 @@ stage loop every trainer shares, and the two docid training pipelines
 (from-scratch and init-from-dense-vectors). Both end in the same
 query-docid fine-tuning stage. A stage runs exactly when its epoch count
 in TrainConfig is above 0; that is also how an ablation drops a stage.
+A trainer checks every stage's pairs (_check_stage) before any stage
+trains, and returns the EpochLogs that run_stage gives, stage by stage.
 
 The index is a d_model x n_docs matrix whose column i is the embedding of
 internal docid i. Retrieval encodes the queries in blocks of QUERY_BLOCK,
@@ -132,10 +134,14 @@ class DocidRetriever:
         return ranked
 
 
-def _validate_targets(pairs: list[TrainingPair], n_docs: int) -> None:
+def _check_stage(stage: str, pairs: list[TrainingPair], n_epochs: int, n_docs: int) -> None:
+    """A stage's input rule, checked before any stage trains: it has pairs
+    when it runs any epoch, and every pair targets a docid of the corpus."""
+    if n_epochs > 0 and not pairs:
+        raise ValueError(f"{stage}: {n_epochs} epochs requested but no pairs were provided")
     for p in pairs:
         if not 0 <= p.target < n_docs:
-            raise ValueError(f"pair targets docid {p.target} outside corpus of size {n_docs}")
+            raise ValueError(f"{stage}: pair targets docid {p.target} outside corpus of size {n_docs}")
 
 
 def run_stage(
@@ -145,14 +151,15 @@ def run_stage(
     loss_and_grad,  # callable batch -> (mean batch loss, grads keyed like trainable)
     n_epochs: int,
     cfg: TrainConfig,
-    logs: list[EpochLog],
-) -> None:
-    """AdamW epochs with plateau stopping. The arrays in trainable are the
-    models' own and are updated in place. An epoch is stale unless its loss
+) -> list[EpochLog]:
+    """AdamW epochs with plateau stopping, one EpochLog per epoch run. The
+    arrays in trainable are the models' own and are updated in place. Every
+    epoch must give at least one batch. An epoch is stale unless its loss
     is below best - plateau_min_delta, best being the lowest earlier epoch
     loss; the stage stops once plateau_patience epochs in a row are stale.
     Patience 0 never stops early."""
     state = adamw_init(trainable)
+    logs: list[EpochLog] = []
     best, stale = float("inf"), 0
     for epoch in range(n_epochs):
         total, count = 0.0, 0
@@ -161,7 +168,7 @@ def run_stage(
             adamw_step(trainable, grads, state, cfg)
             total += loss * len(batch)
             count += len(batch)
-        mean_loss = total / max(count, 1)
+        mean_loss = total / count
         logs.append(EpochLog(stage, epoch, mean_loss))
         log.info("%s epoch %d: loss %.6f", stage, epoch, mean_loss)
         stale = 0 if mean_loss < best - cfg.plateau_min_delta else stale + 1
@@ -169,33 +176,30 @@ def run_stage(
         if cfg.plateau_patience and stale >= cfg.plateau_patience:
             log.info("%s: loss plateau, stopping after epoch %d", stage, epoch)
             break
+    return logs
 
 
 def _train_docid(stage: str, encoder: Encoder, w_doc: np.ndarray, epoch_pairs, n_epochs: int,
-                 cfg: TrainConfig, logs: list[EpochLog]) -> None:
+                 cfg: TrainConfig) -> list[EpochLog]:
     """run_stage on the docid loss over the pairs epoch_pairs(epoch) gives;
     trains w_doc, and the encoder unless cfg.freeze_encoder, in place."""
     freeze = cfg.freeze_encoder
-    run_stage(
+    return run_stage(
         stage, {"w_doc": w_doc} if freeze else dict(encoder.params, w_doc=w_doc),
         lambda ep: batches(epoch_pairs(ep), cfg.batch_size),
         lambda batch: forward_backward(encoder, w_doc, batch, freeze_encoder=freeze),
-        n_epochs, cfg, logs,
+        n_epochs, cfg,
     )
 
 
 def _finetune(encoder: Encoder, w_doc: np.ndarray, fine_pairs: list[TrainingPair],
-              cfg: TrainConfig, logs: list[EpochLog]) -> None:
+              cfg: TrainConfig) -> list[EpochLog]:
     """Query-docid fine-tuning of encoder and w_doc, in place, for
-    cfg.finetune_epochs epochs (none at 0)."""
-    if cfg.finetune_epochs == 0:
-        return
-    if not fine_pairs:
-        raise ValueError("fine-tuning requested but no labeled queries were provided")
-    _train_docid(
+    cfg.finetune_epochs epochs, on pairs _check_stage has passed."""
+    return _train_docid(
         "finetune", encoder, w_doc,
         lambda ep: [fine_pairs[i] for i in stage_rng(cfg.seed, 3, ep).permutation(len(fine_pairs))],
-        cfg.finetune_epochs, cfg, logs,
+        cfg.finetune_epochs, cfg,
     )
 
 
@@ -208,24 +212,20 @@ def train_vanilla(
     cfg: TrainConfig,
 ) -> tuple[Encoder, np.ndarray, list[EpochLog]]:
     """Random init, self-supervised pre-training, then query-docid fine-tuning.
-    A stage runs only when its epoch count in cfg is above 0."""
+    Both stages are checked before pre-training starts; the logs are the
+    pre-training epochs' followed by the fine-tuning epochs'."""
     fine_pairs = query_pairs(queries, qrels)
-    _validate_targets(pretrain_pairs, len(corpus))
-    _validate_targets(fine_pairs, len(corpus))
-    encoder = Encoder.init(enc_cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])))
+    _check_stage("pretrain", pretrain_pairs, cfg.pretrain_epochs, len(corpus))
+    _check_stage("finetune", fine_pairs, cfg.finetune_epochs, len(corpus))
+    encoder = Encoder.init(enc_cfg, np.random.SeedSequence([cfg.seed, 0]))
     w_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     w_doc = w_rng.normal(0.0, 0.02, size=(enc_cfg.d_model, len(corpus))).astype(np.float32)
-    logs: list[EpochLog] = []
-    if cfg.pretrain_epochs > 0:
-        if not pretrain_pairs:
-            raise ValueError("pre-training requested but no pairs were provided")
-        _train_docid(
-            "pretrain", encoder, w_doc,
-            lambda ep: mixed_task_epoch(pretrain_pairs, cfg, stage_rng(cfg.seed, 2, ep)),
-            cfg.pretrain_epochs, cfg, logs,
-        )
-    _finetune(encoder, w_doc, fine_pairs, cfg, logs)
-    return encoder, w_doc, logs
+    logs = _train_docid(
+        "pretrain", encoder, w_doc,
+        lambda ep: mixed_task_epoch(pretrain_pairs, cfg, stage_rng(cfg.seed, 2, ep)),
+        cfg.pretrain_epochs, cfg,
+    )
+    return encoder, w_doc, logs + _finetune(encoder, w_doc, fine_pairs, cfg)
 
 
 def train_overdense(
@@ -249,9 +249,7 @@ def train_overdense(
     if w_doc.dtype != query_tower.dtype:
         raise ValueError(f"dense index vectors are {w_doc.dtype} but the query tower "
                          f"is {query_tower.dtype}")
-    encoder = Encoder(query_tower.cfg, {k: v.copy() for k, v in query_tower.params.items()})
     fine_pairs = query_pairs(queries, qrels)
-    _validate_targets(fine_pairs, len(corpus))
-    logs: list[EpochLog] = []
-    _finetune(encoder, w_doc, fine_pairs, cfg, logs)
-    return encoder, w_doc, logs
+    _check_stage("finetune", fine_pairs, cfg.finetune_epochs, len(corpus))
+    encoder = Encoder(query_tower.cfg, {k: v.copy() for k, v in query_tower.params.items()})
+    return encoder, w_doc, _finetune(encoder, w_doc, fine_pairs, cfg)

@@ -9,7 +9,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .pairs import TrainingPair
+from .pairs import PRETRAIN_TASKS, TrainingPair
 
 
 @dataclass
@@ -61,7 +61,7 @@ def mixed_task_epoch(
     for p in pairs:
         by_task.setdefault(p.task, []).append(p)
     w = {"passage": cfg.weight_passage, "terms": cfg.weight_terms, "ngram": cfg.weight_ngram}
-    tasks = [t for t in ("passage", "terms", "ngram") if by_task.get(t) and w[t] > 0]
+    tasks = [t for t in PRETRAIN_TASKS if by_task.get(t) and w[t] > 0]
     if not tasks:
         raise ValueError("no pre-training pairs available under the given task weights")
     probs = np.array([w[t] for t in tasks], dtype=np.float64)

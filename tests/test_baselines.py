@@ -137,14 +137,6 @@ class TestBM25Score:
             q = list(rng.integers(3, len(corp.vocab), size=3))
             assert bm25_score(index, q, docid) >= 0.0
 
-    def test_b_zero_ignores_document_length(self):
-        corp = corpus_from_texts(["term short", "term " + "pad " * 30])
-        index = build_inverted_index(corp)
-        q = [corp.vocab.lookup("term")]
-        assert bm25_score(index, q, 0, b=0.0) == pytest.approx(
-            bm25_score(index, q, 1, b=0.0), abs=1e-12
-        )
-
 
 class TestBM25Retrieve:
     def test_single_matching_doc(self):

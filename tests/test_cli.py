@@ -277,25 +277,75 @@ def test_directory_given_as_input_file_is_an_error(workspace, tmp_path, capsys, 
     assert "Traceback" not in err
 
 
-def test_shard_merge_rejects_model_with_other_vocabulary(workspace, tmp_path, capsys):
+def _untrained_shards(workspace, shards_dir, extra_vocab=(0, 0)):
+    """A 2-group manifest and untrained group checkpoints; group g's encoder
+    has extra_vocab[g] tokens more than the corpus vocabulary."""
     corp = load_corpus(workspace["corpus"])
     plan = partition(len(corp), 2, seed=0)
-    shards_dir = tmp_path / "shards"
     shards_dir.mkdir()
     write_manifest(shards_dir / "shards.tsv", plan, corp)
     for gid, members in enumerate(plan.groups):
-        # group 1's encoder has one token more than the corpus vocabulary
-        cfg = EncoderConfig(vocab_size=len(corp.vocab) + gid, d_model=16, n_layers=1,
-                            n_heads=2, d_ff=32, max_len=32)
+        cfg = EncoderConfig(vocab_size=len(corp.vocab) + extra_vocab[gid], d_model=16,
+                            n_layers=1, n_heads=2, d_ff=32, max_len=32)
         w_doc = np.zeros((cfg.d_model, len(members)), dtype=np.float32)
         (shards_dir / f"group{gid:02d}").mkdir()
         checkpoint.save_model(shards_dir / f"group{gid:02d}" / "model.ckpt", cfg,
                               Encoder.init(cfg, gid).params, w_doc)
-    assert run_cli("shard-merge", "--shards-dir", shards_dir,
+
+
+def _shard_merge(workspace, shards_dir, out_dir) -> int:
+    return run_cli("shard-merge", "--shards-dir", shards_dir,
                    "--corpus-dir", workspace["corpus"],
                    "--queries", workspace["data"] / "train_queries.tsv",
-                   "--out-dir", tmp_path / "merged", "--config", workspace["cfg"]) == 1
+                   "--out-dir", out_dir, "--config", workspace["cfg"])
+
+
+def test_shard_merge_rejects_model_with_other_vocabulary(workspace, tmp_path, capsys):
+    _untrained_shards(workspace, tmp_path / "shards", extra_vocab=(0, 1))
+    assert _shard_merge(workspace, tmp_path / "shards", tmp_path / "merged") == 1
     assert "group 1 model vocabulary does not match the corpus" in capsys.readouterr().err
+
+
+def test_shard_merge_rejects_missing_group_model(workspace, tmp_path, capsys):
+    shards_dir, merged = tmp_path / "shards", tmp_path / "merged"
+    _untrained_shards(workspace, shards_dir)
+    assert _shard_merge(workspace, shards_dir, merged) == 0
+    shutil.rmtree(merged)
+    missing = shards_dir / "group01" / "model.ckpt"
+    missing.unlink()
+    assert _shard_merge(workspace, shards_dir, merged) == 1
+    assert f"missing model for group 1: {missing}" in capsys.readouterr().err
+    assert not list(merged.glob("*.run"))
+
+
+def test_diag_scores_labels_groups_by_file_name(workspace, tmp_path, capsys):
+    # 101 groups: group100.run sorts between group10.run and group11.run as text
+    runs_dir = tmp_path / "runs"
+    runs_dir.mkdir()
+    for gid in range(101):
+        (runs_dir / f"group{gid:02d}.run").write_text(f"q1 Q0 doc00000 1 {gid}.000000 t\n")
+    assert run_cli("diag-scores", "--runs-dir", runs_dir, "--out-dir", tmp_path / "diag",
+                   "--config", workspace["cfg"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("group ")]
+    assert rows == [f"group {gid}: mean {gid}.0000 std 0.0000 min {gid}.0000 max {gid}.0000"
+                    for gid in range(101)]
+    stats = (tmp_path / "diag" / "score_stats.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in stats] == list(range(101))
+
+
+@pytest.mark.parametrize("names, error", [
+    ([], "no run file for group 0 among the 0 group*.run files under"),
+    (["group00.run", "group02.run"], "no run file for group 1 among the 2 group*.run files under"),
+    (["group00.run", "group1.run", "group01.run"], "no run file for group 2 among the 3"),
+    (["group00.run", "group1a.run"], "group1a.run: expected a run file named group<id>.run"),
+], ids=["none", "gap", "same_id_twice", "no_id"])
+def test_diag_scores_rejects_group_files_that_are_not_0_to_n(workspace, tmp_path, capsys,
+                                                            names, error):
+    for name in names:
+        (tmp_path / name).write_text("q1 Q0 doc00000 1 1.000000 t\n")
+    assert run_cli("diag-scores", "--runs-dir", tmp_path, "--out-dir", tmp_path / "diag",
+                   "--config", workspace["cfg"]) == 1
+    assert error in capsys.readouterr().err
 
 
 _BAD_DOCS_LINE = {

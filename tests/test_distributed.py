@@ -89,13 +89,6 @@ class TestShardRetrieve:
         union = {d for r in runs for d, _ in r.ranked.items}
         assert union == set(range(len(corp)))
 
-    def test_missing_model_rejected(self):
-        corp, enc, full, models, plan = _sharded_setup()
-        models = list(models)
-        models[1] = None
-        with pytest.raises(ValueError, match="missing model for group 1"):
-            shard_retrieve(models, plan, Query("q", [3]), per_group_k=5)
-
 
 class TestMerge:
     def test_single_shard_is_identity_truncated(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from paramdex.corpus import Document
 from paramdex.pairs import (
+    document_frequencies,
     extract_ngram_pairs,
     generate_pretrain_pairs,
     load_pairs,
@@ -49,22 +50,23 @@ class TestSegmentPassages:
 class TestTermImportance:
     def test_everywhere_token_weight_is_ln2(self, tiny_corpus):
         # "banana" occurs in all 3 docs, once in doc 0
-        w = term_importance(tiny_corpus.doc(0), tiny_corpus)
+        w = term_importance(tiny_corpus.doc(0), tiny_corpus, document_frequencies(tiny_corpus))
         banana = tiny_corpus.vocab.lookup("banana")
         assert w[banana] == pytest.approx(math.log(2.0))
 
     def test_linear_in_tf(self):
         corp = corpus_from_texts(["rare rare base", "base other"])
         doubled = corpus_from_texts(["rare rare rare rare base", "base other"])
-        w1 = term_importance(corp.doc(0), corp)[corp.vocab.lookup("rare")]
-        w2 = term_importance(doubled.doc(0), doubled)[doubled.vocab.lookup("rare")]
+        w1 = term_importance(corp.doc(0), corp, document_frequencies(corp))
+        w2 = term_importance(doubled.doc(0), doubled, document_frequencies(doubled))
+        w1, w2 = w1[corp.vocab.lookup("rare")], w2[doubled.vocab.lookup("rare")]
         assert w2 == pytest.approx(2.0 * w1)
 
     def test_hand_evaluated_table(self, tiny_corpus):
         # independent reccount: weight = tf * ln(1 + n_docs/df)
         n_docs = len(tiny_corpus)
         for doc in tiny_corpus.docs:
-            got = term_importance(doc, tiny_corpus)
+            got = term_importance(doc, tiny_corpus, document_frequencies(tiny_corpus))
             for token_id in set(doc.tokens):
                 tf = sum(1 for t in doc.tokens if t == token_id)
                 df = sum(1 for d in tiny_corpus.docs if token_id in d.tokens)
@@ -74,13 +76,13 @@ class TestTermImportance:
 class TestSampleTermSets:
     def test_pair_count_contract(self, tiny_corpus):
         rng = np.random.default_rng(0)
-        w = term_importance(tiny_corpus.doc(0), tiny_corpus)
+        w = term_importance(tiny_corpus.doc(0), tiny_corpus, document_frequencies(tiny_corpus))
         assert len(sample_term_sets(tiny_corpus.doc(0), 3, w, rng)) == 3
 
     def test_few_distinct_tokens_clamp(self, tiny_corpus):
         # doc 2 has 5 distinct tokens (< 10): every sample contains all of them
         doc = tiny_corpus.doc(2)
-        w = term_importance(doc, tiny_corpus)
+        w = term_importance(doc, tiny_corpus, document_frequencies(tiny_corpus))
         rng = np.random.default_rng(1)
         for p in sample_term_sets(doc, 5, w, rng):
             assert sorted(p.tokens) == sorted(set(doc.tokens))
@@ -88,7 +90,7 @@ class TestSampleTermSets:
     def test_first_draw_frequency_tracks_weight(self):
         corp = corpus_from_texts(["heavy heavy light other1 other2", "filler"])
         doc = corp.doc(0)
-        weights = term_importance(doc, corp)
+        weights = term_importance(doc, corp, document_frequencies(corp))
         heavy, light = corp.vocab.lookup("heavy"), corp.vocab.lookup("light")
         assert weights[heavy] == pytest.approx(2 * weights[light])
         rng = np.random.default_rng(99)
@@ -108,7 +110,7 @@ class TestSampleTermSets:
 
     def test_sampled_order_varies(self, tiny_corpus):
         doc = tiny_corpus.doc(0)
-        w = term_importance(doc, tiny_corpus)
+        w = term_importance(doc, tiny_corpus, document_frequencies(tiny_corpus))
         sets = sample_term_sets(doc, 50, w, np.random.default_rng(5))
         orders = {tuple(p.tokens) for p in sets}
         assert len(orders) > 1
@@ -212,6 +214,15 @@ class TestGeneratePairs:
         out = generate_pretrain_pairs(tiny_corpus, window=2, m_samples=2, seed=0)
         assert all(0 <= p.target < len(tiny_corpus) for p in out)
 
+    def test_max_ngrams_0_keeps_10_per_document(self):
+        # two copies of one 30-word text share 28 distinct trigrams; 0 keeps 10 * 2 of them
+        text = " ".join(f"w{i}" for i in range(30))
+        corp = corpus_from_texts([text, text])
+        ngrams = [p for p in generate_pretrain_pairs(corp, m_samples=1, max_ngrams=0, seed=0)
+                  if p.task == "ngram"]
+        assert len({tuple(p.tokens) for p in ngrams}) == 20
+        assert len(ngrams) == 40
+
     def test_passage_count_invariant(self, tiny_corpus):
         window = 2
         out = generate_pretrain_pairs(tiny_corpus, window=window, m_samples=1, seed=0)
@@ -226,6 +237,15 @@ def test_save_load_roundtrip(tmp_path, tiny_corpus):
     save_pairs(path, out, tiny_corpus)
     loaded = load_pairs(path, tiny_corpus)
     assert [(p.tokens, p.target, p.task) for p in loaded] == [(p.tokens, p.target, p.task) for p in out]
+
+
+def test_load_rejects_a_task_that_pretraining_does_not_draw(tmp_path, tiny_corpus):
+    # pre-training makes one draw per loaded pair, but draws only from its three tasks
+    path = tmp_path / "pairs.tsv"
+    ext = tiny_corpus.external_id(0)
+    path.write_text(f"passage\t{ext}\tapple banana\nquery\t{ext}\tapple\n")
+    with pytest.raises(ValueError, match=r"pairs.tsv line 2: task 'query' is not a pre-training task"):
+        load_pairs(path, tiny_corpus)
 
 
 def test_load_rejects_unknown_target(tmp_path, tiny_corpus):

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from paramdex import retriever
 from paramdex.corpus import Query
-from paramdex.nn import Encoder, EncoderConfig, softmax
+from paramdex.nn import Encoder, EncoderConfig, forward_backward, softmax
 from paramdex.pairs import TrainingPair, generate_pretrain_pairs
 from paramdex.retriever import (
     QUERY_BLOCK,
@@ -226,12 +228,11 @@ class TestRunStage:
     ], ids=["steady", "small_steps", "rise_and_recover", "patience_0"])
     def test_plateau_stopping(self, losses, patience, expected_epochs):
         cfg = TrainConfig(plateau_patience=patience, plateau_min_delta=0.25)
-        logs = []
-        run_stage(
+        logs = run_stage(
             "scripted", {"w": np.zeros(1)},
             lambda epoch: [[epoch]],  # one batch of one item: the epoch number
             lambda batch: (losses[batch[0]], {"w": np.zeros(1)}),
-            len(losses), cfg, logs,
+            len(losses), cfg,
         )
         assert [(e.epoch, e.loss) for e in logs] == list(enumerate(losses[:expected_epochs]))
 
@@ -250,8 +251,44 @@ class TestTrainVanilla:
     def test_rejects_pair_outside_corpus(self):
         corp, queries, qrels, enc_cfg = _toy_training_setup()
         bad = [TrainingPair([3, 4], 99, "passage")]
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="pretrain: pair targets docid 99 outside"):
             train_vanilla(corp, bad, queries, qrels, enc_cfg, TrainConfig())
+
+    @pytest.mark.parametrize("stage, pretrain_epochs, finetune_epochs", [
+        ("pretrain", 2, 0), ("finetune", 2, 3), ("finetune", 0, 3),
+    ])
+    def test_stage_without_pairs_fails_before_any_training(self, monkeypatch, stage,
+                                                            pretrain_epochs, finetune_epochs):
+        corp, queries, qrels, enc_cfg = _toy_training_setup()
+        pairs = [] if stage == "pretrain" else generate_pretrain_pairs(corp, window=16, m_samples=1)
+        calls = []
+
+        def counting_forward_backward(*args, **kwargs):
+            calls.append(len(args[2]))  # batch size
+            return forward_backward(*args, **kwargs)
+
+        monkeypatch.setattr(retriever, "forward_backward", counting_forward_backward)
+        tcfg = TrainConfig(batch_size=8, pretrain_epochs=pretrain_epochs,
+                           finetune_epochs=finetune_epochs, seed=0)
+        with pytest.raises(ValueError) as err:
+            train_vanilla(corp, pairs, queries, {}, enc_cfg, tcfg)  # {}: no labeled query
+        assert calls == []
+        assert re.match(f"{stage}: .* epochs requested but no pairs", str(err.value))
+
+    def test_stage_of_0_epochs_needs_no_pairs(self):
+        corp, queries, qrels, enc_cfg = _toy_training_setup()
+        tcfg = TrainConfig(batch_size=8, pretrain_epochs=0, finetune_epochs=0, seed=0)
+        enc, w_doc, logs = train_vanilla(corp, [], queries, {}, enc_cfg, tcfg)
+        assert logs == [] and w_doc.shape == (enc_cfg.d_model, len(corp))
+
+    def test_logs_pretraining_then_finetuning_epochs(self):
+        corp, queries, qrels, enc_cfg = _toy_training_setup()
+        pairs = generate_pretrain_pairs(corp, window=16, m_samples=1, seed=0)
+        tcfg = TrainConfig(batch_size=8, pretrain_epochs=2, finetune_epochs=3,
+                           plateau_patience=0, seed=0)
+        _, _, logs = train_vanilla(corp, pairs, queries, qrels, enc_cfg, tcfg)
+        assert [(e.stage, e.epoch) for e in logs] == [
+            ("pretrain", 0), ("pretrain", 1), ("finetune", 0), ("finetune", 1), ("finetune", 2)]
 
     def test_deterministic_given_seed(self):
         corp, queries, qrels, enc_cfg = _toy_training_setup()
@@ -298,6 +335,11 @@ class TestTrainOverdense:
         tcfg = TrainConfig(batch_size=8, finetune_epochs=epochs, seed=0)
         with pytest.raises(ValueError, match="vectors are float64 but the query tower is float32"):
             train_overdense(corp, index.astype(np.float64), tower, queries, qrels, tcfg)
+
+    def test_finetune_without_labeled_queries_rejected(self):
+        corp, queries, qrels, tower, index = self._dense_setup()
+        with pytest.raises(ValueError, match="^finetune: 2 epochs requested but no pairs"):
+            train_overdense(corp, index, tower, queries, {}, TrainConfig(finetune_epochs=2))
 
     def test_finetune_decreases_training_loss(self):
         corp, queries, qrels, tower, index = self._dense_setup()
