@@ -7,8 +7,10 @@ contribution is computed once, at build time. A query adds each distinct
 term's weights into a dense score array and ranks the matched documents
 with retriever.top_order. The dense baseline is a two-tower encoder pair
 (shared weights unless TrainConfig.separate_towers) trained with softmax
-cross-entropy over in-batch negatives; each step encodes the batch's
-distinct positive documents once. It has no retriever of its own:
+cross-entropy over in-batch negatives. Its step is the docid step,
+nn.forward_backward, with the batch's encoded positives as the docid
+matrix; each step encodes the batch's distinct positive documents once.
+It has no retriever of its own:
 retriever.init_overdense turns its encoded corpus into a docid matrix, so
 dense retrieval is DocidRetriever(query tower, init_overdense(index)),
 the model that init-from-dense fine-tuning starts from.
@@ -22,10 +24,10 @@ from itertools import chain
 import numpy as np
 
 from .corpus import Corpus, Query, UNK_ID
-from .nn import Encoder, EncoderConfig, softmax_xent
+from .nn import Encoder, EncoderConfig, forward_backward
 from .nn import adamw_step  # noqa: F401 -- perfbench's traced run shims baselines.adamw_step
 from .pairs import TrainingPair, query_pairs
-from .retriever import RankedList, run_stage, top_order
+from .retriever import RankedList, _check_stage, run_stage, top_order
 from .training import EpochLog, TrainConfig, batches, stage_rng
 
 K1, B = 1.2, 0.75  # Okapi BM25 defaults
@@ -122,21 +124,20 @@ def two_tower_step(
     """Mean in-batch softmax loss of one batch and its gradients, keyed by
     "q." and "d." plus the parameter name; "q." alone when d_enc is q_enc.
 
-    The document tower runs once over the batch's distinct positives, and
-    the score matrix gathers their vectors back into batch order: query i's
-    positive is column i, and any other copy of that document in the batch
-    is one of its negatives. The gradients of a document's copies are summed
-    before its backward pass. cache["q"] and cache["d"] hold each tower's
-    activations until the next step replaces them.
+    This is the docid step, nn.forward_backward, with the batch's document
+    vectors as the docid matrix. The document tower runs once over the
+    batch's distinct positives, and the matrix gathers their vectors back
+    into batch order: query i's positive is column i, and any other copy of
+    that document in the batch is one of its negatives. The gradients of a
+    document's copies are summed before its backward pass. cache["d"] holds
+    the document tower's activations until the next step replaces them.
     """
     docs, slot = np.unique([p.target for p in batch], return_inverse=True)
-    q_vec, cache["q"] = q_enc.forward_batch([p.tokens for p in batch])
     u_vec, cache["d"] = d_enc.forward_batch([corpus.doc(t).tokens for t in docs.tolist()])
-    d_vec = u_vec[slot]
-    loss, dscores = softmax_xent(q_vec @ d_vec.T, np.arange(len(batch)))
-    gq = q_enc.backward_batch(cache["q"], dscores @ d_vec)
+    loss, gq = forward_backward(q_enc, u_vec[slot].T,
+                                [TrainingPair(p.tokens, i, p.task) for i, p in enumerate(batch)])
     d_grad = np.zeros_like(u_vec)
-    np.add.at(d_grad, slot, dscores.T @ q_vec)
+    np.add.at(d_grad, slot, gq.pop("w_doc").T)
     gd = d_enc.backward_batch(cache["d"], d_grad)
     if d_enc is q_enc:
         for k, g in gq.items():
@@ -156,12 +157,16 @@ def train_two_tower(
 
     The towers are one encoder unless cfg.separate_towers. Trains on the
     pairs of pairs.query_pairs for cfg.finetune_epochs (with plateau
-    stopping). A trailing batch of one pair is folded into the previous
-    batch, since a single pair has no in-batch negatives.
+    stopping), each batch one two_tower_step. The pairs pass the stage rule
+    of the docid trainers (every target a docid of the corpus) before the
+    towers are built, and there must be at least 2 of them. A trailing
+    batch of one pair is folded into the previous batch, since a single
+    pair has no in-batch negatives.
     """
     if cfg.batch_size < 2:
         raise ValueError("in-batch negatives need batch_size >= 2")
     pairs = query_pairs(queries, qrels)
+    _check_stage("two_tower", pairs, cfg.finetune_epochs, len(corpus))
     if len(pairs) < 2:
         raise ValueError("two-tower training needs at least 2 labeled queries")
     q_enc = Encoder.init(enc_cfg, np.random.SeedSequence([cfg.seed, 10]))
@@ -179,11 +184,12 @@ def train_two_tower(
             chunks[-2] += chunks.pop()
         return chunks
 
-    # Each tower's activations stay referenced until its next forward pass.
-    # Freeing both towers' at once after every batch lets glibc malloc return
-    # the pages to the OS and fault them back in: 3.8x the page faults and
-    # about 15% slower two-tower training on the dense benchmark workload
-    # (2-core Xeon, one BLAS thread).
+    # The document tower's activations stay referenced until its next forward
+    # pass (the query tower's live inside nn.forward_backward). Freeing them
+    # after every batch lets glibc malloc return the pages to the OS and fault
+    # them back in: on the dense benchmark fixtures of seeds 1-3, a 3-epoch
+    # train_two_tower after a first one in the same process takes 1.7k-10k
+    # minor page faults with the cache and 26k-44k without it.
     cache: dict[str, tuple] = {}
 
     logs = run_stage("two_tower", trainable, epoch_batches,

@@ -229,13 +229,16 @@ def cmd_shard_train(args, cfg, out) -> int:
     for gid, (sub, sub_qrels) in enumerate(distributed.split_corpus(corp, plan, qrels)):
         tcfg = cfg.train_config()
         tcfg.seed = _shard_seed(cfg.seed, gid)
-        if args.strategy == "vanilla":
-            enc, w_doc, logs = train_vanilla(sub, _pretrain_pairs(sub, cfg, tcfg.seed), queries,
-                                             sub_qrels, cfg.encoder_config(len(corp.vocab)), tcfg)
-        else:
-            q_enc, _, index, logs = _train_dense(sub, queries, sub_qrels, cfg, tcfg)
-            enc, w_doc, ft_logs = train_overdense(sub, index, q_enc, queries, sub_qrels, tcfg)
-            logs += ft_logs
+        try:
+            if args.strategy == "vanilla":
+                enc, w_doc, logs = train_vanilla(sub, _pretrain_pairs(sub, cfg, tcfg.seed), queries,
+                                                 sub_qrels, cfg.encoder_config(len(corp.vocab)), tcfg)
+            else:
+                q_enc, _, index, logs = _train_dense(sub, queries, sub_qrels, cfg, tcfg)
+                enc, w_doc, ft_logs = train_overdense(sub, index, q_enc, queries, sub_qrels, tcfg)
+                logs += ft_logs
+        except (ValueError, FloatingPointError) as e:
+            raise type(e)(f"group {gid}: {e}") from e
         trained.append((enc, w_doc, logs))
         log.info("group %d trained on %d documents, %d labeled queries",
                  gid, len(sub), len(sub_qrels))

@@ -74,7 +74,7 @@ FIELDS: dict[str, tuple] = {
     "plateau_patience": (int, _T.plateau_patience, _nonneg,
                          "epochs without improvement before stop (0 = never stop)"),
     "plateau_min_delta": (float, _T.plateau_min_delta, _nonneg, "loss improvement threshold"),
-    "seed": (int, _T.seed, None, "master random seed"),
+    "seed": (int, _T.seed, _nonneg, "master random seed"),
     "n_groups": (int, 4, _pos, "shard count"),
     "per_group_k": (int, 100, _pos, "per-shard retrieval depth"),
     "merge_mode": (str, "raw", lambda s: s in ("raw", "zscore"), "shard merge mode"),

@@ -276,7 +276,18 @@ class TestTwoTower:
         monkeypatch.setattr(Encoder, "forward_batch", counting)
         train_two_tower(corp, queries[:8], qrels, cfg,
                         TrainConfig(batch_size=8, finetune_epochs=1, seed=0))
-        assert seen == [8, 1]  # the queries, then their one distinct positive
+        assert seen == [1, 8]  # the one distinct positive, then the queries
+
+    @pytest.mark.parametrize("target", [-1, 16])  # _two_tower_data has 16 documents
+    def test_target_outside_the_corpus_rejected_before_any_encoding(self, monkeypatch, target):
+        corp, queries, qrels, cfg = _two_tower_data()
+        qrels = {**qrels, queries[3].qid: target}
+        seen = []
+        monkeypatch.setattr(Encoder, "forward_batch", lambda self, seqs, need_cache=True: seen.append(seqs))
+        with pytest.raises(ValueError, match=rf"^two_tower: pair targets docid {target} "
+                                             rf"outside corpus of size {len(corp)}$"):
+            train_two_tower(corp, queries, qrels, cfg, TrainConfig(batch_size=8, finetune_epochs=1, seed=0))
+        assert seen == []
 
     @pytest.mark.parametrize("separate", [False, True])
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)

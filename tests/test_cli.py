@@ -209,6 +209,25 @@ def test_shard_train_that_fails_writes_nothing(workspace, tmp_path, capsys):
     assert list(shards_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("strategy, error", [
+    ("overdense", "group 0: two-tower training needs at least 2 labeled queries"),
+    ("vanilla", "group 1: finetune: 3 epochs requested but no pairs were provided"),
+])
+def test_shard_train_error_names_the_failing_group(workspace, tmp_path, capsys, strategy, error):
+    # 3 labeled queries over 4 groups leave some groups without enough of them
+    qrels = tmp_path / "qrels.tsv"
+    lines = (workspace["data"] / "train_qrels.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    qrels.write_text("".join(lines[:3]), encoding="utf-8")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TINY_CFG.replace("n_groups = 2", "n_groups = 4"))
+    shards_dir = tmp_path / "shards"
+    assert run_cli("shard-train", "--corpus-dir", workspace["corpus"],
+                   "--queries", workspace["data"] / "train_queries.tsv", "--qrels", qrels,
+                   "--strategy", strategy, "--out-dir", shards_dir, "--config", cfg) == 1
+    assert f"error: {error}\n" in capsys.readouterr().err
+    assert list(shards_dir.iterdir()) == []
+
+
 def test_gradcheck_command(capsys):
     assert run_cli("gradcheck", "--coords", 2) == 0
     out = capsys.readouterr().out

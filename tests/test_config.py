@@ -51,7 +51,8 @@ def test_input_paths_are_flags_not_config_keys(tmp_path, key):
     ("d_model", "abc", "'abc'"),
     ("lr", "fast", "'fast'"),
     ("freeze_encoder", "maybe", "'maybe'"),
-], ids=["range", "int", "float", "bool"])
+    ("seed", "-1", "-1"),
+], ids=["range", "int", "float", "bool", "seed"])
 def test_invalid_value_rejected(key, value, shown):
     with pytest.raises(ValueError, match=f"^config key '{key}' has invalid value {shown}$"):
         ExperimentConfig({key: value})

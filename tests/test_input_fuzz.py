@@ -199,16 +199,21 @@ def test_field_fuzz(ws, capsys, name):
 
 def test_config_fuzz(ws, capsys, tmp_path):
     path = tmp_path / "full.cfg"
-    argv = ("retrieve", "--corpus-dir", ws["corpus"], "--queries", ws["data"] / "train_queries.tsv",
-            "--method", "bm25", "--out-dir", ws["ws"] / "out", "--config", path)
+    tail = ("--out-dir", ws["ws"] / "out", "--config", path)
+    commands = {  # pairs also passes the seed to numpy's SeedSequence
+        "retrieve": ("retrieve", "--corpus-dir", ws["corpus"], "--queries", ws["data"] / "train_queries.tsv",
+                     "--method", "bm25", *tail),
+        "pairs": ("pairs", "--corpus-dir", ws["corpus"], *tail),
+    }
     broken = []
     for key in FIELDS:
         for value_name, value in BAD_COLUMN.items():
             # every key at its default but this one
             path.write_bytes(b"".join(k.encode() + b" = " + (value if k == key else str(v[1]).encode()) + b"\n"
                                       for k, v in FIELDS.items()))
-            code, err = _run(argv, capsys)
-            why = _check(code, err, path, False, key)
-            if why:
-                broken.append(f"{key}={value_name}: {why}")
+            for name, argv in commands.items():
+                code, err = _run(argv, capsys)
+                why = _check(code, err, path, False, key)
+                if why:
+                    broken.append(f"{name} {key}={value_name}: {why}")
     assert not broken, "\n".join(broken)
