@@ -12,7 +12,7 @@ nn.forward_backward, with the batch's encoded positives as the docid
 matrix; each step encodes the batch's distinct positive documents once.
 It has no retriever of its own:
 retriever.init_overdense turns its encoded corpus into a docid matrix, so
-dense retrieval is DocidRetriever(query tower, init_overdense(index)),
+dense retrieval is DocidRetriever(query tower, init_overdense(index, n_docs)),
 the model that init-from-dense fine-tuning starts from.
 """
 

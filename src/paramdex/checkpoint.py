@@ -117,6 +117,9 @@ def load_model(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray], 
         )
     except ValueError as e:
         raise ValueError(f"{path}: bad header: {e}") from None
+    # the checksum does not cover the header: bound n_layers before walking its layout
+    if 16 * n_layers * d_model * d_model > len(payload):  # 4 float32 d_model x d_model per layer
+        raise ValueError(f"{path}: payload size does not match header")
     at_1, at_2 = (sum(math.prod(shape) for _, shape in _payload_layout(replace(cfg, d_ff=f)))
                   for f in (1, 2))
     extra, rest = divmod(len(payload) - 4 * (at_1 + d_model * n_docs), 4 * (at_2 - at_1))

@@ -105,11 +105,8 @@ def _train_dense(corp, queries, qrels, cfg: ExperimentConfig, tcfg):
 
 
 def cmd_synth(args, cfg, out) -> int:
-    paths = synth_generate(
-        out, n_docs=args.docs, n_topics=args.topics,
-        n_train=args.train_queries, n_heldout=args.heldout_queries,
-        doc_len=(args.doc_len_min, args.doc_len_max), seed=cfg.seed,
-    )
+    paths = synth_generate(out, n_docs=args.docs, n_train=args.train_queries,
+                           n_heldout=args.heldout_queries, seed=cfg.seed)
     _meta(paths["docs"], cfg, "synth", n_docs=args.docs)
     return _done(*paths.values())
 
@@ -320,16 +317,17 @@ def cmd_diag_scores(args, cfg, out) -> int:
 
 
 def cmd_gradcheck(args, cfg, out) -> int:
-    enc_cfg = cfg.encoder_config(args.vocab)
+    # fixed probe: 32-token vocabulary, 8 docids, a batch of 6, step 1e-4
+    enc_cfg, n_docs, threshold = cfg.encoder_config(32), 8, 1e-4
     rng = np.random.default_rng(cfg.seed)
     enc = Encoder.init(enc_cfg, rng, dtype=np.float64)
-    w_doc = rng.normal(0.0, 0.02, size=(enc_cfg.d_model, args.docs))
+    w_doc = rng.normal(0.0, 0.02, size=(enc_cfg.d_model, n_docs))
     batch = [
         TrainingPair(
             list(rng.integers(3, enc_cfg.vocab_size, size=int(rng.integers(2, 16)))),
-            int(rng.integers(0, args.docs)), "terms",
+            int(rng.integers(0, n_docs)), "terms",
         )
-        for _ in range(args.batch)
+        for _ in range(6)
     ]
     params = dict(enc.params, w_doc=w_doc)
 
@@ -339,13 +337,13 @@ def cmd_gradcheck(args, cfg, out) -> int:
         )
 
     worst, per_param = finite_diff_check(
-        loss_and_grad, params, eps=args.eps,
+        loss_and_grad, params, eps=1e-4,
         max_coords_per_param=args.coords, rng=np.random.default_rng(cfg.seed + 1),
     )
     for name in sorted(per_param, key=per_param.get, reverse=True):
         print(f"{name:24s} {per_param[name]:.3e}")
-    print(f"max relative error: {worst:.3e} (threshold {args.threshold:g})")
-    return 0 if worst < args.threshold else 1
+    print(f"max relative error: {worst:.3e} (threshold {threshold:g})")
+    return 0 if worst < threshold else 1
 
 
 def _command(sub, name: str, func, help: str, *required: str) -> argparse.ArgumentParser:
@@ -368,11 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _command(sub, "synth", cmd_synth, "generate a synthetic corpus with queries and qrels")
     sp.add_argument("--docs", type=int, default=1000)
-    sp.add_argument("--topics", type=int, default=None)
     sp.add_argument("--train-queries", type=int, default=None)
     sp.add_argument("--heldout-queries", type=int, default=None)
-    sp.add_argument("--doc-len-min", type=int, default=40)
-    sp.add_argument("--doc-len-max", type=int, default=80)
 
     _command(sub, "ingest", cmd_ingest, "tokenize a JSONL document file into a corpus directory",
              "--docs")
@@ -417,12 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--runs-dir", required=True, help="directory with group*.run files")
 
     sp = _command(sub, "gradcheck", cmd_gradcheck, "finite-difference check of the analytic gradients")
-    sp.add_argument("--vocab", type=int, default=32)
-    sp.add_argument("--docs", type=int, default=8)
-    sp.add_argument("--batch", type=int, default=6)
-    sp.add_argument("--eps", type=float, default=1e-4)
     sp.add_argument("--coords", type=int, default=4)
-    sp.add_argument("--threshold", type=float, default=1e-4)
 
     for sp in sub.choices.values():
         sp.add_argument("--config", help="experiment config file (key = value lines)")

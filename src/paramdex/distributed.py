@@ -36,24 +36,33 @@ class ShardRun:
     ranked: RankedList  # global docids, raw logit scores
 
 
-def partition(n_docs: int, g: int, seed: int = 0) -> ShardPlan:
-    """Uniform random assignment of documents to g groups, sizes within 1."""
+def _plan(where: str, n_docs: int, g: int, seed: int, owners) -> ShardPlan:
+    """The plan that puts document d in group owners()[d]. A g outside
+    [1, n_docs] is rejected before owners is called, and every group must
+    have a document; errors start with where."""
     if g <= 0:
-        raise ValueError("group count must be positive")
+        raise ValueError(f"{where}: group count must be positive")
     if g > n_docs:
-        raise ValueError(f"cannot split {n_docs} documents into {g} groups")
-    perm = np.random.default_rng(seed).permutation(n_docs)
-    base, extra = divmod(n_docs, g)
-    groups: list[np.ndarray] = []
-    group_of = np.empty(n_docs, dtype=np.int64)
-    off = 0
-    for i in range(g):
-        size = base + (1 if i < extra else 0)
-        members = np.sort(perm[off : off + size])
-        groups.append(members)
-        group_of[members] = i
-        off += size
+        raise ValueError(f"{where}: cannot split {n_docs} documents into {g} groups")
+    group_of = owners()
+    sizes = np.bincount(group_of, minlength=g)
+    if not sizes.all():
+        raise ValueError(f"{where}: group {int(np.argmin(sizes))} has no documents")
+    # a stable sort keeps each group's docids ascending
+    groups = np.split(np.argsort(group_of, kind="stable"), np.cumsum(sizes)[:-1])
     return ShardPlan(g, seed, group_of, groups)
+
+
+def partition(n_docs: int, g: int, seed: int = 0) -> ShardPlan:
+    """Uniform random assignment of documents to g groups, sizes within 1:
+    a seeded permutation cut into g runs, the first n_docs % g one longer."""
+    def owners() -> np.ndarray:
+        base, extra = divmod(n_docs, g)
+        group_of = np.empty(n_docs, dtype=np.int64)
+        perm = np.random.default_rng(seed).permutation(n_docs)
+        group_of[perm] = np.repeat(np.arange(g), base + (np.arange(g) < extra))
+        return group_of
+    return _plan("n_groups", n_docs, g, seed, owners)
 
 
 def split_corpus(
@@ -185,25 +194,24 @@ def read_manifest(path: str | Path, corpus: Corpus) -> ShardPlan:
         g, seed = int(fields["g"]), int(fields["seed"])
     except (KeyError, ValueError):
         raise ValueError(f"{where}: expected the header '# g=<g> seed=<seed>'") from None
-    owner = [-1] * len(corpus)  # a list: numpy scalar indexing costs more per line
-    for where, line in lines:
-        gid_s, _, ext = line.strip().partition("\t")
-        if not gid_s.removeprefix("-").isdecimal() or not ext or "\t" in ext:
-            raise ValueError(f"{where}: expected 'gid<TAB>docid', got {line!r}")
-        gid = int(gid_s)
-        doc = corpus.by_external.get(ext)
-        if doc is None:
-            raise ValueError(f"{where}: unknown docid '{ext}'")
-        if not 0 <= gid < g:
-            raise ValueError(f"{where}: group id {gid} outside [0, {g})")
-        if owner[doc] >= 0:
-            raise ValueError(f"{where}: docid '{ext}' is already in group {owner[doc]}")
-        owner[doc] = gid
-    group_of = np.array(owner, dtype=np.int64)
-    if (group_of < 0).any():
-        raise ValueError(f"{path}: manifest does not cover the corpus")
-    groups = [np.flatnonzero(group_of == gid) for gid in range(g)]
-    empty = [gid for gid, members in enumerate(groups) if members.size == 0]
-    if empty:
-        raise ValueError(f"{path}: group {empty[0]} has no documents")
-    return ShardPlan(g, seed, group_of, groups)
+
+    def owners() -> np.ndarray:
+        owner = [-1] * len(corpus)  # a list: numpy scalar indexing costs more per line
+        for at, line in lines:
+            gid_s, _, ext = line.strip().partition("\t")
+            if not gid_s.removeprefix("-").isdecimal() or not ext or "\t" in ext:
+                raise ValueError(f"{at}: expected 'gid<TAB>docid', got {line!r}")
+            gid = int(gid_s)
+            doc = corpus.by_external.get(ext)
+            if doc is None:
+                raise ValueError(f"{at}: unknown docid '{ext}'")
+            if not 0 <= gid < g:
+                raise ValueError(f"{at}: group id {gid} outside [0, {g})")
+            if owner[doc] >= 0:
+                raise ValueError(f"{at}: docid '{ext}' is already in group {owner[doc]}")
+            owner[doc] = gid
+        group_of = np.array(owner, dtype=np.int64)
+        if (group_of < 0).any():
+            raise ValueError(f"{path}: manifest does not cover the corpus")
+        return group_of
+    return _plan(where, len(corpus), g, seed, owners)

@@ -99,12 +99,12 @@ def top_k(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, logits[order]
 
 
-def init_overdense(dense_index: np.ndarray, n_docs: int | None = None) -> np.ndarray:
+def init_overdense(dense_index: np.ndarray, n_docs: int) -> np.ndarray:
     """Docid matrix whose column i is document i's dense vector: always a new
     array, so training it never changes dense_index."""
     if dense_index.ndim != 2:
         raise ValueError("dense index must be 2-d (n_docs x d_model)")
-    if n_docs is not None and dense_index.shape[0] != n_docs:
+    if dense_index.shape[0] != n_docs:
         raise ValueError(
             f"dense index has {dense_index.shape[0]} rows but the corpus has {n_docs} documents"
         )

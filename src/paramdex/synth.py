@@ -31,6 +31,7 @@ TOPIC_VOCAB = 30  # words in each topic's pool
 N_COMMON = 20  # topic-free filler words
 COMMON_FRAC = 0.1  # chance that a document token is a filler word
 CONCENTRATION = 8.0  # Dirichlet concentration of a document's topic-word weights
+DOC_LEN = (40, 80)  # inclusive range of a document's token count
 
 
 def _topic_word(t: int, j: int) -> str:
@@ -41,7 +42,6 @@ def generate(
     out_dir: str | Path,
     n_docs: int = 1000,
     n_topics: int | None = None,
-    doc_len: tuple[int, int] = (40, 80),
     query_len: tuple[int, int] = (4, 8),
     query_distractors: tuple[int, int] = (1, 2),
     distractor_head: int = 5,
@@ -52,13 +52,17 @@ def generate(
     """Write docs.jsonl, {train,heldout}_queries.tsv and matching qrels.
 
     Returns the paths keyed by artifact name. Deterministic for a given
-    seed and parameter set.
+    seed and parameter set. Bad counts raise ValueError before any file is
+    written.
     """
     if n_docs < 2:
         raise ValueError("n_docs must be >= 2")
     n_topics = n_topics if n_topics is not None else max(4, n_docs // 50)
     n_train = n_train if n_train is not None else n_docs // 2
     n_heldout = n_heldout if n_heldout is not None else n_docs // 5
+    for name, count, least in (("n_topics", n_topics, 1), ("n_train", n_train, 0), ("n_heldout", n_heldout, 0)):
+        if count < least:
+            raise ValueError(f"{name} must be >= {least}")
     if n_train + n_heldout > n_docs:
         raise ValueError("n_train + n_heldout cannot exceed n_docs")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
@@ -73,7 +77,7 @@ def generate(
     for i in range(n_docs):
         topic = i % n_topics
         theta = rng.dirichlet(CONCENTRATION * base)
-        length = int(rng.integers(doc_len[0], doc_len[1] + 1))
+        length = int(rng.integers(DOC_LEN[0], DOC_LEN[1] + 1))
         words = []
         counts: dict[str, int] = {}
         for _ in range(length):

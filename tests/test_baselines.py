@@ -398,7 +398,7 @@ class TestDenseRetrieve:
         index[1, 1] = 1.0
         q = Query("q", [3, 4])
         v = enc.encode(q.tokens)
-        out = DocidRetriever(enc, init_overdense(index)).retrieve(q, 2)
+        out = DocidRetriever(enc, init_overdense(index, 2)).retrieve(q, 2)
         expected_first = 0 if v[0] >= v[1] else 1
         assert out.items[0][0] == expected_first
 
@@ -406,7 +406,7 @@ class TestDenseRetrieve:
         corp, queries, _, cfg = _two_tower_data()
         enc = Encoder.init(cfg, 4)
         index = np.random.default_rng(5).normal(size=(len(corp), cfg.d_model)).astype(np.float32)
-        r = DocidRetriever(enc, init_overdense(index))
+        r = DocidRetriever(enc, init_overdense(index, len(corp)))
         for q in queries[:5]:
             v = enc.encode(q.tokens)
             got = dict(r.retrieve(q, len(corp)).items)
@@ -419,4 +419,4 @@ class TestDenseRetrieve:
         enc = Encoder.init(cfg, 0)
         index = np.zeros((len(corp), cfg.d_model), dtype=np.float32)
         with pytest.raises(ValueError):
-            DocidRetriever(enc, init_overdense(index)).retrieve(queries[0], 0)
+            DocidRetriever(enc, init_overdense(index, len(corp))).retrieve(queries[0], 0)

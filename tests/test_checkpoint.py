@@ -121,6 +121,28 @@ def test_header_that_disagrees_with_the_payload_rejected(tmp_path, field, value)
         load_model(path)
 
 
+def test_huge_layer_count_rejected_before_walking_the_layout(tmp_path, monkeypatch):
+    # a real 2-layer checkpoint whose header claims 2**32 - 1 layers: the size
+    # check must come before the layout walk, which here refuses such a header
+    # (param_shapes builds every layer's entries before the first is yielded)
+    path = tmp_path / "model.ckpt"
+    save_model(path, CFG, Encoder.init(CFG, seed=12).params, np.ones((16, 7), dtype=np.float32))
+    raw = path.read_bytes()
+    magic, version, d_model, _, *rest = checkpoint._HEADER.unpack_from(raw)
+    path.write_bytes(checkpoint._HEADER.pack(magic, version, d_model, 2**32 - 1, *rest)
+                     + raw[checkpoint._HEADER.size :])
+    layout = checkpoint._payload_layout
+
+    def bounded_layout(cfg):
+        if cfg.n_layers > CFG.n_layers:
+            raise AssertionError(f"walked the layout of {cfg.n_layers} layers")
+        return layout(cfg)
+
+    monkeypatch.setattr(checkpoint, "_payload_layout", bounded_layout)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: payload size does not match header")):
+        load_model(path)
+
+
 def test_payload_of_partial_floats_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     save_model(path, CFG, Encoder.init(CFG, seed=11).params)

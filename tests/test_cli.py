@@ -530,29 +530,31 @@ def test_train_overdense_rejects_dense_model_for_other_data(workspace, tmp_path,
     assert not (tmp_path / "od" / "model.ckpt").exists()
 
 
-# every subcommand and its required flags, in parser order
+# every subcommand's required flags, then its optional ones, in parser order;
+# each also takes -h/--help before them and COMMON after them
 _CQQ = ("--corpus-dir", "--queries", "--qrels")
-REQUIRED = {
-    "synth": (),
-    "ingest": ("--docs",),
-    "subset": ("--corpus-dir", "--qrels", "--strategy", "--size"),
-    "pairs": ("--corpus-dir",),
-    "train-dense": _CQQ,
-    "train-vanilla": _CQQ,
-    "train-overdense": (*_CQQ, "--dense-dir"),
-    "retrieve": ("--corpus-dir", "--queries"),
-    "eval": ("--run", "--qrels"),
-    "shard-train": _CQQ,
-    "shard-merge": ("--shards-dir", "--corpus-dir", "--queries"),
-    "diag-scores": ("--runs-dir",),
-    "gradcheck": (),
+COMMON = ("--config", "--seed", "--out-dir")
+FLAGS = {
+    "synth": ((), ("--docs", "--train-queries", "--heldout-queries")),
+    "ingest": (("--docs",), ()),
+    "subset": (("--corpus-dir", "--qrels", "--strategy", "--size"), ()),
+    "pairs": (("--corpus-dir",), ()),
+    "train-dense": (_CQQ, ()),
+    "train-vanilla": (_CQQ, ("--pairs", "--skip-pretrain", "--skip-finetune")),
+    "train-overdense": ((*_CQQ, "--dense-dir"), ("--skip-finetune",)),
+    "retrieve": (("--corpus-dir", "--queries"), ("--model", "--method", "--run")),
+    "eval": (("--run", "--qrels"), ()),
+    "shard-train": (_CQQ, ("--strategy",)),
+    "shard-merge": (("--shards-dir", "--corpus-dir", "--queries"), ()),
+    "diag-scores": (("--runs-dir",), ()),
+    "gradcheck": ((), ("--coords",)),
 }
 _VALUE = {"--strategy": "random", "--size": "5"}  # every other flag takes a path
 
 
 def _required_argv(command, leave_out=None) -> list[str]:
     argv = [command]
-    for flag in REQUIRED[command]:
+    for flag in FLAGS[command][0]:
         if flag != leave_out:
             argv += [flag, _VALUE.get(flag, "x")]
     return argv
@@ -561,14 +563,18 @@ def _required_argv(command, leave_out=None) -> list[str]:
 def test_parser_table_lists_every_subcommand():
     ap = build_parser()
     sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(REQUIRED)
-    for command in REQUIRED:
+    assert set(sub.choices) == set(FLAGS)
+    for command, (required, optional) in FLAGS.items():
+        actions = sub.choices[command]._actions
+        assert [flag for a in actions for flag in a.option_strings] == [
+            "-h", "--help", *required, *optional, *COMMON]
+        assert [a.option_strings[0] for a in actions if a.required] == list(required)
         args = ap.parse_args(_required_argv(command))
         assert args.command == command
         assert (args.config, args.seed, args.out_dir) == (None, None, ".")
 
 
-@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in REQUIRED.items() for f in flags])
+@pytest.mark.parametrize("command,flag", [(c, f) for c, (required, _) in FLAGS.items() for f in required])
 def test_missing_required_flag_exits_2(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(*_required_argv(command, leave_out=flag))
@@ -576,7 +582,7 @@ def test_missing_required_flag_exits_2(command, flag, capsys):
     assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", sorted(REQUIRED))
+@pytest.mark.parametrize("command", sorted(FLAGS))
 def test_help_exits_0(command, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(command, "--help")

@@ -40,6 +40,24 @@ class TestPartition:
         with pytest.raises(ValueError, match="positive"):
             partition(10, 0)
 
+    @pytest.mark.parametrize("n_docs", [1, 2, 7, 10, 37])
+    def test_groups_are_runs_of_the_seeded_permutation(self, n_docs):
+        # oracle: cut the permutation into g runs, the first n_docs % g one longer
+        for g in range(1, n_docs + 1):
+            for seed in (0, 5):
+                perm = np.random.default_rng(seed).permutation(n_docs)
+                base, extra = divmod(n_docs, g)
+                bounds = np.cumsum([0] + [base + (i < extra) for i in range(g)])
+                plan = partition(n_docs, g, seed)
+                for gid in range(g):
+                    members = np.sort(perm[bounds[gid] : bounds[gid + 1]])
+                    assert np.array_equal(plan.groups[gid], members)
+                    assert np.all(plan.group_of[members] == gid)
+
+    def test_more_groups_than_documents(self):
+        with pytest.raises(ValueError, match="cannot split 3 documents into 4 groups"):
+            partition(3, 4)
+
     def test_is_a_bijection(self):
         plan = partition(37, 5, seed=1)
         seen = np.concatenate(plan.groups)
@@ -308,6 +326,13 @@ def test_manifest_docid_in_two_groups_rejected(tmp_path):
     path, corp = _edited_manifest(tmp_path, lambda lines: [*lines, "1\t" + lines[1].split("\t")[1]])
     first = path.read_text().splitlines()[1].split("\t")[1]
     with pytest.raises(ValueError, match=rf"line 12: docid '{first}' is already in group 0"):
+        read_manifest(path, corp)
+
+
+def test_manifest_group_count_above_the_corpus_size_rejected_at_the_header(tmp_path):
+    # 10**6 groups for 10 documents: rejected before any per-group work
+    path, corp = _edited_manifest(tmp_path, lambda lines: ["# g=1000000 seed=0", *lines[1:]])
+    with pytest.raises(ValueError, match=r"shards.tsv line 1: cannot split 10 documents into 1000000 groups"):
         read_manifest(path, corp)
 
 

@@ -187,6 +187,10 @@ class TestInitOverdense:
         with pytest.raises(ValueError, match="documents"):
             init_overdense(np.zeros((5, 4)), 6)
 
+    def test_document_count_is_required(self):
+        with pytest.raises(TypeError):
+            init_overdense(np.zeros((5, 4)))
+
     def test_dimension_checked_at_model_construction(self):
         cfg = EncoderConfig(vocab_size=10, d_model=16, n_layers=1, n_heads=2, d_ff=16, max_len=8)
         enc = Encoder.init(cfg, 0)
@@ -317,7 +321,7 @@ class TestTrainOverdense:
         model = DocidRetriever(enc, w_doc)
         for q in queries:
             v = tower.encode(q.tokens)
-            expected = as_pairs(*top_k(v @ init_overdense(index), 5))
+            expected = as_pairs(*top_k(v @ init_overdense(index, len(corp)), 5))
             assert model.retrieve(q, 5).items == expected
 
     @pytest.mark.parametrize("epochs", [0, 2])
@@ -355,7 +359,7 @@ class TestTrainOverdense:
         enc, w_doc, _ = train_overdense(corp, index, tower, queries, qrels, tcfg)
         for k in before:
             assert np.array_equal(enc.params[k], before[k])
-        assert not np.array_equal(w_doc, init_overdense(index))
+        assert not np.array_equal(w_doc, init_overdense(index, len(corp)))
 
     def test_does_not_mutate_the_given_tower(self):
         corp, queries, qrels, tower, index = self._dense_setup()
@@ -370,7 +374,7 @@ class TestTrainOverdense:
         # w_doc.T, a transposed view whose .T is the caller's own array;
         # fine-tuning must train a copy of it
         corp, queries, qrels, tower, index = self._dense_setup()
-        w = init_overdense(index)
+        w = init_overdense(index, len(corp))
         before = w.copy()
         tcfg = TrainConfig(lr=3e-3, batch_size=8, finetune_epochs=2, seed=0)
         _, w_doc, _ = train_overdense(corp, w.T, tower, queries, qrels, tcfg)

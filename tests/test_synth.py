@@ -61,6 +61,17 @@ def test_too_many_queries_rejected(tmp_path):
         generate(tmp_path, n_docs=10, n_train=8, n_heldout=5)
 
 
+@pytest.mark.parametrize("arg, value, message", [
+    ("n_topics", 0, "n_topics must be >= 1"),
+    ("n_train", -5, "n_train must be >= 0"),
+    ("n_heldout", -3, "n_heldout must be >= 0"),
+])
+def test_bad_count_rejected_before_any_file_is_written(tmp_path, arg, value, message):
+    with pytest.raises(ValueError, match=message):
+        generate(tmp_path / "out", n_docs=20, **{arg: value})
+    assert not (tmp_path / "out").exists()
+
+
 def test_clicks_are_heavy_tailed_nonnegative(tmp_path):
     paths = generate(tmp_path, n_docs=200, seed=3)
     with open(paths["docs"]) as f:
