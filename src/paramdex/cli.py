@@ -8,15 +8,17 @@ same inputs, config and seed reproduce artifacts byte for byte.
 main resolves the config once: the --config file overlaid with --seed, and
 with --skip-pretrain / --skip-finetune as pretrain_epochs = 0 /
 finetune_epochs = 0, so the sidecar hash records an ablation. It creates
---out-dir and passes both to the subcommand's handler. A pipeline step that
-several subcommands run has one helper: _pretrain_pairs (pairs,
-shard-train), _train_dense (train-dense, shard-train --strategy overdense)
-and _load_retriever (retrieve, train-overdense, shard-merge).
+--out-dir and passes both to the subcommand's handler. When the command
+fails, main removes the directories it made that are still empty. A
+pipeline step that several subcommands run has one helper: _pretrain_pairs
+(pairs, shard-train), _train_dense (train-dense, shard-train --strategy
+overdense) and _load_retriever (retrieve, train-overdense, shard-merge).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import re
 import sys
@@ -105,6 +107,10 @@ def _train_dense(corp, queries, qrels, cfg: ExperimentConfig, tcfg):
 
 
 def cmd_synth(args, cfg, out) -> int:
+    for flag, count, least in (("--docs", args.docs, 2), ("--train-queries", args.train_queries, 0),
+                               ("--heldout-queries", args.heldout_queries, 0)):
+        if count is not None and count < least:
+            raise ValueError(f"synth {flag} must be >= {least}")
     paths = synth_generate(out, n_docs=args.docs, n_train=args.train_queries,
                            n_heldout=args.heldout_queries, seed=cfg.seed)
     _meta(paths["docs"], cfg, "synth", n_docs=args.docs)
@@ -433,14 +439,22 @@ def main(argv=None) -> int:
         overrides["pretrain_epochs"] = 0
     if getattr(args, "skip_finetune", False):
         overrides["finetune_epochs"] = 0
+    made: list[Path] = []
     try:
         cfg = load_config(args.config, overrides)
         out = Path(args.out_dir)
+        made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, cfg, out)
+        status = args.func(args, cfg, out)
     except (ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        status = 1
+    if status:
+        # a failed run leaves behind no empty directory that it made, deepest first
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+    return status
 
 
 if __name__ == "__main__":

@@ -8,21 +8,25 @@ name -> array dict whose names, shapes and canonical order are given by
 param_shapes(). Attention has no key bias: it would add one constant to
 all of a query's scores, which the softmax cancels.
 
-Batches run in length groups. Padding is masked out of attention, so each
-sequence's encoding is independent of its batch neighbors, and
-Encoder.forward_batch can cut a batch into sub-batches of similar length
-(power-of-two buckets of the clipped length) without changing the math.
-Each group is padded only to its own longest member, so a batch that mixes
-128-token passages with 3-token n-grams no longer pays matmul and
-attention work for the padding. Results differ from one padded batch only
-by float rounding.
+Batches run in length groups, stacked in one array. Padding is masked out
+of attention, so each sequence's encoding is independent of its batch
+neighbors, and Encoder.forward_batch can cut a batch into groups of
+similar length (power-of-two buckets of the clipped length) without
+changing the math. Each group is padded only to its own longest member, so
+a batch that mixes 128-token passages with 3-token n-grams pays no matmul
+or attention work for the padding. The groups' rows lie back to back in
+one (R, d_model) array: the layer norms, the Q/K/V/O projections, the FFN
+and their backward passes run once over all R rows, and each weight
+gradient is one product over them. Only the attention softmax and its two
+batched products run per group, on a (b, n_heads, n, d_head) view of the
+group's rows. Results differ from one padded batch only by float rounding.
 
-Only the CLS row is pooled, so the last layer runs for that row alone: its
-layer norm, keys and values cover every position, while its queries,
-attention output, FFN and the final layer norm run for row 0 only. Earlier
-layers run every position, since the last layer's keys and values need
-them. The backward pass mirrors this, so no gradient is pushed back through
-rows that feed no output.
+Only the CLS row is pooled, so the last layer runs for those rows alone:
+its layer norm, keys and values cover every position, while its queries,
+attention output, FFN and the final layer norm run on the B CLS rows,
+gathered from the stack. Earlier layers run every position, since the last
+layer's keys and values need them. The backward pass mirrors this, so no
+gradient is pushed back through rows that feed no output.
 
 Each layer's cache holds the GELU derivative, computed with the
 activation from the same tanh, in place of the GELU input. The elementwise
@@ -92,7 +96,8 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
 def _gelu(x: np.ndarray, need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """tanh-approximated GELU of x, and with need_grad its derivative (else None).
 
-    One tanh serves both. In the operation order of
+    x is overwritten: it serves as scratch space, so pass an array that
+    nothing else reads. One tanh serves both results. In the operation order of
         h  = 0.5 * x * (1 + tanh(K * (x + C * x * x * x)))
         h' = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * K * (1 + 3 * C * x * x)
     with t that tanh, so results are bit-identical to those expressions.
@@ -103,20 +108,24 @@ def _gelu(x: np.ndarray, need_grad: bool) -> tuple[np.ndarray, np.ndarray | None
     t += x
     t *= _GELU_K
     np.tanh(t, out=t)
-    half_x = 0.5 * x
-    h = t + 1.0
-    grad = np.multiply(h, 0.5) if need_grad else None
-    h *= half_x
     if need_grad:
-        t *= t
-        np.subtract(1.0, t, out=t)
-        half_x *= t
-        half_x *= _GELU_K
-        np.multiply(x, 3.0 * _GELU_C, out=t)
-        t *= x
+        poly = np.multiply(x, 3.0 * _GELU_C)
+        poly *= x
+        poly += 1.0
+    x *= 0.5  # from here on x holds 0.5 * x
+    if not need_grad:
         t += 1.0
-        half_x *= t
-        grad += half_x
+        t *= x
+        return t, None
+    h = t + 1.0
+    t *= t
+    np.subtract(1.0, t, out=t)
+    t *= x
+    t *= _GELU_K
+    t *= poly
+    grad = np.multiply(h, 0.5, out=poly)
+    grad += t
+    h *= x
     return h, grad
 
 
@@ -179,21 +188,59 @@ def _attention_softmax_backward(att: np.ndarray, datt: np.ndarray, scale: float)
     return datt
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    b, n, d = x.shape
-    return x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, n, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
+def _split_heads(x: np.ndarray, b: int, n_heads: int) -> np.ndarray:
+    """The rows of b equal-length sequences, (b * n, d), as a (b, n_heads, n, d / n_heads) view."""
+    return x.reshape(b, -1, n_heads, x.shape[-1] // n_heads).transpose(0, 2, 1, 3)
 
 
 def _linear_backward(x, dy, w):
-    """y = x @ w + b with x (..., in): returns (dx, dw, db)."""
-    x2 = x.reshape(-1, x.shape[-1])
-    dy2 = dy.reshape(-1, dy.shape[-1])
-    return dy @ w.T, x2.T @ dy2, dy2.sum(axis=0)
+    """y = x @ w + b over the rows of x: returns (dx, dw, db)."""
+    return dy @ w.T, x.T @ dy, np.add.reduce(dy, axis=0)
+
+
+def _attention(q, k, v, groups, last: bool, n_heads: int):
+    """Masked multi-head attention over the stacked rows of length groups.
+
+    k and v have a row for every position; q has one too, or with last only
+    each sequence's CLS row. Each group attends over its own rows, viewed
+    as (b, n_heads, n, d_head). Returns the context rows, shaped like q, and
+    each group's (qh, kh, vh, att) for _attention_backward.
+    """
+    scale = 1.0 / math.sqrt(q.shape[1] // n_heads)
+    c = np.empty_like(q)
+    per_group = []
+    for b, _, rows, cls_rows, mask in groups:
+        qrows = cls_rows if last else rows
+        qh = _split_heads(q[qrows], b, n_heads)
+        kh = _split_heads(k[rows], b, n_heads)
+        vh = _split_heads(v[rows], b, n_heads)
+        att = _attention_softmax(qh @ kh.transpose(0, 1, 3, 2), scale, mask)
+        np.matmul(att, vh, out=_split_heads(c[qrows], b, n_heads))
+        per_group.append((qh, kh, vh, att))
+    return c, per_group
+
+
+def _attention_backward(dc, per_group, groups, last: bool, n_rows: int, n_heads: int):
+    """(dq, dk, dv) of _attention given dc, the gradient at its context rows."""
+    scale = 1.0 / math.sqrt(dc.shape[1] // n_heads)
+    dq = np.empty_like(dc)
+    dk = np.empty((n_rows, dc.shape[1]), dtype=dc.dtype)
+    dv = np.empty_like(dk)
+    for (b, _, rows, cls_rows, _), (qh, kh, vh, att) in zip(groups, per_group):
+        qrows = cls_rows if last else rows
+        dch = _split_heads(dc[qrows], b, n_heads)
+        np.matmul(att.transpose(0, 1, 3, 2), dch, out=_split_heads(dv[rows], b, n_heads))
+        ds = _attention_softmax_backward(att, dch @ vh.transpose(0, 1, 3, 2), scale)
+        np.matmul(ds, kh, out=_split_heads(dq[qrows], b, n_heads))
+        np.matmul(ds.transpose(0, 1, 3, 2), qh, out=_split_heads(dk[rows], b, n_heads))
+    return dq, dk, dv
+
+
+def _add_rows_at(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """np.add.at(target, ids, rows) for a C-contiguous (V, d) target, bit for bit,
+    as one 1-D scatter: element (t, j) still gets its rows' additions in row order."""
+    d = target.shape[1]
+    np.add.at(target.reshape(-1), (ids[:, None] * d + np.arange(d)).reshape(-1), rows.reshape(-1))
 
 
 class Encoder:
@@ -222,20 +269,6 @@ class Encoder:
     def dtype(self):
         return self.params["tok_emb"].dtype
 
-    def _prepare(self, seqs: Sequence[Sequence[int]]):
-        cfg = self.cfg
-        clipped = [list(s[: cfg.max_len - 1]) for s in seqs]
-        n = 1 + max((len(s) for s in clipped), default=0)
-        ids = np.full((len(clipped), n), PAD_ID, dtype=np.int64)
-        ids[:, 0] = CLS_ID
-        lens = np.empty(len(clipped), dtype=np.int64)
-        for i, s in enumerate(clipped):
-            ids[i, 1 : 1 + len(s)] = s
-            lens[i] = 1 + len(s)
-        valid = np.arange(n)[None, :] < lens[:, None]
-        mask = np.where(valid, 0.0, -np.inf).astype(self.dtype)[:, None, None, :]
-        return ids, mask
-
     def forward_batch(self, seqs: Sequence[Sequence[int]], need_cache: bool = True):
         """Encode a batch of token sequences. Returns (cls (B, d), cache).
 
@@ -243,56 +276,69 @@ class Encoder:
         prepended. Padding positions are masked out of attention so a
         sequence's encoding does not depend on its batch neighbors' lengths.
 
-        That masking lets the batch run as length groups: sequences whose
-        clipped lengths share a power-of-two bucket (len.bit_length()) run
-        together, padded only to their group's longest member, and the CLS
-        rows are scattered back in input order. The cache is an opaque
-        list of (rows, group cache) pairs for backward_batch; it is None
-        when need_cache is false.
+        Sequences whose clipped lengths share a power-of-two bucket
+        (len.bit_length()) form a length group, padded only to its longest
+        member. The groups' rows are stacked in one (R, d_model) array, in
+        ascending bucket order, so each position-wise layer runs once over
+        every group; attention runs on each group's rows viewed as
+        (b, n, d_model). Row r0 + j * n of a group is its j-th sequence's
+        CLS row. The CLS rows come back in input order. The cache is an
+        opaque tuple for backward_batch; it is None when need_cache is false.
         """
-        cap = self.cfg.max_len - 1
-        groups: dict[int, list[int]] = {}
-        for i, s in enumerate(seqs):
-            groups.setdefault(min(len(s), cap).bit_length(), []).append(i)
-        out = np.empty((len(seqs), self.cfg.d_model), dtype=self.dtype)
-        cache = []
-        for _, rows in sorted(groups.items()):
-            cls_vec, group = self._forward_group([seqs[i] for i in rows], need_cache)
-            out[rows] = cls_vec
-            cache.append((rows, group))
-        return out, (cache if need_cache else None)
-
-    def _forward_group(self, seqs: Sequence[Sequence[int]], need_cache: bool):
-        """Forward pass of one length group, padded to its longest member."""
         cfg, p = self.cfg, self.params
-        ids, mask = self._prepare(seqs)
-        n = ids.shape[1]
-        scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-        x = p["tok_emb"][ids] + p["pos_emb"][:n]
+        cap = cfg.max_len - 1
+        buckets: dict[int, list[int]] = {}
+        for i, s in enumerate(seqs):
+            buckets.setdefault(min(len(s), cap).bit_length(), []).append(i)
+        # per group (b, n, its rows of the stack, its CLS rows among the B, mask);
+        # order lists the inputs in stack order, heads their CLS rows in the stack
+        groups, order, heads, r0 = [], [], [], 0
+        for _, rows in sorted(buckets.items()):
+            b, n = len(rows), 1 + max(min(len(seqs[i]), cap) for i in rows)
+            mask = np.zeros((b, 1, 1, n), dtype=self.dtype)
+            groups.append((b, n, slice(r0, r0 + b * n), slice(len(order), len(order) + b), mask))
+            order += rows
+            heads += range(r0, r0 + b * n, n)
+            r0 += b * n
+        ids = np.full(r0, PAD_ID, dtype=np.int64)
+        ids[heads] = CLS_ID
+        for _, n, rows, cls_rows, mask in groups:
+            for j, i in enumerate(order[cls_rows]):
+                s = seqs[i][:cap]
+                start = rows.start + j * n + 1
+                ids[start : start + len(s)] = s
+                mask[j, ..., 1 + len(s) :] = -np.inf
+        x = p["tok_emb"][ids]
+        for b, n, rows, _, _ in groups:
+            xg = x[rows].reshape(b, n, -1)
+            xg += p["pos_emb"][:n]
         layers = []
         for i in range(cfg.n_layers):
             pre = f"layer{i}."
-            # only the CLS row leaves the last layer: it needs keys and values
-            # for every position, and queries and all the rest for row 0 alone
+            # only the CLS rows leave the last layer: it needs keys and values
+            # for every row, and queries and all the rest for the CLS rows alone
             last = i == cfg.n_layers - 1
-            rows = slice(0, 1) if last else slice(None)
+            sel = heads if last else slice(None)
             a, xhat1, inv1 = _layer_norm(x, p[pre + "ln1.scale"], p[pre + "ln1.shift"])
-            q = a[:, rows] @ p[pre + "attn.wq"] + p[pre + "attn.bq"]
-            k = a @ p[pre + "attn.wk"]
-            v = a @ p[pre + "attn.wv"] + p[pre + "attn.bv"]
-            qh, kh, vh = (_split_heads(u, cfg.n_heads) for u in (q, k, v))
-            att = _attention_softmax(qh @ kh.transpose(0, 1, 3, 2), scale, mask)
-            c = _merge_heads(att @ vh)
-            o = c @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
-            x_mid = x[:, rows] + o
+            aq = a[sel]
+            c, attn = _attention(aq @ p[pre + "attn.wq"] + p[pre + "attn.bq"], a @ p[pre + "attn.wk"],
+                                 a @ p[pre + "attn.wv"] + p[pre + "attn.bv"], groups, last, cfg.n_heads)
+            x_mid = c @ p[pre + "attn.wo"]
+            x_mid += p[pre + "attn.bo"]
+            x_mid += x[sel]
+            if need_cache:
+                layers.append((a, aq, xhat1, inv1, attn, c))
+            del x, a, aq, xhat1, inv1, attn, c  # the feed-forward block needs none of them
             fin, xhat2, inv2 = _layer_norm(x_mid, p[pre + "ln2.scale"], p[pre + "ln2.shift"])
             h, gelu_d = _gelu(fin @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"], need_cache)
             x = x_mid + h @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"]
             if need_cache:
-                layers.append((rows, a, xhat1, inv1, qh, kh, vh, att, c, xhat2, inv2, fin, gelu_d, h))
+                layers[-1] += (xhat2, inv2, fin, gelu_d, h)
         y, xhat_f, inv_f = _layer_norm(x, p["ln_f.scale"], p["ln_f.shift"])
-        cache = (ids, scale, layers, xhat_f, inv_f) if need_cache else None
-        return y[:, 0, :], cache
+        out = np.empty_like(y)
+        out[order] = y
+        cache = (ids, groups, order, heads, layers, xhat_f, inv_f) if need_cache else None
+        return out, cache
 
     def encode(self, tokens: Sequence[int]) -> np.ndarray:
         """CLS representation of one token sequence (empty input is valid)."""
@@ -303,60 +349,52 @@ class Encoder:
         """Exact reverse-mode gradients of the cached forward pass.
 
         d_cls is the loss gradient at the CLS output, shape (B, d_model),
-        in the input order of forward_batch. Each length group runs its
-        backward pass on its own rows of d_cls, and every group adds into
-        one gradient dict. Returns a dict congruent with the parameter dict.
+        in the input order of forward_batch. Like the forward pass, each
+        position-wise layer's backward runs once over the stacked rows of
+        every length group, so each weight gradient is one product over all
+        rows. Returns a dict congruent with the parameter dict.
         """
-        g = {name: np.zeros_like(arr) for name, arr in self.params.items()}
-        for rows, group in cache:
-            self._backward_group(group, d_cls[rows], g)
-        return g
-
-    def _backward_group(self, cache, d_cls: np.ndarray, g: dict[str, np.ndarray]) -> None:
-        """Add one length group's gradients into g."""
         cfg, p = self.cfg, self.params
-        ids, scale, layers, xhat_f, inv_f = cache
-        n = ids.shape[1]
-        gl: dict[str, np.ndarray] = {}  # this group's gradients, added into g at the end
-
-        dy = d_cls.astype(self.dtype, copy=False)[:, None, :]
-        dx, gl["ln_f.scale"], gl["ln_f.shift"] = _layer_norm_backward(
-            dy, xhat_f, inv_f, p["ln_f.scale"]
+        ids, groups, order, heads, layers, xhat_f, inv_f = cache
+        g: dict[str, np.ndarray] = {}
+        dx, g["ln_f.scale"], g["ln_f.shift"] = _layer_norm_backward(
+            d_cls[order].astype(self.dtype, copy=False), xhat_f, inv_f, p["ln_f.scale"]
         )
         for i in reversed(range(cfg.n_layers)):
             pre = f"layer{i}."
-            rows, a, xhat1, inv1, qh, kh, vh, att, c, xhat2, inv2, fin, gelu_d, h = layers[i]
+            last = i == cfg.n_layers - 1
+            sel = heads if last else slice(None)
+            a, aq, xhat1, inv1, attn, c, xhat2, inv2, fin, gelu_d, h = layers[i]
             # feed-forward block
-            dh, gl[pre + "ffn.w2"], gl[pre + "ffn.b2"] = _linear_backward(h, dx, p[pre + "ffn.w2"])
-            dact = dh * gelu_d
-            dfin, gl[pre + "ffn.w1"], gl[pre + "ffn.b1"] = _linear_backward(fin, dact, p[pre + "ffn.w1"])
-            dln2, gl[pre + "ln2.scale"], gl[pre + "ln2.shift"] = _layer_norm_backward(
+            dh, g[pre + "ffn.w2"], g[pre + "ffn.b2"] = _linear_backward(h, dx, p[pre + "ffn.w2"])
+            dh *= gelu_d
+            dfin, g[pre + "ffn.w1"], g[pre + "ffn.b1"] = _linear_backward(fin, dh, p[pre + "ffn.w1"])
+            del dh
+            dln2, g[pre + "ln2.scale"], g[pre + "ln2.shift"] = _layer_norm_backward(
                 dfin, xhat2, inv2, p[pre + "ln2.scale"]
             )
-            dx = dx + dln2
+            dln2 += dx
+            dx = dln2
             # attention block
-            dc, gl[pre + "attn.wo"], gl[pre + "attn.bo"] = _linear_backward(c, dx, p[pre + "attn.wo"])
-            dch = _split_heads(dc, cfg.n_heads)
-            dvh = att.transpose(0, 1, 3, 2) @ dch
-            ds = _attention_softmax_backward(att, dch @ vh.transpose(0, 1, 3, 2), scale)
-            dqh = ds @ kh
-            dkh = ds.transpose(0, 1, 3, 2) @ qh
-            dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-            da_q, gl[pre + "attn.wq"], gl[pre + "attn.bq"] = _linear_backward(a[:, rows], dq, p[pre + "attn.wq"])
-            da_k, gl[pre + "attn.wk"], _ = _linear_backward(a, dk, p[pre + "attn.wk"])
-            da_v, gl[pre + "attn.wv"], gl[pre + "attn.bv"] = _linear_backward(a, dv, p[pre + "attn.wv"])
-            da = da_k  # da_q + da_k + da_v, with da_q on the query rows only
-            da[:, rows] += da_q
+            dc, g[pre + "attn.wo"], g[pre + "attn.bo"] = _linear_backward(c, dx, p[pre + "attn.wo"])
+            dq, dk, dv = _attention_backward(dc, attn, groups, last, len(a), cfg.n_heads)
+            da_q, g[pre + "attn.wq"], g[pre + "attn.bq"] = _linear_backward(aq, dq, p[pre + "attn.wq"])
+            da, g[pre + "attn.wk"], _ = _linear_backward(a, dk, p[pre + "attn.wk"])
+            da[sel] += da_q  # da_q + da_k + da_v, with da_q on the query rows only
+            da_v, g[pre + "attn.wv"], g[pre + "attn.bv"] = _linear_backward(a, dv, p[pre + "attn.wv"])
             da += da_v
-            dln1, gl[pre + "ln1.scale"], gl[pre + "ln1.shift"] = _layer_norm_backward(
+            del dc, dq, dk, dv, da_q, da_v
+            dln1, g[pre + "ln1.scale"], g[pre + "ln1.shift"] = _layer_norm_backward(
                 da, xhat1, inv1, p[pre + "ln1.scale"]
             )
-            dln1[:, rows] += dx  # the residual reaches the query rows only
+            dln1[sel] += dx  # the residual reaches the query rows only
             dx = dln1
-        for name, grad in gl.items():
-            g[name] += grad
-        np.add.at(g["tok_emb"], ids.reshape(-1), dx.reshape(-1, cfg.d_model))
-        g["pos_emb"][:n] += dx.sum(axis=0)
+        g["tok_emb"] = np.zeros_like(p["tok_emb"])
+        _add_rows_at(g["tok_emb"], ids, dx)
+        g["pos_emb"] = np.zeros_like(p["pos_emb"])
+        for b, n, rows, _, _ in groups:
+            g["pos_emb"][:n] += np.add.reduce(dx[rows].reshape(b, n, -1), axis=0)
+        return {name: g[name] for name in p}
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -206,7 +206,7 @@ def test_shard_train_that_fails_writes_nothing(workspace, tmp_path, capsys):
                    "--qrels", workspace["data"] / "train_qrels.tsv", "--strategy", "overdense",
                    "--out-dir", shards_dir, "--config", workspace["cfg"]) == 1
     assert "two-tower training needs at least 2 labeled queries" in capsys.readouterr().err
-    assert list(shards_dir.iterdir()) == []
+    assert not shards_dir.exists()  # the run made it, and removes it empty
 
 
 @pytest.mark.parametrize("strategy, error", [
@@ -225,7 +225,7 @@ def test_shard_train_error_names_the_failing_group(workspace, tmp_path, capsys, 
                    "--queries", workspace["data"] / "train_queries.tsv", "--qrels", qrels,
                    "--strategy", strategy, "--out-dir", shards_dir, "--config", cfg) == 1
     assert f"error: {error}\n" in capsys.readouterr().err
-    assert list(shards_dir.iterdir()) == []
+    assert not shards_dir.exists()
 
 
 def test_gradcheck_command(capsys):
@@ -256,6 +256,26 @@ def test_unknown_subcommand_exits_2():
 def test_runtime_error_exits_1(tmp_path):
     assert run_cli("ingest", "--docs", tmp_path / "missing.jsonl",
                    "--out-dir", tmp_path) == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--heldout-queries", -3), "--heldout-queries"),
+    (("--train-queries", -1), "--train-queries"),
+    (("--docs", 1), "--docs"),
+], ids=["heldout-queries", "train-queries", "docs"])
+def test_rejected_synth_names_the_flag_and_leaves_no_out_dir(tmp_path, capsys, argv, flag):
+    out = tmp_path / "new" / "neg"
+    assert run_cli("synth", "--docs", 20, *argv, "--out-dir", out) == 1
+    assert capsys.readouterr().err.startswith(f"error: synth {flag} must be >= ")
+    assert not (tmp_path / "new").exists()
+
+
+def test_failed_run_keeps_an_out_dir_it_did_not_make(tmp_path):
+    out = tmp_path / "existing"
+    out.mkdir()
+    assert run_cli("synth", "--docs", 20, "--train-queries", 15, "--heldout-queries", 10,
+                   "--out-dir", out) == 1
+    assert out.is_dir()
 
 
 def test_retrieve_model_method_requires_model(workspace, tmp_path):

@@ -4,18 +4,19 @@ import math
 import numpy as np
 import pytest
 
+from paramdex import nn
+from paramdex.corpus import CLS_ID, PAD_ID
 from paramdex.nn import (
     LN_EPS,
     AdamWState,
     Encoder,
     EncoderConfig,
+    _add_rows_at,
     _attention_softmax,
     _attention_softmax_backward,
     _gelu,
     _layer_norm,
     _layer_norm_backward,
-    _merge_heads,
-    _split_heads,
     adamw_init,
     adamw_step,
     finite_diff_check,
@@ -147,17 +148,26 @@ def full_width_cls(enc, seqs, key_bias=None):
     vector per layer, is added to the keys, as in a model with a key bias."""
     cfg, p = enc.cfg, enc.params
     key_bias = [0.0] * cfg.n_layers if key_bias is None else key_bias
-    ids, mask = enc._prepare(seqs)
-    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-    x = p["tok_emb"][ids] + p["pos_emb"][: ids.shape[1]]
+    clipped = [list(s[: cfg.max_len - 1]) for s in seqs]
+    n = 1 + max((len(s) for s in clipped), default=0)
+    ids = np.array([[CLS_ID] + s + [PAD_ID] * (n - 1 - len(s)) for s in clipped], dtype=np.int64)
+    lens = np.array([1 + len(s) for s in clipped])
+    mask = np.where(np.arange(n) < lens[:, None], 0.0, -np.inf).astype(enc.dtype)[:, None, None, :]
+    b, d, n_heads = len(seqs), cfg.d_model, cfg.n_heads
+
+    def split_heads(u):
+        return u.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+    scale = 1.0 / math.sqrt(d // n_heads)
+    x = p["tok_emb"][ids] + p["pos_emb"][:n]
     for i in range(cfg.n_layers):
         w = {k.split(".", 1)[1]: v for k, v in p.items() if k.startswith(f"layer{i}.")}
         a, _, _ = textbook_layer_norm(x, w["ln1.scale"], w["ln1.shift"])
         qkv = (a @ w["attn.wq"] + w["attn.bq"], a @ w["attn.wk"] + key_bias[i],
                a @ w["attn.wv"] + w["attn.bv"])
-        qh, kh, vh = (_split_heads(u, cfg.n_heads) for u in qkv)
+        qh, kh, vh = (split_heads(u) for u in qkv)
         att = textbook_attention_softmax(qh @ kh.transpose(0, 1, 3, 2), scale, mask)
-        x = x + _merge_heads(att @ vh) @ w["attn.wo"] + w["attn.bo"]
+        x = x + (att @ vh).transpose(0, 2, 1, 3).reshape(b, n, d) @ w["attn.wo"] + w["attn.bo"]
         fin, _, _ = textbook_layer_norm(x, w["ln2.scale"], w["ln2.shift"])
         x = x + textbook_gelu(fin @ w["ffn.w1"] + w["ffn.b1"]) @ w["ffn.w2"] + w["ffn.b2"]
     y, _, _ = textbook_layer_norm(x, p["ln_f.scale"], p["ln_f.shift"])
@@ -227,6 +237,35 @@ class TestLengthGroups:
                                              rng=np.random.default_rng(1))
         assert worst < 1e-4, f"worst relative error {worst}: {per_param}"
 
+    def test_position_wise_layers_run_once_for_all_groups(self, monkeypatch):
+        cfg = dataclasses.replace(TINY, n_layers=2)
+        enc = Encoder.init(cfg, 4)
+        seqs = mixed_length_batch()
+        n_groups = len({min(len(s), cfg.max_len - 1).bit_length() for s in seqs})
+        assert n_groups >= 3
+        calls = dict.fromkeys(("_layer_norm", "_attention_softmax", "_linear_backward"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(nn, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(nn, name, counted)
+        _, cache = enc.forward_batch(seqs)
+        assert calls["_layer_norm"] == 2 * cfg.n_layers + 1
+        assert calls["_attention_softmax"] == n_groups * cfg.n_layers
+        enc.backward_batch(cache, np.ones((len(seqs), cfg.d_model), dtype=np.float32))
+        assert calls["_linear_backward"] == 6 * cfg.n_layers  # q, k, v, o, ffn.w1, ffn.w2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_scatter_equals_two_dimensional_add_at_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(6)
+        ids = rng.choice([CLS_ID, PAD_ID, 3, 4, 7], size=300)  # ids repeat many times
+        rows = (rng.normal(size=(300, 16)) * rng.choice([1e-3, 1.0, 1e3], size=(300, 1))).astype(dtype)
+        start = rng.normal(size=(10, 16)).astype(dtype)
+        want, got = start.copy(), start.copy()
+        np.add.at(want, ids, rows)
+        _add_rows_at(got, ids, rows)
+        assert np.array_equal(got, want)
+
     def test_empty_batch_encodes_to_zero_rows(self):
         out, _ = tiny_encoder().forward_batch([])
         assert out.shape == (0, TINY.d_model)
@@ -259,14 +298,12 @@ class TestKernelsMatchTextbookExactly:
         x = (rng.normal(size=(6, 33, 256)) * rng.choice([0.1, 1.0, 4.0, 30.0], size=(6, 1, 1)))
         x = x.astype(np.float32)
         x[0, 0, :3] = 0.0
-        before = x.copy()
-        h, grad = _gelu(x, need_grad=True)
+        h, grad = _gelu(x.copy(), need_grad=True)  # _gelu overwrites its input
         assert h.dtype == grad.dtype == np.float32
         assert np.array_equal(h, textbook_gelu(x))
         assert np.array_equal(grad, textbook_gelu_grad(x))
-        h_only, none = _gelu(x, need_grad=False)
+        h_only, none = _gelu(x.copy(), need_grad=False)
         assert none is None and np.array_equal(h_only, h)
-        assert np.array_equal(x, before)
 
     @pytest.mark.parametrize("shape", [(5, 17, 64), (5, 1, 64), (3, 2, 16)])
     def test_layer_norm(self, rng, shape):
