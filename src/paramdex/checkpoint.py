@@ -41,7 +41,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4s7I")
 
 
-def payload_checksum(payload: bytes) -> int:
+def payload_checksum(payload: bytes | memoryview) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
@@ -59,8 +59,13 @@ def _write(path: Path, header_fields: tuple[int, ...], arrays: list[np.ndarray])
         raise
 
 
-def _read(path: Path) -> tuple[tuple[int, ...], bytes]:
-    raw = Path(path).read_bytes()
+def _read(path: Path) -> tuple[tuple[int, ...], memoryview]:
+    """The header fields and a writable view of the checksummed payload: the
+    file is read once into a bytearray, which the view and, through it, every
+    array load_model returns share."""
+    with open(path, "rb") as f:
+        raw = bytearray(os.fstat(f.fileno()).st_size)
+        del raw[f.readinto(raw) :]  # a file that shrank since fstat
     if len(raw) < _HEADER.size + 8:
         raise ValueError(f"{path}: file too short to be a checkpoint")
     magic, version, *fields = _HEADER.unpack_from(raw, 0)
@@ -68,8 +73,8 @@ def _read(path: Path) -> tuple[tuple[int, ...], bytes]:
         raise ValueError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    payload = raw[_HEADER.size : -8]
-    (stored,) = struct.unpack("<Q", raw[-8:])
+    payload = memoryview(raw)[_HEADER.size : -8]
+    (stored,) = struct.unpack_from("<Q", raw, len(raw) - 8)
     if payload_checksum(payload) != stored:
         raise ValueError(f"{path}: payload checksum mismatch")
     return tuple(fields), payload
@@ -126,15 +131,15 @@ def load_model(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray], 
     if rest or extra < 0:
         raise ValueError(f"{path}: payload size does not match header")
     cfg = replace(cfg, d_ff=1 + extra)
-    data = np.frombuffer(payload, dtype="<f4")
+    data = np.frombuffer(payload, dtype="<f4")  # writable: every array is a view of it
     params: dict[str, np.ndarray] = {}
     off = 0
     for name, shape in _payload_layout(cfg):
         size = math.prod(shape)
         if name:
-            params[name] = data[off : off + size].reshape(shape).copy()
+            params[name] = data[off : off + size].reshape(shape)
         off += size
-    w_doc = data[off:].reshape(d_model, n_docs).copy() if n_docs > 0 else None
+    w_doc = data[off:].reshape(d_model, n_docs) if n_docs > 0 else None
     return cfg, params, w_doc
 
 

@@ -12,6 +12,13 @@ vocab.tsv is positional and keeps its blank lines. Docids and qids must be
 non-empty and free of whitespace, because run files separate their columns
 by whitespace. A docid is a JSON string or integer; clicks, a non-negative
 integer.
+
+load_corpus first tries a bulk reader on docs.jsonl, which takes a file only
+when every line is exactly what save_corpus writes. It declines anything
+else (a blank line, CRLF, other spacing, key order or keys, an escape, an
+integer docid, a byte that is not ASCII) and any file the JSON loop would
+reject; the per-line JSON loop then reads the file. That loop is the
+reference, and every docs.jsonl error comes from it.
 """
 
 from __future__ import annotations
@@ -327,10 +334,119 @@ _JSON_DECODER = json.JSONDecoder()
 _DOCS_DECODER = json.JSONDecoder(parse_float=_not_an_integer)
 
 
+# a docs.jsonl line exactly as save_corpus writes it: json.dumps escapes nothing
+# in a docid of printable ASCII other than space, '"' and '\\'; a click count of
+# more than 18 digits goes to the JSON loop, so int() never meets its digit limit
+_SAVED_DOC_RE = re.compile(
+    rb'^\{"docid":"([!#-\[\]-~]+)","token_ids":\[([0-9,]*)\],"clicks":(0|[1-9][0-9]{0,17})\}\n',
+    re.MULTILINE,
+)
+# docs.jsonl bytes parsed at once, in whole lines: a bound in bytes, not lines,
+# keeps each block's arrays small however long the file or its documents
+_BLOCK_BYTES = 1 << 14
+
+
+def _malformed_ids(joined: bytes, width: int) -> bool:
+    """True when the comma-separated ids in `joined`, each document's led by
+    the sentinel -1, hold an empty element, a leading zero or more than
+    `width` digits: anything np.fromstring would not read as JSON does."""
+    text = np.frombuffer(joined, dtype=np.uint8)
+    comma = text == ord(",")
+    digit = text >= ord("0")  # the other bytes are commas and the sentinels' '-'
+    if comma[-1] or (comma[1:] & comma[:-1]).any():
+        return True
+    if (comma[:-2] & (text[1:-1] == ord("0")) & digit[2:]).any():
+        return True
+    if len(text) <= width:
+        return False
+    run = digit[width:].copy()  # run[i]: bytes i .. i + width are all digits
+    for k in range(1, width + 1):
+        run &= digit[width - k : -k]
+    return bool(run.any())
+
+
+def _saved_docs(path: Path, n_vocab: int) -> list[Document] | None:
+    """The documents of a docs.jsonl whose every line is exactly what
+    save_corpus writes, or None (declined) when a line is anything else or the
+    file holds no documents, an id outside [0, n_vocab) or a docid twice.
+
+    Each block of lines is matched by one regex, and its token ids parsed by
+    one np.fromstring, each document's ids led by a -1 so that an empty list
+    still marks its place.
+    """
+    width = len(str(n_vocab - 1))
+    pool = np.array(range(n_vocab), dtype=object)  # the one int object of each id
+    docs: list[Document] = []
+    with open(path, "rb") as f:
+        while lines := f.readlines(_BLOCK_BYTES):
+            found = _SAVED_DOC_RE.findall(b"".join(lines))
+            if len(found) != len(lines):  # so each line is one match, all ASCII
+                return None
+            docids, id_lists, clicks = zip(*found)
+            joined = b",".join([b"-1," + s if s else b"-1" for s in id_lists])
+            if _malformed_ids(joined, width):
+                return None
+            ids = np.fromstring(joined, dtype=np.int64, sep=",")
+            starts = np.flatnonzero(ids < 0)
+            ids = np.delete(ids, starts)
+            if ids.size and ids.max() >= n_vocab:
+                return None
+            tokens = pool[ids].tolist()
+            bounds = (starts - np.arange(len(starts))).tolist() + [len(tokens)]
+            first = len(docs)
+            docs += [
+                Document(first + i, ext, tokens[bounds[i] : bounds[i + 1]], c)
+                for i, (ext, c) in enumerate(zip(map(bytes.decode, docids), map(int, clicks)))
+            ]
+    if not docs or len({d.external_id for d in docs}) != len(docs):
+        return None
+    return docs
+
+
+def _json_docs(path: Path, n_vocab: int) -> list[Document]:
+    """The documents of a docs.jsonl, one JSON record per line: the reference
+    reader, and the source of every docs.jsonl error."""
+    # one hash lookup per token both checks the id (cheaper than min + max) and
+    # swaps the decoder's int for the vocabulary's, which the corpus then shares
+    canonical = {i: i for i in range(n_vocab)}
+    docs: list[Document] = []
+    seen: dict[str, str] = {}
+    for where, line in text_lines(path):
+        rec = _doc_record(_DOCS_DECODER, line, where, "token_ids", list)
+        raw = rec["token_ids"]
+        try:
+            tokens = list(map(canonical.__getitem__, raw))
+            in_vocab = True
+        except (KeyError, TypeError):  # TypeError: an unhashable list or object among the ids
+            in_vocab = False
+        # true and false equal 1 and 0, so a line that spells one of them, or
+        # that failed the lookup, gets the exact type check; looking for a 'u'
+        # or an 'f' first (one memchr each) is several times faster than the words
+        spells_bool = ("u" in line or "f" in line) and ("true" in line or "false" in line)
+        if (spells_bool or not in_vocab) and any(type(t) is not int for t in raw):
+            raise ValueError(f"{where} (docid '{rec['docid']}'): token ids must be integers")
+        if not in_vocab:
+            raise ValueError(
+                f"{where} (docid '{rec['docid']}'): "
+                f"token id outside the vocabulary [0, {n_vocab})"
+            )
+        ext, clicks = _doc_fields(rec, where, seen)
+        docs.append(Document(len(docs), ext, tokens, clicks))
+    if not docs:
+        raise ValueError(f"{path}: no documents")
+    return docs
+
+
 def load_corpus(in_dir: str | Path) -> Corpus:
     """Load a corpus persisted by save_corpus.
 
-    Every document's tokens hold the vocabulary's own int objects: an id used
+    A docs.jsonl whose every line is exactly what save_corpus writes is
+    parsed in bulk (_saved_docs). Any other file, or one that breaks a rule
+    (an id outside the vocabulary, a repeated docid, no documents), is read
+    by the per-line JSON loop (_json_docs): that loop is the reference, and
+    every docs.jsonl error comes from it. Both give the same Corpus.
+
+    Every document's tokens hold one int object per vocabulary id: an id used
     by many documents is one object, not one per occurrence, so a token costs
     its list slot and no int of its own. A docs.jsonl without documents raises.
     """
@@ -350,33 +466,6 @@ def load_corpus(in_dir: str | Path) -> Corpus:
         if first.setdefault(token, n) != n:
             raise ValueError(f"{vocab_path} line {n}: token {token!r} is already on line {first[token]}")
     vocab = Vocabulary(id_to_token[3:])
-    # one hash lookup per token both checks the id (cheaper than min + max) and
-    # swaps the decoder's int for the vocabulary's, which the corpus then shares
-    canonical = {i: i for i in range(len(vocab))}
-    docs: list[Document] = []
-    seen: dict[str, str] = {}
     docs_path = src / "docs.jsonl"
-    for where, line in text_lines(docs_path):
-        rec = _doc_record(_DOCS_DECODER, line, where, "token_ids", list)
-        raw = rec["token_ids"]
-        try:
-            tokens = list(map(canonical.__getitem__, raw))
-            in_vocab = True
-        except (KeyError, TypeError):  # TypeError: an unhashable list or object among the ids
-            in_vocab = False
-        # true and false equal 1 and 0, so a line that spells one of them, or
-        # that failed the lookup, gets the exact type check; looking for a 'u'
-        # or an 'f' first (one memchr each) is several times faster than the words
-        spells_bool = ("u" in line or "f" in line) and ("true" in line or "false" in line)
-        if (spells_bool or not in_vocab) and any(type(t) is not int for t in raw):
-            raise ValueError(f"{where} (docid '{rec['docid']}'): token ids must be integers")
-        if not in_vocab:
-            raise ValueError(
-                f"{where} (docid '{rec['docid']}'): "
-                f"token id outside the vocabulary [0, {len(vocab)})"
-            )
-        ext, clicks = _doc_fields(rec, where, seen)
-        docs.append(Document(len(docs), ext, tokens, clicks))
-    if not docs:
-        raise ValueError(f"{docs_path}: no documents")
+    docs = _saved_docs(docs_path, len(vocab)) or _json_docs(docs_path, len(vocab))
     return Corpus(docs, vocab)

@@ -210,6 +210,9 @@ def save_pairs(path: str | Path, pairs: list[TrainingPair], corpus: Corpus) -> N
 
 
 def load_pairs(path: str | Path, corpus: Corpus) -> list[TrainingPair]:
+    """Read a save_pairs file against the corpus it was written for: a target
+    docid or a token the corpus lacks raises, naming the line."""
+    token_to_id = corpus.vocab.token_to_id  # holds "<unk>", which save_pairs writes for UNK_ID
     pairs: list[TrainingPair] = []
     for where, line in text_lines(path):
         parts = line.split("\t")
@@ -220,7 +223,10 @@ def load_pairs(path: str | Path, corpus: Corpus) -> list[TrainingPair]:
             raise ValueError(f"{where}: task '{task}' is not a pre-training task {PRETRAIN_TASKS}")
         if ext not in corpus.by_external:
             raise ValueError(f"{where}: pair targets unknown docid '{ext}'")
-        tokens = [corpus.vocab.lookup(t) for t in text.split(" ") if t]
+        try:
+            tokens = [token_to_id[t] for t in text.split(" ") if t]
+        except KeyError as e:  # the file was written for another corpus
+            raise ValueError(f"{where}: token {e.args[0]!r} is not in the corpus vocabulary") from None
         if not tokens:
             raise ValueError(f"{where}: pair has no tokens")
         pairs.append(TrainingPair(tokens, corpus.by_external[ext], task))

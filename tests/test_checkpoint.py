@@ -8,7 +8,8 @@ import pytest
 
 from paramdex import checkpoint
 from paramdex.checkpoint import load_model, save_model, write_meta
-from paramdex.nn import Encoder, EncoderConfig, param_shapes
+from paramdex.nn import Encoder, EncoderConfig, adamw_init, adamw_step, param_shapes
+from paramdex.training import TrainConfig
 
 from test_nn import full_width_cls
 
@@ -163,6 +164,49 @@ def test_corruption_detected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="checksum"):
         load_model(path)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_flipped_payload_byte_fails_the_checksum(tmp_path, where):
+    path = tmp_path / "model.ckpt"
+    save_model(path, CFG, Encoder.init(CFG, seed=4).params, np.ones((16, 3), dtype=np.float32))
+    raw = bytearray(path.read_bytes())
+    raw[checkpoint._HEADER.size if where == "first" else -9] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: payload checksum mismatch")):
+        load_model(path)
+
+
+def test_loaded_arrays_are_writable_views_of_the_read_buffer(tmp_path):
+    enc = Encoder.init(CFG, seed=13)
+    w_doc = np.random.default_rng(13).normal(size=(16, 7)).astype(np.float32)
+    path = tmp_path / "model.ckpt"
+    save_model(path, CFG, enc.params, w_doc)
+    _, params, w2 = load_model(path)
+    for name, a in [*params.items(), ("w_doc", w2)]:
+        assert a.flags.writeable and not a.flags.owndata and a.dtype == np.float32, name
+        assert np.array_equal(a, enc.params.get(name, w_doc)), name
+    # saving what was loaded writes the same bytes
+    again = tmp_path / "again.ckpt"
+    save_model(again, CFG, params, w2)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_adamw_step_updates_a_loaded_model(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_model(path, CFG, Encoder.init(CFG, seed=14).params, np.ones((16, 3), dtype=np.float32))
+    _, params, w_doc = load_model(path)
+    params["w_doc"] = w_doc
+    before = {k: v.copy() for k, v in params.items()}
+    grads = {k: np.full_like(v, 0.5) for k, v in params.items()}
+    adamw_step(params, grads, adamw_init(params), TrainConfig(lr=1e-2))
+    for k, v in params.items():
+        assert not np.array_equal(v, before[k]), k
+    # the update changed the loaded arrays, not the file
+    _, reloaded, w_again = load_model(path)
+    assert np.array_equal(w_again, before["w_doc"])
+    for k in reloaded:
+        assert np.array_equal(reloaded[k], before[k]), k
 
 
 def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):

@@ -1,9 +1,17 @@
 import json
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from paramdex import corpus as corpus_mod
 from paramdex.corpus import (
+    Corpus,
+    Document,
     CLS_ID,
     PAD_ID,
     UNK_ID,
@@ -249,3 +257,142 @@ def test_load_rejects_docid_with_whitespace(tmp_path, tiny_corpus):
     docs.write_text("".join(lines))
     with pytest.raises(ValueError, match=r"docs.jsonl line 3: docid 'd 2' is empty or contains whitespace"):
         load_corpus(tmp_path)
+
+
+# the docid bytes the bulk reader takes: printable ASCII other than space, '"' and '\'
+FAST_DOCID_CHARS = "".join(c for c in map(chr, range(0x21, 0x7F)) if c not in '"\\')
+
+
+def _outcome(read, *args):
+    """What a reader gives: every document's fields with each field's type, or its error."""
+    try:
+        docs = read(*args)
+    except ValueError as e:
+        return "error", str(e)
+    if isinstance(docs, Corpus):
+        docs = docs.docs
+    return "docs", [(d.internal_id, d.external_id, d.tokens, [type(t) for t in d.tokens],
+                     d.click_count, type(d.click_count)) for d in docs]
+
+
+def _n_vocab(corpus_dir: Path) -> int:
+    return len((corpus_dir / "vocab.tsv").read_text().splitlines())
+
+
+def _json_outcome(corpus_dir: Path):
+    """The reference: the per-line JSON loop on the corpus's docs.jsonl."""
+    return _outcome(corpus_mod._json_docs, corpus_dir / "docs.jsonl", _n_vocab(corpus_dir))
+
+
+def _saved_docs(corpus_dir: Path):
+    """The bulk reader's documents, or None where it declines."""
+    return corpus_mod._saved_docs(corpus_dir / "docs.jsonl", _n_vocab(corpus_dir))
+
+
+def _assert_one_int_per_id(docs):
+    first: dict[int, int] = {}
+    for d in docs:
+        for t in d.tokens:
+            assert first.setdefault(t, t) is t
+
+
+_docid = st.one_of(
+    st.text(FAST_DOCID_CHARS, min_size=1, max_size=6),
+    # each of these needs a JSON escape, is not ASCII or is not printable
+    st.text(FAST_DOCID_CHARS + '"\\\x7f\x01é €', min_size=1, max_size=6),
+)
+
+
+@st.composite
+def _saved_corpora(draw):
+    n_vocab = draw(st.sampled_from([3, 4, 10, 11, 101, 1000, 1234]))
+    ids = st.one_of(st.sampled_from([0, n_vocab - 1]), st.integers(0, n_vocab - 1))
+    docids = draw(st.lists(_docid.filter(corpus_mod.valid_id), min_size=1, max_size=7, unique=True))
+    clicks = st.one_of(st.sampled_from([0, 1, 2**31 + 1, 10**18 - 1, 10**18]),
+                       st.integers(0, 2**40), st.integers(0, 10**30))
+    docs = [Document(i, ext, draw(st.lists(ids, max_size=12)), draw(clicks))
+            for i, ext in enumerate(docids)]
+    vocab = Vocabulary([f"w{i}" for i in range(n_vocab - 3)])
+    return Corpus(docs, vocab)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(corp=_saved_corpora(), block_bytes=st.sampled_from([1, 60, 200, 1 << 14]))
+def test_bulk_reader_equals_the_json_loop_on_saved_corpora(corp, block_bytes):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(corpus_mod, "_BLOCK_BYTES", block_bytes):
+        out = Path(tmp)
+        save_corpus(corp, out)
+        fast = all(set(d.external_id) <= set(FAST_DOCID_CHARS) and d.click_count < 10**18
+                   for d in corp.docs)
+        assert (_saved_docs(out) is not None) == fast
+        loaded = load_corpus(out)
+        assert _outcome(load_corpus, out) == _json_outcome(out)
+        assert [(d.external_id, d.tokens, d.click_count) for d in loaded.docs] == \
+            [(d.external_id, d.tokens, d.click_count) for d in corp.docs]
+        _assert_one_int_per_id(loaded.docs)
+
+
+def _set_first_id(line: str, literal: str) -> str:
+    return re.sub(r'"token_ids":\[[0-9]+', f'"token_ids":[{literal}', line)
+
+
+# line 2 of a saved three-document file, mutated; the expected error (None: it loads)
+MUTATIONS = {
+    "leading-zero-id": (lambda ln: _set_first_id(ln, "05"), "invalid JSON"),
+    "empty-element": (lambda ln: re.sub(r"\[([0-9]+),", r"[\1,,", ln), "invalid JSON"),
+    "trailing-comma": (lambda ln: ln.replace("],", ",],"), "invalid JSON"),
+    "20-digit-id": (lambda ln: _set_first_id(ln, "9" * 20), r"token id outside the vocabulary \[0, 15\)"),
+    "id-equal-to-V": (lambda ln: _set_first_id(ln, "15"), r"token id outside the vocabulary \[0, 15\)"),
+    "duplicate-docid": (lambda ln: ln.replace('"d1"', '"d0"'), "duplicate docid 'd0'"),
+    "blank-line": (lambda ln: "\n" + ln, None),
+    "crlf": (lambda ln: ln.replace("\n", "\r\n"), None),
+    "default-spacing": (lambda ln: json.dumps(json.loads(ln)) + "\n", None),
+    "swapped-keys": (lambda ln: json.dumps(dict(reversed(json.loads(ln).items())), separators=(",", ":")) + "\n",
+                     None),
+    "extra-key": (lambda ln: ln.replace("}\n", ',"title":"x"}\n'), None),
+    "u-escape": (lambda ln: ln.replace('"d1"', '"d\\u0031"'), None),
+    "integer-docid": (lambda ln: ln.replace('"d1"', "41"), None),
+    "raw-utf8-docid": (lambda ln: ln.replace('"d1"', '"dé"'), None),
+    "no-clicks": (lambda ln: re.sub(r',"clicks":[0-9]+', "", ln), None),
+    "no-final-newline": (lambda ln: ln, None),  # line 3 loses its newline below
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_bulk_reader_declines_what_save_corpus_does_not_write(tmp_path, mutation):
+    # 15 ids, so that "05" has no more digits than the largest id
+    corp = corpus_from_texts(["alpha beta gamma delta", "epsilon zeta eta theta", "iota kappa lambda mu"],
+                             clicks=[3, 0, 7])
+    save_corpus(corp, tmp_path)
+    assert len(corp.vocab) == 15 and _saved_docs(tmp_path) is not None
+    docs = tmp_path / "docs.jsonl"
+    lines = docs.read_text().splitlines(keepends=True)
+    mutate, error = MUTATIONS[mutation]
+    lines[1] = mutate(lines[1])
+    if mutation == "no-final-newline":
+        lines[2] = lines[2].rstrip("\n")
+    docs.write_bytes("".join(lines).encode("utf-8"))
+    assert _saved_docs(tmp_path) is None
+    got = _outcome(load_corpus, tmp_path)
+    assert got == _json_outcome(tmp_path)
+    if error is None:
+        assert got[0] == "docs" and len(got[1]) == 3
+        _assert_one_int_per_id(load_corpus(tmp_path).docs)
+    else:
+        assert got[0] == "error" and re.match(rf"{re.escape(str(docs))} line 2\b.*: {error}", got[1]), got[1]
+
+
+@pytest.mark.parametrize("joined, width, malformed", [
+    (b"-1", 1, False),
+    (b"-1,-1,0", 1, False),
+    (b"-1,12,0,-1,-1,10", 2, False),
+    (b"-1,123", 2, True),  # more digits than the largest id
+    (b"-1,1,-1,99", 1, True),
+    (b"-1,,3", 1, True),  # an empty element
+    (b"-1,3,", 1, True),
+    (b"-1,3,,-1", 1, True),
+    (b"-1,05", 2, True),  # a leading zero
+    (b"-1,7,-1,00", 2, True),
+])
+def test_malformed_ids(joined, width, malformed):
+    assert corpus_mod._malformed_ids(joined, width) is malformed

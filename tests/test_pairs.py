@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paramdex.corpus import Document
+from paramdex.corpus import UNK_ID, Document
 from paramdex.pairs import (
+    TrainingPair,
     document_frequencies,
     extract_ngram_pairs,
     generate_pretrain_pairs,
@@ -253,3 +254,22 @@ def test_load_rejects_unknown_target(tmp_path, tiny_corpus):
     path.write_text("passage\tmissing\tapple banana\n")
     with pytest.raises(ValueError, match="unknown docid"):
         load_pairs(path, tiny_corpus)
+
+
+def test_load_rejects_a_token_outside_the_vocabulary(tmp_path, tiny_corpus):
+    # a file written for another corpus must not train on <unk> without a word
+    path = tmp_path / "pairs.tsv"
+    ext = tiny_corpus.external_id(0)
+    path.write_text(f"passage\t{ext}\tapple banana\nterms\t{ext}\tapple zeta banana\n")
+    with pytest.raises(ValueError, match=r"pairs.tsv line 2: token 'zeta' is not in the corpus vocabulary$"):
+        load_pairs(path, tiny_corpus)
+
+
+def test_load_keeps_the_literal_unk_token(tmp_path, tiny_corpus):
+    # save_pairs writes UNK_ID as "<unk>", and it loads back as UNK_ID
+    out = [TrainingPair([UNK_ID, tiny_corpus.vocab.lookup("apple")], 1, "terms")]
+    path = tmp_path / "pairs.tsv"
+    save_pairs(path, out, tiny_corpus)
+    assert path.read_text() == f"terms\t{tiny_corpus.external_id(1)}\t<unk> apple\n"
+    [pair] = load_pairs(path, tiny_corpus)
+    assert (pair.tokens, pair.target, pair.task) == ([UNK_ID, tiny_corpus.vocab.lookup("apple")], 1, "terms")
