@@ -229,7 +229,8 @@ def cmd_shard_train(args, cfg, out) -> int:
     corp, queries, qrels = _load_corpus_queries(args)
     plan = distributed.partition(len(corp), cfg.n_groups, seed=cfg.seed)
     trained = []
-    for gid, (sub, sub_qrels) in enumerate(distributed.split_corpus(corp, plan, qrels)):
+    for gid, members in enumerate(plan.groups):
+        sub, sub_qrels = corp.take(members.tolist(), qrels)
         tcfg = cfg.train_config()
         tcfg.seed = _shard_seed(cfg.seed, gid)
         try:
@@ -323,6 +324,8 @@ def cmd_diag_scores(args, cfg, out) -> int:
 
 
 def cmd_gradcheck(args, cfg, out) -> int:
+    if args.coords < 1:
+        raise ValueError("gradcheck --coords must be >= 1")
     # fixed probe: 32-token vocabulary, 8 docids, a batch of 6, step 1e-4
     enc_cfg, n_docs, threshold = cfg.encoder_config(32), 8, 1e-4
     rng = np.random.default_rng(cfg.seed)
@@ -343,7 +346,7 @@ def cmd_gradcheck(args, cfg, out) -> int:
         )
 
     worst, per_param = finite_diff_check(
-        loss_and_grad, params, eps=1e-4,
+        loss_and_grad, params,
         max_coords_per_param=args.coords, rng=np.random.default_rng(cfg.seed + 1),
     )
     for name in sorted(per_param, key=per_param.get, reverse=True):

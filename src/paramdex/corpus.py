@@ -138,18 +138,18 @@ class Corpus:
     def external_id(self, internal_id: int) -> str:
         return self.docs[internal_id].external_id
 
-    def take(self, internal_ids: Sequence[int]) -> tuple["Corpus", dict[int, int]]:
-        """New corpus keeping `internal_ids` (given order), same vocabulary.
-
-        Returns the corpus and the old-id -> new-id mapping.
-        """
+    def take(
+        self, internal_ids: Sequence[int], qrels: dict[str, int]
+    ) -> tuple["Corpus", dict[str, int]]:
+        """New corpus keeping `internal_ids` (given order), same vocabulary, and
+        the qrels whose positive it keeps, renumbered to its ids in qrels order."""
         docs = []
-        id_map: dict[int, int] = {}
-        for new_id, old_id in enumerate(internal_ids):
-            old = self.docs[old_id]
-            docs.append(Document(new_id, old.external_id, old.tokens, old.click_count))
-            id_map[old_id] = new_id
-        return Corpus(docs, self.vocab), id_map
+        new_id: dict[int, int] = {}
+        for new, old in enumerate(internal_ids):
+            d = self.docs[old]
+            docs.append(Document(new, d.external_id, d.tokens, d.click_count))
+            new_id[old] = new
+        return Corpus(docs, self.vocab), {q: new_id[d] for q, d in qrels.items() if d in new_id}
 
 
 def text_lines(path: str | Path) -> Iterator[tuple[str, str]]:
@@ -281,7 +281,8 @@ def sample_subset(
     size: int,
     seed: int = 0,
 ) -> tuple[Corpus, dict[str, int]]:
-    """Keep `size` documents by click rank or uniform sampling; remap qrels.
+    """Keep `size` documents by click rank or uniform sampling: the part and
+    its qrels, as Corpus.take returns them.
 
     top_click keeps the highest-click documents (ties by ascending internal
     id). random takes a seeded permutation prefix, so subsets are nested
@@ -300,10 +301,7 @@ def sample_subset(
         keep = {int(i) for i in perm[:size]}
     else:
         raise ValueError(f"unknown subset strategy '{strategy}'")
-    kept_ids = sorted(keep)
-    sub, id_map = corpus.take(kept_ids)
-    new_qrels = {qid: id_map[d] for qid, d in qrels.items() if d in id_map}
-    return sub, new_qrels
+    return corpus.take(sorted(keep), qrels)
 
 
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:

@@ -65,18 +65,6 @@ def partition(n_docs: int, g: int, seed: int = 0) -> ShardPlan:
     return _plan("n_groups", n_docs, g, seed, owners)
 
 
-def split_corpus(
-    corpus: Corpus, plan: ShardPlan, qrels: dict[str, int]
-) -> list[tuple[Corpus, dict[str, int]]]:
-    """Per-group sub-corpus (contiguous local ids) and group-local qrels."""
-    out = []
-    for members in plan.groups:
-        sub, id_map = corpus.take([int(d) for d in members])
-        local_qrels = {qid: id_map[d] for qid, d in qrels.items() if d in id_map}
-        out.append((sub, local_qrels))
-    return out
-
-
 def shard_retrieve(
     models: list[DocidRetriever],
     plan: ShardPlan,

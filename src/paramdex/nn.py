@@ -52,6 +52,7 @@ from .corpus import CLS_ID, PAD_ID
 from .training import TrainConfig
 
 LN_EPS = 1e-5
+FD_STEP = 1e-4  # finite_diff_check's central-difference step
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
 
@@ -518,19 +519,16 @@ def adamw_step(
 def finite_diff_check(
     loss_and_grad: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
     params: dict[str, np.ndarray],
-    eps: float = 1e-4,
     max_coords_per_param: int = 4,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, float]]:
     """Compare analytic gradients to central finite differences.
 
     Samples up to max_coords_per_param coordinates from every parameter
-    array, perturbs each by +/-eps, and reports the worst relative error,
+    array, perturbs each by +/-FD_STEP, and reports the worst relative error,
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-6), overall and per
     parameter. The loss callable must be pure.
     """
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
     rng = rng or np.random.default_rng(0)
     _, grads = loss_and_grad(params)
     worst = 0.0
@@ -542,12 +540,12 @@ def finite_diff_check(
         err = 0.0
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + eps
+            flat[c] = orig + FD_STEP
             lp = loss_and_grad(params)[0]
-            flat[c] = orig - eps
+            flat[c] = orig - FD_STEP
             lm = loss_and_grad(params)[0]
             flat[c] = orig
-            numeric = (lp - lm) / (2.0 * eps)
+            numeric = (lp - lm) / (2.0 * FD_STEP)
             analytic = float(grads[name].reshape(-1)[c])
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
             err = max(err, rel)

@@ -115,9 +115,12 @@ def generate(
     perm = rng.permutation(n_docs)
     eligible = perm[:n_train]
     heldout_docs = perm[n_train : n_train + n_heldout]
-    # training queries concentrate on clicked documents
-    mass = clicks[eligible].astype(np.float64) + 1.0
-    train_docs = eligible[rng.choice(len(eligible), size=n_train, p=mass / mass.sum())]
+    # training queries concentrate on clicked documents; with none there is
+    # no draw, and since it is rng's last draw no other output moves
+    train_docs = eligible
+    if n_train:
+        mass = clicks[eligible].astype(np.float64) + 1.0
+        train_docs = eligible[rng.choice(len(eligible), size=n_train, p=mass / mass.sum())]
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -135,18 +138,13 @@ def generate(
                 "text": " ".join(doc_tokens[i]),
                 "clicks": int(clicks[i]),
             }) + "\n")
-    qrng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1]))
-    with open(paths["train_queries"], "w", encoding="utf-8") as fq, open(
-        paths["train_qrels"], "w", encoding="utf-8"
-    ) as fr:
-        for n, d in enumerate(train_docs):
-            fq.write(f"tq{n:05d}\t{make_query(int(d), qrng)}\n")
-            fr.write(f"tq{n:05d}\tdoc{int(d):05d}\n")
-    hrng = np.random.default_rng(np.random.SeedSequence([seed, 0xC2]))
-    with open(paths["heldout_queries"], "w", encoding="utf-8") as fq, open(
-        paths["heldout_qrels"], "w", encoding="utf-8"
-    ) as fr:
-        for n, d in enumerate(heldout_docs):
-            fq.write(f"hq{n:05d}\t{make_query(int(d), hrng)}\n")
-            fr.write(f"hq{n:05d}\tdoc{int(d):05d}\n")
+    for split, prefix, key, targets in (("train", "tq", 0xC1, train_docs),
+                                        ("heldout", "hq", 0xC2, heldout_docs)):
+        qrng = np.random.default_rng(np.random.SeedSequence([seed, key]))
+        with open(paths[f"{split}_queries"], "w", encoding="utf-8") as fq, open(
+            paths[f"{split}_qrels"], "w", encoding="utf-8"
+        ) as fr:
+            for n, d in enumerate(targets):
+                fq.write(f"{prefix}{n:05d}\t{make_query(int(d), qrng)}\n")
+                fr.write(f"{prefix}{n:05d}\tdoc{int(d):05d}\n")
     return paths

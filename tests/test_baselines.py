@@ -344,7 +344,7 @@ def _check_step_gradients(separate):
                 for p in ("q.", "d."))
         return two_tower_step(q, d if separate else q, _STEP_CORPUS, batch, {})
 
-    worst, _ = finite_diff_check(fn, params, eps=1e-4, max_coords_per_param=3,
+    worst, _ = finite_diff_check(fn, params, max_coords_per_param=3,
                                  rng=np.random.default_rng(1))
     assert worst < 1e-4
 

@@ -234,6 +234,16 @@ def test_gradcheck_command(capsys):
     assert "max relative error" in out
 
 
+@pytest.mark.parametrize("coords", [0, -1])
+def test_gradcheck_rejects_coords_below_one_naming_the_flag(tmp_path, capsys, coords):
+    out = tmp_path / "gc"
+    assert run_cli("gradcheck", "--coords", coords, "--out-dir", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: gradcheck --coords must be >= 1")
+    assert "max relative error" not in captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config, layer1_rows", [(None, True), ("n_layers = 1\n", False)],
                          ids=["default", "one-layer-config"])
 def test_gradcheck_takes_the_encoder_from_the_config(tmp_path, capsys, config, layer1_rows):
@@ -268,6 +278,13 @@ def test_rejected_synth_names_the_flag_and_leaves_no_out_dir(tmp_path, capsys, a
     assert run_cli("synth", "--docs", 20, *argv, "--out-dir", out) == 1
     assert capsys.readouterr().err.startswith(f"error: synth {flag} must be >= ")
     assert not (tmp_path / "new").exists()
+
+
+def test_synth_without_training_queries(tmp_path):
+    assert run_cli("synth", "--docs", 10, "--train-queries", 0, "--heldout-queries", 2,
+                   "--out-dir", tmp_path) == 0
+    assert (tmp_path / "train_queries.tsv").read_text() == ""
+    assert len((tmp_path / "heldout_qrels.tsv").read_text().splitlines()) == 2
 
 
 def test_failed_run_keeps_an_out_dir_it_did_not_make(tmp_path):

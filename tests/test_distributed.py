@@ -12,7 +12,6 @@ from paramdex.distributed import (
     render_stats_csv,
     score_distribution_stats,
     shard_retrieve,
-    split_corpus,
     write_manifest,
 )
 from paramdex.nn import Encoder, EncoderConfig
@@ -246,12 +245,17 @@ def test_split_corpus_localizes_qrels():
     corp = corpus_from_texts([f"w{i} shared" for i in range(12)])
     plan = partition(12, 3, seed=0)
     qrels = {f"q{i}": i for i in range(12)}
-    parts = split_corpus(corp, plan, qrels)
+    parts = [corp.take(members.tolist(), qrels) for members in plan.groups]
     assert sum(len(q) for _, q in parts) == 12
     for gid, (sub, sub_qrels) in enumerate(parts):
         assert len(sub) == len(plan.groups[gid])
         for qid, local in sub_qrels.items():
             assert sub.external_id(local) == corp.external_id(qrels[qid])
+    # ids out of ascending order: the part keeps their order, its qrels keep
+    # the qrels' order, and a query whose positive is left out is dropped
+    sub, sub_qrels = corp.take([7, 2, 9], {"a": 9, "b": 3, "c": 2, "d": 7})
+    assert [sub.external_id(i) for i in range(len(sub))] == [corp.external_id(i) for i in (7, 2, 9)]
+    assert list(sub_qrels.items()) == [("a", 2), ("c", 1), ("d", 0)]
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -273,7 +277,7 @@ def test_manifest_roundtrip_property(tmp_path_factory, data):
     n = data.draw(st.integers(1, 40), label="n_docs")
     g = data.draw(st.integers(1, n), label="groups")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    corp = _MANIFEST_CORPUS.take(range(n))[0]
+    corp = _MANIFEST_CORPUS.take(range(n), {})[0]
     plan = partition(n, g, seed)
     path = tmp_path_factory.mktemp("manifest") / "shards.tsv"
     write_manifest(path, plan, corp)

@@ -232,8 +232,7 @@ class TestLengthGroups:
                 Encoder(cfg, {k: v for k, v in p.items() if k != "w_doc"}), p["w_doc"], batch
             )
 
-        worst, per_param = finite_diff_check(fn, params, eps=1e-4,
-                                             max_coords_per_param=3,
+        worst, per_param = finite_diff_check(fn, params, max_coords_per_param=3,
                                              rng=np.random.default_rng(1))
         assert worst < 1e-4, f"worst relative error {worst}: {per_param}"
 
@@ -437,8 +436,7 @@ class TestGradients:
                 Encoder(TINY, {k: v for k, v in p.items() if k != "w_doc"}), p["w_doc"], batch
             )
 
-        worst, per_param = finite_diff_check(fn, params, eps=1e-4,
-                                             max_coords_per_param=3,
+        worst, per_param = finite_diff_check(fn, params, max_coords_per_param=3,
                                              rng=np.random.default_rng(0))
         assert worst < 1e-4, f"worst relative error {worst}: {per_param}"
 
@@ -448,12 +446,8 @@ class TestGradients:
         def fn(ps):
             return 0.5 * float(np.sum(ps["p"] ** 2)), {"p": ps["p"].copy()}
 
-        worst, _ = finite_diff_check(fn, params, eps=1e-4)
+        worst, _ = finite_diff_check(fn, params)
         assert worst < 1e-8
-
-    def test_zero_epsilon_rejected(self):
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            finite_diff_check(lambda p: (0.0, {}), {"p": np.zeros(1)}, eps=0.0)
 
 
 class TestAdamW:

@@ -56,6 +56,13 @@ def test_train_and_heldout_targets_disjoint(tmp_path):
     assert len(train_qrels) == 20 and len(held) == 10
 
 
+def test_no_training_queries(tmp_path):
+    paths = generate(tmp_path, n_docs=10, n_train=0, n_heldout=2)
+    assert paths["train_queries"].read_bytes() == paths["train_qrels"].read_bytes() == b""
+    assert len(paths["heldout_queries"].read_text().splitlines()) == 2
+    assert len(read_qrels_file(paths["heldout_qrels"])) == 2
+
+
 def test_too_many_queries_rejected(tmp_path):
     with pytest.raises(ValueError, match="exceed"):
         generate(tmp_path, n_docs=10, n_train=8, n_heldout=5)
