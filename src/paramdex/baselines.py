@@ -119,7 +119,6 @@ def two_tower_step(
     d_enc: Encoder,
     corpus: Corpus,
     batch: list[TrainingPair],
-    cache: dict[str, tuple],
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean in-batch softmax loss of one batch and its gradients, keyed by
     "q." and "d." plus the parameter name; "q." alone when d_enc is q_enc.
@@ -129,16 +128,15 @@ def two_tower_step(
     batch's distinct positives, and the matrix gathers their vectors back
     into batch order: query i's positive is column i, and any other copy of
     that document in the batch is one of its negatives. The gradients of a
-    document's copies are summed before its backward pass. cache["d"] holds
-    the document tower's activations until the next step replaces them.
+    document's copies are summed before its backward pass.
     """
     docs, slot = np.unique([p.target for p in batch], return_inverse=True)
-    u_vec, cache["d"] = d_enc.forward_batch([corpus.doc(t).tokens for t in docs.tolist()])
+    u_vec, d_cache = d_enc.forward_batch([corpus.doc(t).tokens for t in docs.tolist()])
     loss, gq = forward_backward(q_enc, u_vec[slot].T,
                                 [TrainingPair(p.tokens, i, p.task) for i, p in enumerate(batch)])
     d_grad = np.zeros_like(u_vec)
     np.add.at(d_grad, slot, gq.pop("w_doc").T)
-    gd = d_enc.backward_batch(cache["d"], d_grad)
+    gd = d_enc.backward_batch(d_cache, d_grad)
     if d_enc is q_enc:
         for k, g in gq.items():
             g += gd[k]
@@ -184,16 +182,8 @@ def train_two_tower(
             chunks[-2] += chunks.pop()
         return chunks
 
-    # The document tower's activations stay referenced until its next forward
-    # pass (the query tower's live inside nn.forward_backward). Freeing them
-    # after every batch lets glibc malloc return the pages to the OS and fault
-    # them back in: on the dense benchmark fixtures of seeds 1-3, a 3-epoch
-    # train_two_tower after a first one in the same process takes 1.7k-10k
-    # minor page faults with the cache and 26k-44k without it.
-    cache: dict[str, tuple] = {}
-
     logs = run_stage("two_tower", trainable, epoch_batches,
-                     lambda batch: two_tower_step(q_enc, d_enc, corpus, batch, cache),
+                     lambda batch: two_tower_step(q_enc, d_enc, corpus, batch),
                      cfg.finetune_epochs, cfg)
     return q_enc, d_enc, logs
 

@@ -187,12 +187,14 @@ def cmd_train_overdense(args, cfg, out) -> int:
 
 
 def cmd_retrieve(args, cfg, out) -> int:
+    if args.method == "model" and not args.model:
+        raise ValueError("retrieve --method model requires --model")
+    if args.method == "bm25" and args.model:
+        raise ValueError("retrieve --method bm25 takes no --model")
     clock = _StageClock()
     corp = corpus_mod.load_corpus(args.corpus_dir)
     queries = corpus_mod.load_queries(args.queries, corp.vocab)
     run_path = Path(args.run) if args.run else out / "run.txt"
-    if args.method == "model" and not args.model:
-        raise ValueError("retrieve --method model requires --model")
     if args.method == "bm25":
         index = baselines.build_inverted_index(corp)
         clock.done("load")
@@ -404,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _command(sub, "retrieve", cmd_retrieve, "write a run file for a query set",
                   "--corpus-dir", "--queries")
-    sp.add_argument("--model", help="retriever checkpoint (required for --method model)")
+    sp.add_argument("--model", help="retriever checkpoint (required for --method model, "
+                    "rejected with --method bm25)")
     sp.add_argument("--method", choices=("model", "bm25"), default="model")
     sp.add_argument("--run", help="output run file path (default <out-dir>/run.txt)")
 

@@ -38,11 +38,17 @@ updates the model's own arrays, once every gradient has passed its checks.
 
 No dropout: training is deterministic by construction. Training runs in
 float32; gradient checks construct float64 models.
+
+On glibc, importing this module fixes malloc's mmap and trim thresholds
+(steady_heap), so the activation arrays of one step reuse the heap pages of
+the last instead of being unmapped or trimmed and faulted back in.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import platform
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -55,6 +61,33 @@ LN_EPS = 1e-5
 FD_STEP = 1e-4  # finite_diff_check's central-difference step
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
+
+# mallopt(3) parameters (glibc's malloc.h) and the values steady_heap sets
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+def steady_heap() -> None:
+    """Fix glibc malloc's thresholds at the values its dynamic rule ends at
+    on 64-bit (mallopt(3)): blocks below 32 MiB come from the heap, and up to
+    64 MiB of free memory at its top stays mapped. Left dynamic, they are
+    reached or not depending on what a process happened to allocate and
+    free first. Setting them turns the dynamic rule off and overrides
+    MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ from the environment.
+    Does nothing on any other C library.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+steady_heap()
 
 
 @dataclass

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paramdex import baselines
 from paramdex.baselines import (
     bm25_retrieve,
     bm25_score,
@@ -211,6 +213,20 @@ def _two_tower_data(n=16, seed=0):
     return corp, queries, qrels, cfg
 
 
+def _long_doc_data(n=24):
+    """Documents of 64 tokens and queries of 3 for a four-layer encoder, so
+    that the document tower's activations dwarf the towers' parameters."""
+    rng = np.random.default_rng(1)
+    corp = corpus_from_texts([" ".join(f"w{j}" for j in rng.integers(0, 30, size=64))
+                              for _ in range(n)])
+    queries = [Query(f"q{i}", [int(t) for t in rng.choice(corp.doc(i).tokens, size=3)])
+               for i in range(n)]
+    qrels = {q.qid: i for i, q in enumerate(queries)}
+    cfg = EncoderConfig(vocab_size=len(corp.vocab), d_model=16, n_layers=4,
+                        n_heads=2, d_ff=32, max_len=64)
+    return corp, queries, qrels, cfg
+
+
 class TestTwoTower:
     def test_loss_decreases_on_learnable_data(self):
         corp, queries, qrels, cfg = _two_tower_data()
@@ -296,22 +312,48 @@ class TestTwoTower:
         n_docs = len(_STEP_CORPUS)
         targets = data.draw(st.lists(st.integers(0, n_docs - 1), min_size=2, max_size=9))
         lens = data.draw(st.lists(st.integers(1, 9), min_size=len(targets), max_size=len(targets)))
-        rng = np.random.default_rng(len(targets))
-        batch = [TrainingPair(list(rng.integers(3, len(_STEP_CORPUS.vocab), size=n)), t, "query")
-                 for n, t in zip(lens, targets)]
-        for dtype in (np.float32, np.float64):
-            q_enc, d_enc = _step_towers(dtype, separate, seed=len(targets))
-            loss, grads = two_tower_step(q_enc, d_enc, _STEP_CORPUS, batch, {})
-            ref_loss, ref_grads = _per_row_step(q_enc, d_enc, _STEP_CORPUS, batch)
-            assert loss == ref_loss
-            assert grads.keys() == ref_grads.keys()
-            if dtype == np.float64:
-                # summing a repeated document's copies before its backward pass
-                # reorders additions: float64 rounding, ~1e-16 of the order-one
-                # terms, which is all there is where the terms cancel exactly
-                # (every row of a batch sharing one positive)
-                for k, g in ref_grads.items():
-                    np.testing.assert_allclose(grads[k], g, rtol=1e-10, atol=1e-12, err_msg=k)
+        _check_step_against_per_row(separate, targets, lens)
+
+    @pytest.mark.parametrize("separate", [False, True])
+    def test_step_with_one_distinct_positive_equals_per_row_reference(self, separate):
+        # the document tower encodes one row here, the reference two
+        _check_step_against_per_row(separate, targets=[1, 1], lens=[1, 1])
+
+    def test_training_holds_no_document_activations_between_steps(self, monkeypatch):
+        corp, queries, qrels, cfg = _long_doc_data()
+        tcfg = TrainConfig(batch_size=8, finetune_epochs=1, seed=0)
+        seen = []
+        step = baselines.two_tower_step
+        monkeypatch.setattr(baselines, "two_tower_step",
+                            lambda q, d, c, batch: seen.append(batch) or step(q, d, c, batch))
+        train_two_tower(corp, queries, qrels, cfg, tcfg)
+        monkeypatch.undo()
+        assert len(seen) >= 3
+        enc = Encoder.init(cfg, 0)
+        tracemalloc.start()
+        try:
+            doc_cache = step_peak = 0
+            for batch in seen:
+                docs = sorted({p.target for p in batch})
+                base = tracemalloc.get_traced_memory()[0]
+                kept = enc.forward_batch([corp.doc(t).tokens for t in docs])
+                doc_cache = max(doc_cache, tracemalloc.get_traced_memory()[0] - base)
+                del kept
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                two_tower_step(enc, enc, corp, batch)
+                step_peak = max(step_peak, tracemalloc.get_traced_memory()[1] - base)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            train_two_tower(corp, queries, qrels, cfg, tcfg)
+            train_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # above a step, training holds the towers' AdamW moments and a step's
+        # gradients, a tenth of a document cache here; keeping a step's
+        # document cache alive through the next step's document forward pass
+        # adds three quarters of one
+        assert train_peak < step_peak + doc_cache / 2
 
 
 # documents of 1-14 tokens: four length groups in the document tower
@@ -319,6 +361,31 @@ _STEP_CORPUS = corpus_from_texts([
     "a b c", "a a d e f g", "b c d e f g h i j k", "c", "d e f g h i j k l m n o p q",
     "e f g h i j", "a b c d e f g h i j k l m",
 ])
+
+
+def _check_step_against_per_row(separate, targets, lens):
+    rng = np.random.default_rng(len(targets))
+    batch = [TrainingPair(list(rng.integers(3, len(_STEP_CORPUS.vocab), size=n)), t, "query")
+             for n, t in zip(lens, targets)]
+    for dtype in (np.float32, np.float64):
+        q_enc, d_enc = _step_towers(dtype, separate, seed=len(targets))
+        loss, grads = two_tower_step(q_enc, d_enc, _STEP_CORPUS, batch)
+        ref_loss, ref_grads = _per_row_step(q_enc, d_enc, _STEP_CORPUS, batch)
+        assert grads.keys() == ref_grads.keys()
+        if dtype == np.float32:
+            assert loss == ref_loss
+            continue
+        # a batch with one distinct positive encodes one document row, which
+        # numpy hands to BLAS as a matrix-vector product; the reference's two
+        # rows go through a matrix product, whose float64 sums may round the
+        # document vector one ulp apart (float32 rows agree exactly)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-14, atol=0)
+        # summing a repeated document's copies before its backward pass
+        # reorders additions: float64 rounding, ~1e-16 of the order-one
+        # terms, which is all there is where the terms cancel exactly
+        # (every row of a batch sharing one positive)
+        for k, g in ref_grads.items():
+            np.testing.assert_allclose(grads[k], g, rtol=1e-10, atol=1e-12, err_msg=k)
 
 
 def _step_towers(dtype, separate, seed):
@@ -342,7 +409,7 @@ def _check_step_gradients(separate):
     def fn(params):
         q, d = (Encoder(q_enc.cfg, {k[2:]: v for k, v in params.items() if k.startswith(p)})
                 for p in ("q.", "d."))
-        return two_tower_step(q, d if separate else q, _STEP_CORPUS, batch, {})
+        return two_tower_step(q, d if separate else q, _STEP_CORPUS, batch)
 
     worst, _ = finite_diff_check(fn, params, max_coords_per_param=3,
                                  rng=np.random.default_rng(1))

@@ -301,6 +301,16 @@ def test_retrieve_model_method_requires_model(workspace, tmp_path):
                    "--out-dir", tmp_path, "--config", workspace["cfg"]) == 1
 
 
+def test_retrieve_bm25_method_rejects_model_naming_both_flags(workspace, tmp_path, capsys):
+    out = tmp_path / "bm25"
+    assert run_cli("retrieve", "--corpus-dir", workspace["corpus"],
+                   "--queries", workspace["data"] / "train_queries.tsv", "--method", "bm25",
+                   "--model", tmp_path / "missing.ckpt", "--out-dir", out,
+                   "--config", workspace["cfg"]) == 1
+    assert capsys.readouterr().err == "error: retrieve --method bm25 takes no --model\n"
+    assert not out.exists()
+
+
 def test_subset_size_exceeding_corpus_exits_1(workspace, tmp_path):
     assert run_cli("subset", "--corpus-dir", workspace["corpus"],
                    "--qrels", workspace["data"] / "train_qrels.tsv",

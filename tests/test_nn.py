@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -524,3 +525,24 @@ class TestAdamW:
         params = {"a": np.zeros(3), "b": np.zeros(2)}
         with pytest.raises(ValueError, match="keys"):
             adamw_step(params, {"a": np.zeros(3)}, adamw_init(params), TrainConfig())
+
+
+class TestSteadyHeap:
+    def _calls(self, monkeypatch, libc):
+        calls = []
+        mallopt = lambda param, value: calls.append((param, value)) or 1  # noqa: E731
+        monkeypatch.setattr(nn.platform, "libc_ver", lambda: (libc, "2.36" if libc else ""))
+        monkeypatch.setattr(nn.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        nn.steady_heap()
+        return calls
+
+    def test_sets_both_thresholds_on_glibc(self, monkeypatch):
+        # the maximum of glibc's dynamic mmap threshold on 64-bit, and twice it
+        assert (nn.MMAP_THRESHOLD, nn.TRIM_THRESHOLD) == (32 << 20, 64 << 20)
+        assert (nn.M_MMAP_THRESHOLD, nn.M_TRIM_THRESHOLD) == (-3, -1)  # glibc's malloc.h
+        assert self._calls(monkeypatch, "glibc") == [(nn.M_MMAP_THRESHOLD, nn.MMAP_THRESHOLD),
+                                                     (nn.M_TRIM_THRESHOLD, nn.TRIM_THRESHOLD)]
+
+    @pytest.mark.parametrize("libc", ["", "musl", "libc"])
+    def test_makes_no_call_on_another_libc(self, monkeypatch, libc):
+        assert self._calls(monkeypatch, libc) == []
