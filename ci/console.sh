@@ -1,0 +1,28 @@
+#!/usr/bin/env bash
+# Runs the paramdex console commands that CI checks, in the current directory.
+#
+#   PARAMDEX=paramdex bash ci/console.sh                  # the installed entry point
+#   PARAMDEX="python -m paramdex.cli" bash ci/console.sh  # the source tree
+#
+# $PARAMDEX is split into words, so it may be a command with arguments. The
+# commands: gradients (a check of no coordinate must fail), then a corpus
+# round trip that loads the saved docs.jsonl through load_corpus's bulk
+# reader, a subset that keeps its part's qrels, a synth corpus without
+# training queries, and the two-tower path (train-dense, overdense shards and
+# their merge) on a tiny encoder.
+set -euo pipefail
+: "${PARAMDEX:?set PARAMDEX to the paramdex command}"
+read -r -a paramdex <<< "$PARAMDEX"
+
+"${paramdex[@]}" gradcheck --coords 2
+if "${paramdex[@]}" gradcheck --coords 0; then echo "gradcheck --coords 0 passed"; exit 1; fi
+"${paramdex[@]}" synth --docs 300 --out-dir synth
+"${paramdex[@]}" ingest --docs synth/docs.jsonl --out-dir corpus
+"${paramdex[@]}" retrieve --method bm25 --corpus-dir corpus --queries synth/heldout_queries.tsv --out-dir bm25
+"${paramdex[@]}" eval --run bm25/run.txt --qrels synth/heldout_qrels.tsv --out-dir eval
+"${paramdex[@]}" subset --strategy top_click --size 100 --corpus-dir corpus --qrels synth/train_qrels.tsv --out-dir subset
+"${paramdex[@]}" synth --docs 50 --train-queries 0 --out-dir synth-no-train
+printf 'd_model = 16\nn_layers = 1\nfinetune_epochs = 2\n' > tiny.cfg
+"${paramdex[@]}" train-dense --corpus-dir corpus --queries synth/train_queries.tsv --qrels synth/train_qrels.tsv --out-dir dense --config tiny.cfg
+"${paramdex[@]}" shard-train --strategy overdense --corpus-dir corpus --queries synth/train_queries.tsv --qrels synth/train_qrels.tsv --out-dir shards --config tiny.cfg
+"${paramdex[@]}" shard-merge --shards-dir shards --corpus-dir corpus --queries synth/heldout_queries.tsv --out-dir merged --config tiny.cfg

@@ -19,7 +19,6 @@ the model that init-from-dense fine-tuning starts from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -69,9 +68,9 @@ def build_inverted_index(corpus: Corpus) -> InvertedIndex:
     n = len(corpus)
     if n == 0:
         raise ValueError("cannot index an empty corpus")
-    doc_len = np.fromiter((len(d.tokens) for d in corpus.docs), np.int64, n)
+    doc_len = np.diff(corpus.indptr)
     # one key per token occurrence, token * n + docid, built in place to keep the peak low
-    keys = np.fromiter(chain.from_iterable(d.tokens for d in corpus.docs), np.int64, int(doc_len.sum()))
+    keys = corpus.tokens.astype(np.int64)
     keys *= n
     keys += np.repeat(np.arange(n, dtype=np.int32), doc_len)
     keys, tf = np.unique(keys, return_counts=True)  # sorted by token, then docid
@@ -193,7 +192,7 @@ def dense_encode_corpus(doc_encoder: Encoder, corpus: Corpus, batch_size: int = 
     index of the encoder's dtype."""
     rows = []
     for i in range(0, len(corpus), batch_size):
-        chunk = [d.tokens for d in corpus.docs[i : i + batch_size]]
+        chunk = [corpus.doc(j).tokens for j in range(i, min(i + batch_size, len(corpus)))]
         vec, _ = doc_encoder.forward_batch(chunk, need_cache=False)
         rows.append(vec)
     return np.concatenate(rows, axis=0)

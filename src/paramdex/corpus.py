@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,7 +102,7 @@ def build_vocabulary(token_docs: Iterable[Sequence[str]], min_freq: int = 1) -> 
 class Document:
     internal_id: int
     external_id: str
-    tokens: list[int]
+    tokens: np.ndarray  # int32, a view of the corpus's token array
     click_count: int = 0
 
 
@@ -117,39 +118,45 @@ class Query:
 
 
 class Corpus:
-    """Immutable collection of tokenized documents with dense internal ids."""
+    """Immutable tokenized documents; document i's int32 token ids are tokens[indptr[i]:indptr[i + 1]]."""
 
-    def __init__(self, docs: list[Document], vocab: Vocabulary):
-        self.docs = docs
+    def __init__(self, tokens: np.ndarray, lengths: Sequence[int], external_ids: list[str],
+                 clicks: list[int], vocab: Vocabulary):
+        self.tokens = tokens
+        self.indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        self.external_ids = external_ids
+        self.clicks = clicks  # Python ints: docs.jsonl allows counts beyond int64
         self.vocab = vocab
-        self.by_external: dict[str, int] = {d.external_id: d.internal_id for d in docs}
-        if len(self.by_external) != len(docs):
+        self.by_external: dict[str, int] = {ext: i for i, ext in enumerate(external_ids)}
+        if len(self.by_external) != len(external_ids):
             raise ValueError("duplicate external ids in corpus")
-        for i, d in enumerate(docs):
-            if d.internal_id != i:
-                raise ValueError("internal ids must be contiguous and in order")
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.external_ids)
 
     def doc(self, internal_id: int) -> Document:
-        return self.docs[internal_id]
+        tokens = self.tokens[self.indptr[internal_id] : self.indptr[internal_id + 1]]
+        return Document(internal_id, self.external_ids[internal_id], tokens, self.clicks[internal_id])
+
+    @property
+    def docs(self) -> list[Document]:
+        """Every document in internal id order, built on each access."""
+        return [self.doc(i) for i in range(len(self))]
 
     def external_id(self, internal_id: int) -> str:
-        return self.docs[internal_id].external_id
+        return self.external_ids[internal_id]
 
     def take(
         self, internal_ids: Sequence[int], qrels: dict[str, int]
     ) -> tuple["Corpus", dict[str, int]]:
         """New corpus keeping `internal_ids` (given order), same vocabulary, and
         the qrels whose positive it keeps, renumbered to its ids in qrels order."""
-        docs = []
-        new_id: dict[int, int] = {}
-        for new, old in enumerate(internal_ids):
-            d = self.docs[old]
-            docs.append(Document(new, d.external_id, d.tokens, d.click_count))
-            new_id[old] = new
-        return Corpus(docs, self.vocab), {q: new_id[d] for q, d in qrels.items() if d in new_id}
+        views = [self.doc(i).tokens for i in internal_ids]
+        part = Corpus(np.concatenate([self.tokens[:0], *views]), list(map(len, views)),
+                      [self.external_ids[i] for i in internal_ids], [self.clicks[i] for i in internal_ids],
+                      self.vocab)
+        new_id = {old: new for new, old in enumerate(internal_ids)}
+        return part, {q: new_id[d] for q, d in qrels.items() if d in new_id}
 
 
 def text_lines(path: str | Path) -> Iterator[tuple[str, str]]:
@@ -213,11 +220,9 @@ def ingest_corpus(path: str | Path, min_freq: int = 1) -> Corpus:
             continue
         records.append((ext, tokens, clicks))
     vocab = build_vocabulary((toks for _, toks, _ in records), min_freq=min_freq)
-    docs = [
-        Document(i, ext, [vocab.lookup(t) for t in toks], clicks)
-        for i, (ext, toks, clicks) in enumerate(records)
-    ]
-    return Corpus(docs, vocab)
+    external_ids, token_docs, clicks = zip(*records)
+    tokens = np.array([vocab.lookup(t) for toks in token_docs for t in toks], dtype=np.int32)
+    return Corpus(tokens, list(map(len, token_docs)), list(external_ids), list(clicks), vocab)
 
 
 def load_queries(path: str | Path, vocab: Vocabulary) -> list[Query]:
@@ -294,8 +299,7 @@ def sample_subset(
     if size > len(corpus):
         raise ValueError(f"subset size {size} exceeds corpus size {len(corpus)}")
     if strategy == "top_click":
-        ranked = sorted(corpus.docs, key=lambda d: (-d.click_count, d.internal_id))
-        keep = {d.internal_id for d in ranked[:size]}
+        keep = set(sorted(range(len(corpus)), key=lambda i: (-corpus.clicks[i], i))[:size])
     elif strategy == "random":
         perm = np.random.default_rng(seed).permutation(len(corpus))
         keep = {int(i) for i in perm[:size]}
@@ -313,7 +317,7 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
     with open(docs_path, "w", encoding="utf-8") as f:
         for d in corpus.docs:
             f.write(json.dumps(
-                {"docid": d.external_id, "token_ids": d.tokens, "clicks": d.click_count},
+                {"docid": d.external_id, "token_ids": d.tokens.tolist(), "clicks": d.click_count},
                 separators=(",", ":"),
             ) + "\n")
     with open(vocab_path, "w", encoding="utf-8") as f:
@@ -363,9 +367,9 @@ def _malformed_ids(joined: bytes, width: int) -> bool:
     return bool(run.any())
 
 
-def _saved_docs(path: Path, n_vocab: int) -> list[Document] | None:
-    """The documents of a docs.jsonl whose every line is exactly what
-    save_corpus writes, or None (declined) when a line is anything else or the
+def _saved_docs(path: Path, n_vocab: int) -> tuple | None:
+    """Corpus's tokens, lengths, docids and clicks from a docs.jsonl whose every
+    line is exactly what save_corpus writes, or None (declined) when a line is anything else or the
     file holds no documents, an id outside [0, n_vocab) or a docid twice.
 
     Each block of lines is matched by one regex, and its token ids parsed by
@@ -373,49 +377,43 @@ def _saved_docs(path: Path, n_vocab: int) -> list[Document] | None:
     still marks its place.
     """
     width = len(str(n_vocab - 1))
-    pool = np.array(range(n_vocab), dtype=object)  # the one int object of each id
-    docs: list[Document] = []
+    token_parts, lengths, external_ids, clicks = [], [], [], []
     with open(path, "rb") as f:
         while lines := f.readlines(_BLOCK_BYTES):
             found = _SAVED_DOC_RE.findall(b"".join(lines))
             if len(found) != len(lines):  # so each line is one match, all ASCII
                 return None
-            docids, id_lists, clicks = zip(*found)
+            docids, id_lists, click_counts = zip(*found)
             joined = b",".join([b"-1," + s if s else b"-1" for s in id_lists])
             if _malformed_ids(joined, width):
                 return None
             ids = np.fromstring(joined, dtype=np.int64, sep=",")
             starts = np.flatnonzero(ids < 0)
+            lengths.append(np.diff(starts, append=ids.size) - 1)
             ids = np.delete(ids, starts)
             if ids.size and ids.max() >= n_vocab:
                 return None
-            tokens = pool[ids].tolist()
-            bounds = (starts - np.arange(len(starts))).tolist() + [len(tokens)]
-            first = len(docs)
-            docs += [
-                Document(first + i, ext, tokens[bounds[i] : bounds[i + 1]], c)
-                for i, (ext, c) in enumerate(zip(map(bytes.decode, docids), map(int, clicks)))
-            ]
-    if not docs or len({d.external_id for d in docs}) != len(docs):
+            token_parts.append(ids.astype(np.int32))
+            external_ids += map(bytes.decode, docids)
+            clicks += map(int, click_counts)
+    if not external_ids or len(set(external_ids)) != len(external_ids):
         return None
-    return docs
+    return np.concatenate(token_parts), np.concatenate(lengths), external_ids, clicks
 
 
-def _json_docs(path: Path, n_vocab: int) -> list[Document]:
-    """The documents of a docs.jsonl, one JSON record per line: the reference
-    reader, and the source of every docs.jsonl error."""
-    # one hash lookup per token both checks the id (cheaper than min + max) and
-    # swaps the decoder's int for the vocabulary's, which the corpus then shares
-    canonical = {i: i for i in range(n_vocab)}
-    docs: list[Document] = []
+def _json_docs(path: Path, n_vocab: int) -> tuple:
+    """Corpus's tokens, lengths, docids and clicks from a docs.jsonl, one JSON
+    record per line: the reference reader, and the source of every docs.jsonl error."""
+    vocab_ids = set(range(n_vocab))  # one hash lookup per token checks the id, cheaper than min + max
+    tokens = array("i")
+    docs: list[tuple[str, int, int]] = []  # docid, clicks, token count
     seen: dict[str, str] = {}
     for where, line in text_lines(path):
         rec = _doc_record(_DOCS_DECODER, line, where, "token_ids", list)
         raw = rec["token_ids"]
         try:
-            tokens = list(map(canonical.__getitem__, raw))
-            in_vocab = True
-        except (KeyError, TypeError):  # TypeError: an unhashable list or object among the ids
+            in_vocab = vocab_ids.issuperset(raw)
+        except TypeError:  # an unhashable list or object among the ids
             in_vocab = False
         # true and false equal 1 and 0, so a line that spells one of them, or
         # that failed the lookup, gets the exact type check; looking for a 'u'
@@ -428,11 +426,12 @@ def _json_docs(path: Path, n_vocab: int) -> list[Document]:
                 f"{where} (docid '{rec['docid']}'): "
                 f"token id outside the vocabulary [0, {n_vocab})"
             )
-        ext, clicks = _doc_fields(rec, where, seen)
-        docs.append(Document(len(docs), ext, tokens, clicks))
+        tokens.fromlist(raw)
+        docs.append((*_doc_fields(rec, where, seen), len(raw)))
     if not docs:
         raise ValueError(f"{path}: no documents")
-    return docs
+    external_ids, clicks, lengths = zip(*docs)
+    return np.array(tokens, dtype=np.int32), lengths, list(external_ids), list(clicks)
 
 
 def load_corpus(in_dir: str | Path) -> Corpus:
@@ -442,21 +441,19 @@ def load_corpus(in_dir: str | Path) -> Corpus:
     parsed in bulk (_saved_docs). Any other file, or one that breaks a rule
     (an id outside the vocabulary, a repeated docid, no documents), is read
     by the per-line JSON loop (_json_docs): that loop is the reference, and
-    every docs.jsonl error comes from it. Both give the same Corpus.
-
-    Every document's tokens hold one int object per vocabulary id: an id used
-    by many documents is one object, not one per occurrence, so a token costs
-    its list slot and no int of its own. A docs.jsonl without documents raises.
+    every docs.jsonl error comes from it. Both give the same int32 token
+    array. A docs.jsonl without documents raises.
     """
     src = Path(in_dir)
     # vocab.tsv is positional (line n holds token id n - 1): read whole, blank lines included
     vocab_path = src / "vocab.tsv"
-    data = vocab_path.read_bytes()
-    try:
-        id_to_token = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as e:
-        n = data.count(b"\n", 0, e.start) + 1
-        raise ValueError(f"{vocab_path} line {n}: not valid UTF-8") from None
+    id_to_token = []
+    # bytes, unlike str, break lines only where text_lines does: at \n, \r\n and \r
+    for n, line in enumerate(vocab_path.read_bytes().splitlines(), start=1):
+        try:
+            id_to_token.append(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ValueError(f"{vocab_path} line {n}: not valid UTF-8") from None
     if tuple(id_to_token[:3]) != RESERVED_TOKENS:
         raise ValueError(f"{vocab_path}: lines 1-3 must be the reserved tokens {' '.join(RESERVED_TOKENS)}")
     first: dict[str, int] = {}
@@ -465,5 +462,5 @@ def load_corpus(in_dir: str | Path) -> Corpus:
             raise ValueError(f"{vocab_path} line {n}: token {token!r} is already on line {first[token]}")
     vocab = Vocabulary(id_to_token[3:])
     docs_path = src / "docs.jsonl"
-    docs = _saved_docs(docs_path, len(vocab)) or _json_docs(docs_path, len(vocab))
-    return Corpus(docs, vocab)
+    parts = _saved_docs(docs_path, len(vocab)) or _json_docs(docs_path, len(vocab))
+    return Corpus(*parts, vocab)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Document, Query, text_lines
+from .corpus import Corpus, Query, text_lines, valid_id
 
 log = logging.getLogger(__name__)
 
@@ -34,8 +34,8 @@ class TrainingPair:
     task: str
 
 
-def segment_passages(doc: Document, window: int) -> list[TrainingPair]:
-    """Split a document into consecutive non-overlapping windows.
+def segment_passages(tokens: list[int], target: int, window: int) -> list[TrainingPair]:
+    """Split a document's tokens into consecutive non-overlapping windows.
 
     Emits ceil(len/window) pairs; the final passage may be shorter than the
     window. Concatenating the passages reproduces the document exactly.
@@ -43,8 +43,8 @@ def segment_passages(doc: Document, window: int) -> list[TrainingPair]:
     if window < 1:
         raise ValueError("window must be >= 1")
     return [
-        TrainingPair(doc.tokens[i : i + window], doc.internal_id, "passage")
-        for i in range(0, len(doc.tokens), window)
+        TrainingPair(tokens[i : i + window], target, "passage")
+        for i in range(0, len(tokens), window)
     ]
 
 
@@ -52,20 +52,18 @@ def document_frequencies(corpus: Corpus) -> np.ndarray:
     """Per-token-id document frequency over the whole corpus."""
     df = np.zeros(len(corpus.vocab), dtype=np.int64)
     for doc in corpus.docs:
-        for t in set(doc.tokens):
-            df[t] += 1
+        df[list(set(doc.tokens.tolist()))] += 1
     return df
 
 
-def term_importance(doc: Document, corpus: Corpus, df: np.ndarray) -> dict[int, float]:
-    """TF-IDF weight per distinct token of the document.
+def term_importance(tokens: list[int], n_docs: int, df: np.ndarray) -> dict[int, float]:
+    """TF-IDF weight per distinct token of a document of a corpus of n_docs.
 
     weight = tf(token, doc) * ln(1 + |D| / df(token)), df being the corpus's
     document_frequencies. Keys are ordered by first occurrence in the document.
     """
-    n_docs = len(corpus)
     counts: dict[int, int] = {}
-    for t in doc.tokens:
+    for t in tokens:
         counts[t] = counts.get(t, 0) + 1
     return {t: c * float(np.log(1.0 + n_docs / df[t])) for t, c in counts.items()}
 
@@ -102,9 +100,9 @@ def weighted_sample_without_replacement(
 
 
 def sample_term_sets(
-    doc: Document, m: int, weights: dict[int, float], rng: np.random.Generator
+    target: int, m: int, weights: dict[int, float], rng: np.random.Generator
 ) -> list[TrainingPair]:
-    """Draw m term sets from a document's distinct tokens by importance.
+    """Draw m term sets for document `target` from its distinct tokens by importance.
 
     Each set's length is uniform over [10, min(512, n_distinct)]; documents
     with fewer than 10 distinct tokens contribute all of them. Tokens are
@@ -123,7 +121,7 @@ def sample_term_sets(
             hi = min(MAX_TERM_SAMPLE, n_distinct)
             length = int(rng.integers(MIN_TERM_SAMPLE, hi + 1))
         sampled = weighted_sample_without_replacement(items, w, length, rng)
-        pairs.append(TrainingPair(sampled, doc.internal_id, "terms"))
+        pairs.append(TrainingPair(sampled, target, "terms"))
     return pairs
 
 
@@ -143,7 +141,7 @@ def extract_ngram_pairs(
         raise ValueError("max_ngrams must be >= 0")
     containing: dict[tuple[int, ...], list[int]] = {}
     for doc in corpus.docs:
-        toks = doc.tokens
+        toks = doc.tokens.tolist()
         grams = {tuple(toks[i : i + n]) for i in range(len(toks) - n + 1)}
         for g in grams:
             containing.setdefault(g, []).append(doc.internal_id)
@@ -193,16 +191,21 @@ def generate_pretrain_pairs(
     df = document_frequencies(corpus)
     pairs: list[TrainingPair] = []
     for doc in corpus.docs:
-        pairs.extend(segment_passages(doc, window))
+        tokens = doc.tokens.tolist()  # Python ints, which the pairs hold and the sampler hashes
+        pairs.extend(segment_passages(tokens, doc.internal_id, window))
         rng = np.random.default_rng(np.random.SeedSequence([seed, doc.internal_id]))
-        weights = term_importance(doc, corpus, df=df)
-        pairs.extend(sample_term_sets(doc, m_samples, weights, rng))
+        pairs.extend(sample_term_sets(doc.internal_id, m_samples, term_importance(tokens, len(corpus), df), rng))
     pairs.extend(extract_ngram_pairs(corpus, ngram_n, ngram_min_df, max_ngrams))
     return pairs
 
 
 def save_pairs(path: str | Path, pairs: list[TrainingPair], corpus: Corpus) -> None:
+    """Write pairs for load_pairs; a token that would not read back raises before the file exists."""
     vocab = corpus.vocab
+    unwritable = {i for i, t in enumerate(vocab.id_to_token) if not valid_id(t)}
+    used = unwritable and sorted(unwritable.intersection(t for p in pairs for t in p.tokens))
+    if used:
+        raise ValueError(f"token id {used[0]} ({vocab.token(used[0])!r}) is empty or contains whitespace")
     with open(path, "w", encoding="utf-8") as f:
         for p in pairs:
             text = " ".join(vocab.token(t) for t in p.tokens)

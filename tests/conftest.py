@@ -3,21 +3,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from paramdex.corpus import Corpus, Document, build_vocabulary, tokenize
+from paramdex.corpus import Corpus, build_vocabulary, tokenize
 from paramdex.distributed import ShardRun, merge_runs
 from paramdex.retriever import RankedList
+
+
+def corpus_from_token_lists(token_lists, external_ids, clicks, vocab) -> Corpus:
+    """A Corpus whose document i has the token ids token_lists[i]."""
+    tokens = np.array([t for toks in token_lists for t in toks], dtype=np.int32)
+    return Corpus(tokens, [len(t) for t in token_lists], list(external_ids), list(clicks), vocab)
 
 
 def corpus_from_texts(texts, clicks=None, min_freq=1) -> Corpus:
     """Small in-memory corpus for tests; external ids are d0, d1, ..."""
     token_lists = [tokenize(t) for t in texts]
     vocab = build_vocabulary(token_lists, min_freq=min_freq)
-    clicks = clicks or [0] * len(texts)
-    docs = [
-        Document(i, f"d{i}", [vocab.lookup(t) for t in toks], clicks[i])
-        for i, toks in enumerate(token_lists)
-    ]
-    return Corpus(docs, vocab)
+    return corpus_from_token_lists([[vocab.lookup(t) for t in toks] for toks in token_lists],
+                                   [f"d{i}" for i in range(len(texts))], clicks or [0] * len(texts), vocab)
 
 
 def as_pairs(ids, scores) -> list[tuple[int, float]]:

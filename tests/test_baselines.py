@@ -75,9 +75,8 @@ class TestInvertedIndex:
                 assert tf == sum(1 for x in corp.doc(docid).tokens if x == t)
 
     def test_unk_is_not_indexed(self):
-        corp = corpus_from_texts(["a b", "c"])
-        doc = corp.doc(0)
-        doc.tokens.append(UNK_ID)
+        corp = corpus_from_texts(["a b rare", "a b"], min_freq=2)  # "rare" falls out of the vocabulary
+        assert corp.doc(0).tokens.tolist()[2] == UNK_ID
         index = build_inverted_index(corp)
         assert _postings(index, UNK_ID) == []
         assert index.doc_len[0] == 3  # UNK still counts toward the document length

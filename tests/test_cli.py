@@ -1,12 +1,17 @@
 import argparse
 import json
 import logging
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paramdex
 from paramdex import checkpoint
 from paramdex.cli import build_parser, main
 from paramdex.corpus import load_corpus
@@ -635,3 +640,16 @@ def test_help_exits_0(command, capsys):
         run_cli(command, "--help")
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: paramdex {command}")
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="ci/console.sh is a bash script")
+def test_ci_console_script(tmp_path):
+    # the commands CI runs through the installed entry point, here through python -m
+    script = Path(__file__).resolve().parents[1] / "ci" / "console.sh"
+    env = {**os.environ, "PARAMDEX": f"{sys.executable} -m paramdex.cli",
+           "PYTHONPATH": str(Path(paramdex.__file__).resolve().parents[1])}
+    proc = subprocess.run(["bash", str(script)], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "max relative error" in proc.stdout and "gradcheck --coords 0 passed" not in proc.stdout
+    assert (tmp_path / "merged" / "merged.run").stat().st_size > 0

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from paramdex import corpus as corpus_mod
 from paramdex.corpus import (
     Corpus,
-    Document,
     CLS_ID,
     PAD_ID,
     UNK_ID,
@@ -27,7 +26,7 @@ from paramdex.corpus import (
     tokenize,
 )
 
-from conftest import corpus_from_texts
+from conftest import corpus_from_texts, corpus_from_token_lists
 
 
 class TestTokenize:
@@ -212,17 +211,36 @@ def test_save_load_roundtrip(tmp_path, tiny_corpus):
     assert len(loaded) == len(tiny_corpus)
     assert loaded.vocab.id_to_token == tiny_corpus.vocab.id_to_token
     for a, b in zip(loaded.docs, tiny_corpus.docs):
-        assert (a.external_id, a.tokens, a.click_count) == (b.external_id, b.tokens, b.click_count)
+        assert (a.external_id, a.tokens.tolist(), a.click_count) == \
+            (b.external_id, b.tokens.tolist(), b.click_count)
 
 
-def test_load_shares_the_vocabulary_ints(tmp_path):
-    # ids above 256 are not among CPython's cached small ints, so a reader that
-    # kept the decoder's ints would hold one object per occurrence
-    text = " ".join(f"w{i:03d}" for i in range(300))
-    save_corpus(corpus_from_texts([text, text]), tmp_path)
-    a, b = (d.tokens for d in load_corpus(tmp_path).docs)
-    assert a == b and max(a) >= 257
-    assert all(x is y for x, y in zip(a, b))
+def _assert_views(corp: Corpus) -> None:
+    """Every document's tokens are an int32 view of the corpus's one token array."""
+    assert corp.tokens.dtype == np.int32 and corp.indptr.dtype == np.int64
+    for d in corp.docs:
+        assert d.tokens.dtype == np.int32 and np.shares_memory(d.tokens, corp.tokens)
+
+
+def test_documents_are_views_of_one_token_array(tmp_path):
+    docs = tmp_path / "in.jsonl"
+    docs.write_text("".join(json.dumps({"docid": f"d{i}", "text": t}) + "\n"
+                            for i, t in enumerate(["alpha beta alpha", "gamma", "beta delta gamma alpha"])))
+    ingested = ingest_corpus(docs)
+    _assert_views(ingested)
+    save_corpus(ingested, tmp_path / "saved")
+    assert _saved_docs(tmp_path / "saved") is not None  # so load_corpus takes the bulk reader
+    bulk = load_corpus(tmp_path / "saved")
+    (tmp_path / "saved" / "docs.jsonl").write_text(
+        (tmp_path / "saved" / "docs.jsonl").read_text().replace(",", ", "))
+    assert _saved_docs(tmp_path / "saved") is None  # and now the JSON loop
+    loop = load_corpus(tmp_path / "saved")
+    part, _ = loop.take([2, 0], {})
+    for corp in (bulk, loop, part):
+        _assert_views(corp)
+    for corp in (bulk, loop):
+        assert [d.tokens.tolist() for d in corp.docs] == [d.tokens.tolist() for d in ingested.docs]
+    assert [d.tokens.tolist() for d in part.docs] == [loop.doc(i).tokens.tolist() for i in (2, 0)]
 
 
 @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
@@ -264,15 +282,15 @@ FAST_DOCID_CHARS = "".join(c for c in map(chr, range(0x21, 0x7F)) if c not in '"
 
 
 def _outcome(read, *args):
-    """What a reader gives: every document's fields with each field's type, or its error."""
+    """What a reader gives: the token array and indptr with their dtypes, the docids and
+    each click count with its type; or its error."""
     try:
         docs = read(*args)
     except ValueError as e:
         return "error", str(e)
-    if isinstance(docs, Corpus):
-        docs = docs.docs
-    return "docs", [(d.internal_id, d.external_id, d.tokens, [type(t) for t in d.tokens],
-                     d.click_count, type(d.click_count)) for d in docs]
+    corp = docs if isinstance(docs, Corpus) else Corpus(*docs, Vocabulary([]))  # a reader's parts
+    return "docs", (corp.tokens.dtype, corp.tokens.tolist(), corp.indptr.dtype, corp.indptr.tolist(),
+                    corp.external_ids, [(c, type(c)) for c in corp.clicks])
 
 
 def _n_vocab(corpus_dir: Path) -> int:
@@ -289,13 +307,6 @@ def _saved_docs(corpus_dir: Path):
     return corpus_mod._saved_docs(corpus_dir / "docs.jsonl", _n_vocab(corpus_dir))
 
 
-def _assert_one_int_per_id(docs):
-    first: dict[int, int] = {}
-    for d in docs:
-        for t in d.tokens:
-            assert first.setdefault(t, t) is t
-
-
 _docid = st.one_of(
     st.text(FAST_DOCID_CHARS, min_size=1, max_size=6),
     # each of these needs a JSON escape, is not ASCII or is not printable
@@ -310,10 +321,9 @@ def _saved_corpora(draw):
     docids = draw(st.lists(_docid.filter(corpus_mod.valid_id), min_size=1, max_size=7, unique=True))
     clicks = st.one_of(st.sampled_from([0, 1, 2**31 + 1, 10**18 - 1, 10**18]),
                        st.integers(0, 2**40), st.integers(0, 10**30))
-    docs = [Document(i, ext, draw(st.lists(ids, max_size=12)), draw(clicks))
-            for i, ext in enumerate(docids)]
+    token_lists, click_counts = zip(*[(draw(st.lists(ids, max_size=12)), draw(clicks)) for _ in docids])
     vocab = Vocabulary([f"w{i}" for i in range(n_vocab - 3)])
-    return Corpus(docs, vocab)
+    return corpus_from_token_lists(token_lists, docids, click_counts, vocab)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -325,11 +335,7 @@ def test_bulk_reader_equals_the_json_loop_on_saved_corpora(corp, block_bytes):
         fast = all(set(d.external_id) <= set(FAST_DOCID_CHARS) and d.click_count < 10**18
                    for d in corp.docs)
         assert (_saved_docs(out) is not None) == fast
-        loaded = load_corpus(out)
-        assert _outcome(load_corpus, out) == _json_outcome(out)
-        assert [(d.external_id, d.tokens, d.click_count) for d in loaded.docs] == \
-            [(d.external_id, d.tokens, d.click_count) for d in corp.docs]
-        _assert_one_int_per_id(loaded.docs)
+        assert _outcome(load_corpus, out) == _json_outcome(out) == _outcome(lambda: corp)
 
 
 def _set_first_id(line: str, literal: str) -> str:
@@ -376,8 +382,7 @@ def test_bulk_reader_declines_what_save_corpus_does_not_write(tmp_path, mutation
     got = _outcome(load_corpus, tmp_path)
     assert got == _json_outcome(tmp_path)
     if error is None:
-        assert got[0] == "docs" and len(got[1]) == 3
-        _assert_one_int_per_id(load_corpus(tmp_path).docs)
+        assert got[0] == "docs" and len(got[1][4]) == 3
     else:
         assert got[0] == "error" and re.match(rf"{re.escape(str(docs))} line 2\b.*: {error}", got[1]), got[1]
 

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paramdex.corpus import UNK_ID, Document
+from paramdex.corpus import UNK_ID, load_corpus, save_corpus
 from paramdex.pairs import (
     TrainingPair,
     document_frequencies,
@@ -23,43 +24,44 @@ from conftest import corpus_from_texts
 
 class TestSegmentPassages:
     def test_ceiling_split(self):
-        doc = Document(0, "d0", list(range(300)), 0)
-        out = segment_passages(doc, 128)
+        out = segment_passages(list(range(300)), 0, 128)
         assert [len(p.tokens) for p in out] == [128, 128, 44]
         assert all(p.target == 0 and p.task == "passage" for p in out)
 
     def test_exact_window(self):
-        doc = Document(0, "d0", list(range(128)), 0)
-        assert len(segment_passages(doc, 128)) == 1
+        assert len(segment_passages(list(range(128)), 0, 128)) == 1
 
     def test_pair_count_is_ceil(self):
         for n in (1, 5, 127, 128, 129, 1000):
-            doc = Document(0, "d0", list(range(n)), 0)
-            assert len(segment_passages(doc, 128)) == math.ceil(n / 128)
+            assert len(segment_passages(list(range(n)), 0, 128)) == math.ceil(n / 128)
 
     def test_concatenation_reproduces_document(self):
-        doc = Document(3, "d3", list(np.random.default_rng(0).integers(3, 50, size=517)), 0)
-        out = segment_passages(doc, 64)
+        tokens = np.random.default_rng(0).integers(3, 50, size=517).tolist()
+        out = segment_passages(tokens, 3, 64)
         flat = [t for p in out for t in p.tokens]
-        assert flat == doc.tokens
+        assert flat == tokens and {p.target for p in out} == {3}
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
-            segment_passages(Document(0, "d0", [3], 0), 0)
+            segment_passages([3], 0, 0)
+
+
+def _weights(corp, docid: int) -> dict[int, float]:
+    """term_importance of one document of the corpus."""
+    return term_importance(corp.doc(docid).tokens.tolist(), len(corp), document_frequencies(corp))
 
 
 class TestTermImportance:
     def test_everywhere_token_weight_is_ln2(self, tiny_corpus):
         # "banana" occurs in all 3 docs, once in doc 0
-        w = term_importance(tiny_corpus.doc(0), tiny_corpus, document_frequencies(tiny_corpus))
+        w = _weights(tiny_corpus, 0)
         banana = tiny_corpus.vocab.lookup("banana")
         assert w[banana] == pytest.approx(math.log(2.0))
 
     def test_linear_in_tf(self):
         corp = corpus_from_texts(["rare rare base", "base other"])
         doubled = corpus_from_texts(["rare rare rare rare base", "base other"])
-        w1 = term_importance(corp.doc(0), corp, document_frequencies(corp))
-        w2 = term_importance(doubled.doc(0), doubled, document_frequencies(doubled))
+        w1, w2 = _weights(corp, 0), _weights(doubled, 0)
         w1, w2 = w1[corp.vocab.lookup("rare")], w2[doubled.vocab.lookup("rare")]
         assert w2 == pytest.approx(2.0 * w1)
 
@@ -67,7 +69,7 @@ class TestTermImportance:
         # independent reccount: weight = tf * ln(1 + n_docs/df)
         n_docs = len(tiny_corpus)
         for doc in tiny_corpus.docs:
-            got = term_importance(doc, tiny_corpus, document_frequencies(tiny_corpus))
+            got = _weights(tiny_corpus, doc.internal_id)
             for token_id in set(doc.tokens):
                 tf = sum(1 for t in doc.tokens if t == token_id)
                 df = sum(1 for d in tiny_corpus.docs if token_id in d.tokens)
@@ -77,26 +79,22 @@ class TestTermImportance:
 class TestSampleTermSets:
     def test_pair_count_contract(self, tiny_corpus):
         rng = np.random.default_rng(0)
-        w = term_importance(tiny_corpus.doc(0), tiny_corpus, document_frequencies(tiny_corpus))
-        assert len(sample_term_sets(tiny_corpus.doc(0), 3, w, rng)) == 3
+        assert len(sample_term_sets(0, 3, _weights(tiny_corpus, 0), rng)) == 3
 
     def test_few_distinct_tokens_clamp(self, tiny_corpus):
         # doc 2 has 5 distinct tokens (< 10): every sample contains all of them
-        doc = tiny_corpus.doc(2)
-        w = term_importance(doc, tiny_corpus, document_frequencies(tiny_corpus))
         rng = np.random.default_rng(1)
-        for p in sample_term_sets(doc, 5, w, rng):
-            assert sorted(p.tokens) == sorted(set(doc.tokens))
+        for p in sample_term_sets(2, 5, _weights(tiny_corpus, 2), rng):
+            assert sorted(p.tokens) == sorted(set(tiny_corpus.doc(2).tokens.tolist())) and p.target == 2
 
     def test_first_draw_frequency_tracks_weight(self):
         corp = corpus_from_texts(["heavy heavy light other1 other2", "filler"])
-        doc = corp.doc(0)
-        weights = term_importance(doc, corp, document_frequencies(corp))
+        weights = _weights(corp, 0)
         heavy, light = corp.vocab.lookup("heavy"), corp.vocab.lookup("light")
         assert weights[heavy] == pytest.approx(2 * weights[light])
         rng = np.random.default_rng(99)
         counts = {heavy: 0, light: 0}
-        for p in sample_term_sets(doc, 10_000, weights, rng):
+        for p in sample_term_sets(0, 10_000, weights, rng):
             first = p.tokens[0]
             if first in counts:
                 counts[first] += 1
@@ -104,15 +102,12 @@ class TestSampleTermSets:
         assert abs(ratio - 2.0) / 2.0 < 0.10
 
     def test_zero_weights_fall_back_to_uniform(self, tiny_corpus):
-        doc = tiny_corpus.doc(0)
-        zero = {t: 0.0 for t in set(doc.tokens)}
-        out = sample_term_sets(doc, 4, zero, np.random.default_rng(0))
+        zero = {t: 0.0 for t in set(tiny_corpus.doc(0).tokens.tolist())}
+        out = sample_term_sets(0, 4, zero, np.random.default_rng(0))
         assert len(out) == 4 and all(p.tokens for p in out)
 
     def test_sampled_order_varies(self, tiny_corpus):
-        doc = tiny_corpus.doc(0)
-        w = term_importance(doc, tiny_corpus, document_frequencies(tiny_corpus))
-        sets = sample_term_sets(doc, 50, w, np.random.default_rng(5))
+        sets = sample_term_sets(0, 50, _weights(tiny_corpus, 0), np.random.default_rng(5))
         orders = {tuple(p.tokens) for p in sets}
         assert len(orders) > 1
 
@@ -211,6 +206,12 @@ class TestGeneratePairs:
         b = generate_pretrain_pairs(tiny_corpus, window=3, m_samples=4, seed=7)
         assert [(p.tokens, p.target, p.task) for p in a] == [(p.tokens, p.target, p.task) for p in b]
 
+    def test_tokens_are_python_ints(self, tiny_corpus):
+        # the corpus holds numpy int32 views; pairs take Python ints from them
+        out = generate_pretrain_pairs(tiny_corpus, window=2, m_samples=2, ngram_n=2, seed=0)
+        assert {p.task for p in out} == {"passage", "terms", "ngram"}
+        assert all(type(t) is int for p in out for t in p.tokens)
+
     def test_targets_exist(self, tiny_corpus):
         out = generate_pretrain_pairs(tiny_corpus, window=2, m_samples=2, seed=0)
         assert all(0 <= p.target < len(tiny_corpus) for p in out)
@@ -238,6 +239,24 @@ def test_save_load_roundtrip(tmp_path, tiny_corpus):
     save_pairs(path, out, tiny_corpus)
     loaded = load_pairs(path, tiny_corpus)
     assert [(p.tokens, p.target, p.task) for p in loaded] == [(p.tokens, p.target, p.task) for p in out]
+
+
+@pytest.mark.parametrize("entry", ["", " ", "two words", "tab\tbed"], ids=["blank", "space", "inner-space", "tab"])
+def test_save_rejects_a_token_that_would_not_read_back(tmp_path, tiny_corpus, entry):
+    # vocab.tsv may hold a blank or spaced entry (its lines are positional), but
+    # load_pairs splits a pair's text at spaces: [4, 3, 6] would come back as [3, 6]
+    save_corpus(tiny_corpus, tmp_path)
+    vocab = tmp_path / "vocab.tsv"
+    lines = vocab.read_text().splitlines()
+    lines[4] = entry
+    vocab.write_text("\n".join(lines) + "\n")
+    corp = load_corpus(tmp_path)
+    path = tmp_path / "pairs.tsv"
+    with pytest.raises(ValueError, match=rf"^token id 4 \({re.escape(repr(entry))}\) is empty or contains whitespace"):
+        save_pairs(path, [TrainingPair([3, 6], 0, "passage"), TrainingPair([4, 3, 6], 1, "terms")], corp)
+    assert not path.exists()
+    save_pairs(path, [TrainingPair([3, 6], 0, "passage")], corp)
+    assert [(p.tokens, p.target) for p in load_pairs(path, corp)] == [([3, 6], 0)]
 
 
 def test_load_rejects_a_task_that_pretraining_does_not_draw(tmp_path, tiny_corpus):

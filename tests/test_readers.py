@@ -162,6 +162,28 @@ class TestVocab:
         vocab.write_text("\n".join(lines) + "\n")
         assert load_corpus(tmp_path).vocab.id_to_token == lines
 
+    @pytest.mark.parametrize("char", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_only_the_line_breaks_of_text_lines_end_a_token(self, tmp_path, char):
+        # str.splitlines also breaks at these, which would shift every later id by one
+        vocab = self._corpus_dir(tmp_path)
+        lines = vocab.read_text().splitlines()
+        lines[3] += char + "x"
+        vocab.write_text("\n".join(lines) + "\n")
+        corp = load_corpus(tmp_path)
+        assert corp.vocab.id_to_token == lines
+        assert [corp.vocab.token(t) for t in corp.doc(0).tokens.tolist()] == ["alpha" + char + "x", "beta"]
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_invalid_utf8_names_the_line_at_any_line_end(self, tmp_path, end):
+        vocab = self._corpus_dir(tmp_path)
+        lines = vocab.read_text().splitlines()
+        assert load_corpus(tmp_path).vocab.id_to_token == lines
+        vocab.write_bytes(end.join(lines).encode() + end.encode())
+        assert load_corpus(tmp_path).vocab.id_to_token == lines
+        vocab.write_bytes(end.join(lines[:4]).encode() + end.encode() + b"be\xfft")
+        with pytest.raises(ValueError, match=_named(vocab, 5, "not valid UTF-8$")):
+            load_corpus(tmp_path)
+
 
 def _manifest(tmp_path):
     corp = corpus_from_texts([f"w{i} shared" for i in range(4)])
