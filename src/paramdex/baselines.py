@@ -191,8 +191,8 @@ def dense_encode_corpus(doc_encoder: Encoder, corpus: Corpus, batch_size: int = 
     """Encode every document (file order, fixed batching) into an n_docs x d
     index of the encoder's dtype."""
     rows = []
-    for i in range(0, len(corpus), batch_size):
-        chunk = [corpus.doc(j).tokens for j in range(i, min(i + batch_size, len(corpus)))]
-        vec, _ = doc_encoder.forward_batch(chunk, need_cache=False)
+    views = [corpus.tokens[a:b] for a, b in zip(corpus.indptr[:-1].tolist(), corpus.indptr[1:].tolist())]
+    for i in range(0, len(views), batch_size):
+        vec, _ = doc_encoder.forward_batch(views[i : i + batch_size], need_cache=False)
         rows.append(vec)
     return np.concatenate(rows, axis=0)

@@ -300,7 +300,10 @@ def _group_runs(runs_dir: Path) -> list[Path]:
         m = re.fullmatch(r"group([0-9]+)\.run", path.name)
         if not m:
             raise ValueError(f"{path}: expected a run file named group<id>.run")
-        by_id[int(m.group(1))] = path
+        gid = int(m.group(1))
+        if gid in by_id:
+            raise ValueError(f"{by_id[gid]} and {path} both name group {gid}")
+        by_id[gid] = path
     for gid in range(len(paths) or 1):  # no file at all is a missing group 0
         if gid not in by_id:
             raise ValueError(f"no run file for group {gid} among the {len(paths)} group*.run "

@@ -10,15 +10,21 @@ files, shard manifests, configs) goes through text_lines: blank and
 whitespace-only lines are skipped, and errors read ``<path> line <n>: ...``.
 vocab.tsv is positional and keeps its blank lines. Docids and qids must be
 non-empty and free of whitespace, because run files separate their columns
-by whitespace. A docid is a JSON string or integer; clicks, a non-negative
-integer.
+by whitespace.
+
+The two document readers, ingest_corpus on raw text and the JSON loop on a
+saved docs.jsonl, share one rule set with one message per fault: a docid is a
+JSON string or integer; clicks, a non-negative integer; a saved token id, an
+integer in the vocabulary; a file without documents raises. Keys other than
+docid, the body and clicks are ignored, whatever their JSON type.
 
 load_corpus first tries a bulk reader on docs.jsonl, which takes a file only
 when every line is exactly what save_corpus writes. It declines anything
 else (a blank line, CRLF, other spacing, key order or keys, an escape, an
-integer docid, a byte that is not ASCII) and any file the JSON loop would
-reject; the per-line JSON loop then reads the file. That loop is the
-reference, and every docs.jsonl error comes from it.
+integer docid, a byte that is not ASCII, so also a saved corpus whose docids
+are not printable ASCII) and any file the JSON loop would reject; the
+per-line JSON loop then reads the file. That loop is the reference, and
+every docs.jsonl error comes from it.
 """
 
 from __future__ import annotations
@@ -174,13 +180,13 @@ def text_lines(path: str | Path) -> Iterator[tuple[str, str]]:
             yield f"{prefix}{n}", line.rstrip("\n")
 
 
-def _doc_record(decoder: json.JSONDecoder, line: str, where: str, body: str, kind: type) -> dict:
+def _doc_record(line: str, where: str, body: str, kind: type) -> dict:
     """The JSON record on a documents line: an object with 'docid' and a `body` of type `kind`."""
     try:
-        rec = decoder.decode(line)
+        rec = json.loads(line)
     except json.JSONDecodeError as e:
         raise ValueError(f"{where}: invalid JSON ({e.msg})") from None
-    except ValueError as e:  # a float in docs.jsonl, or an integer too long to convert
+    except ValueError as e:  # an integer too long to convert
         raise ValueError(f"{where}: {e}") from None
     if not (isinstance(rec, dict) and "docid" in rec and isinstance(rec.get(body), kind)):
         raise ValueError(f"{where}: expected a record with 'docid' and a '{body}' {kind.__name__}")
@@ -207,18 +213,21 @@ def ingest_corpus(path: str | Path, min_freq: int = 1) -> Corpus:
     """Read a JSONL document file, tokenize, and build the corpus vocabulary.
 
     Documents get internal ids in file order. Documents that tokenize to
-    nothing are skipped with a warning; duplicate or missing fields raise.
+    nothing are skipped with a warning; duplicate or missing fields, and a
+    file left without documents, raise.
     """
     records: list[tuple[str, list[str], int]] = []
     seen: dict[str, str] = {}
     for where, line in text_lines(path):
-        rec = _doc_record(_JSON_DECODER, line, where, "text", str)
+        rec = _doc_record(line, where, "text", str)
         ext, clicks = _doc_fields(rec, where, seen)
         tokens = tokenize(rec["text"])
         if not tokens:
             log.warning("%s: document '%s' is empty after tokenization, skipped", where, ext)
             continue
         records.append((ext, tokens, clicks))
+    if not records:
+        raise ValueError(f"{path}: no documents")
     vocab = build_vocabulary((toks for _, toks, _ in records), min_freq=min_freq)
     external_ids, token_docs, clicks = zip(*records)
     tokens = np.array([vocab.lookup(t) for toks in token_docs for t in toks], dtype=np.int32)
@@ -326,16 +335,6 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
     return {"docs": docs_path, "vocab": vocab_path}
 
 
-def _not_an_integer(literal: str):
-    raise ValueError(f"number {literal} is not an integer")
-
-
-_JSON_DECODER = json.JSONDecoder()
-# docs.jsonl holds integers only; this decoder refuses a float as it reads one,
-# which costs nothing on the lines that have none
-_DOCS_DECODER = json.JSONDecoder(parse_float=_not_an_integer)
-
-
 # a docs.jsonl line exactly as save_corpus writes it: json.dumps escapes nothing
 # in a docid of printable ASCII other than space, '"' and '\\'; a click count of
 # more than 18 digits goes to the JSON loop, so int() never meets its digit limit
@@ -409,19 +408,12 @@ def _json_docs(path: Path, n_vocab: int) -> tuple:
     docs: list[tuple[str, int, int]] = []  # docid, clicks, token count
     seen: dict[str, str] = {}
     for where, line in text_lines(path):
-        rec = _doc_record(_DOCS_DECODER, line, where, "token_ids", list)
+        rec = _doc_record(line, where, "token_ids", list)
         raw = rec["token_ids"]
-        try:
-            in_vocab = vocab_ids.issuperset(raw)
-        except TypeError:  # an unhashable list or object among the ids
-            in_vocab = False
-        # true and false equal 1 and 0, so a line that spells one of them, or
-        # that failed the lookup, gets the exact type check; looking for a 'u'
-        # or an 'f' first (one memchr each) is several times faster than the words
-        spells_bool = ("u" in line or "f" in line) and ("true" in line or "false" in line)
-        if (spells_bool or not in_vocab) and any(type(t) is not int for t in raw):
+        # the exact type: true and false equal 1 and 0, and 3.0 equals 3
+        if not {int}.issuperset(map(type, raw)):
             raise ValueError(f"{where} (docid '{rec['docid']}'): token ids must be integers")
-        if not in_vocab:
+        if not vocab_ids.issuperset(raw):
             raise ValueError(
                 f"{where} (docid '{rec['docid']}'): "
                 f"token id outside the vocabulary [0, {n_vocab})"

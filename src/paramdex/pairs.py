@@ -105,11 +105,14 @@ def sample_term_sets(
     """Draw m term sets for document `target` from its distinct tokens by importance.
 
     Each set's length is uniform over [10, min(512, n_distinct)]; documents
-    with fewer than 10 distinct tokens contribute all of them. Tokens are
-    sampled without replacement and kept in sampled order.
+    with fewer than 10 distinct tokens contribute all of them, and a document
+    without tokens none, drawing nothing from rng. Tokens are sampled without
+    replacement and kept in sampled order.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not weights:  # an empty term set would not read back from pairs.tsv
+        return []
     items = list(weights.keys())
     w = np.array([weights[t] for t in items], dtype=np.float64)
     n_distinct = len(items)

@@ -407,16 +407,17 @@ def test_diag_scores_labels_groups_by_file_name(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("names, error", [
     ([], "no run file for group 0 among the 0 group*.run files under"),
     (["group00.run", "group02.run"], "no run file for group 1 among the 2 group*.run files under"),
-    (["group00.run", "group1.run", "group01.run"], "no run file for group 2 among the 3"),
+    (["group00.run", "group1.run", "group01.run"], "{dir}/group01.run and {dir}/group1.run both name group 1"),
+    (["group0.run", "group00.run", "group1.run"], "{dir}/group0.run and {dir}/group00.run both name group 0"),
     (["group00.run", "group1a.run"], "group1a.run: expected a run file named group<id>.run"),
-], ids=["none", "gap", "same_id_twice", "no_id"])
+], ids=["none", "gap", "same_id_twice", "group_0_twice", "no_id"])
 def test_diag_scores_rejects_group_files_that_are_not_0_to_n(workspace, tmp_path, capsys,
                                                             names, error):
     for name in names:
         (tmp_path / name).write_text("q1 Q0 doc00000 1 1.000000 t\n")
     assert run_cli("diag-scores", "--runs-dir", tmp_path, "--out-dir", tmp_path / "diag",
                    "--config", workspace["cfg"]) == 1
-    assert error in capsys.readouterr().err
+    assert error.format(dir=tmp_path) in capsys.readouterr().err
 
 
 _BAD_DOCS_LINE = {
@@ -444,8 +445,8 @@ def test_retrieve_rejects_bad_corpus_line(workspace, tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("token_ids, message", [
-    ("[3.0, 4]", ": number 3.0 is not an integer"),
-    ("[3, 4, 1e0]", ": number 1e0 is not an integer"),
+    ("[3.0, 4]", " (docid 'a'): token ids must be integers"),
+    ("[3, 4, 1e0]", " (docid 'a'): token ids must be integers"),
     ("[3, true, 4]", " (docid 'a'): token ids must be integers"),
     ("[false]", " (docid 'a'): token ids must be integers"),
     ('[3, "4"]', " (docid 'a'): token ids must be integers"),

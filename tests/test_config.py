@@ -1,9 +1,15 @@
 import dataclasses
+import inspect
 
 import pytest
 
 from paramdex.config import FIELDS, ExperimentConfig, load_config, parse_config_file
+from paramdex.corpus import ingest_corpus
+from paramdex.distributed import merge_runs, shard_retrieve
+from paramdex.evalkit import evaluate
 from paramdex.nn import EncoderConfig
+from paramdex.pairs import generate_pretrain_pairs
+from paramdex.runfiles import write_run
 from paramdex.training import TrainConfig
 
 
@@ -128,3 +134,30 @@ def test_dataclass_fields_are_config_keys(cls, build):
         value = _OTHER[type(default)](default)
         got = build(ExperimentConfig({f.name: str(value)}))
         assert got == dataclasses.replace(defaults, **{f.name: value}), f.name
+
+
+# each key outside the dataclasses -> the library function and parameter it feeds
+_LIBRARY_PARAMS = {
+    "window": (generate_pretrain_pairs, "window"),
+    "m_samples": (generate_pretrain_pairs, "m_samples"),
+    "ngram_n": (generate_pretrain_pairs, "ngram_n"),
+    "ngram_min_df": (generate_pretrain_pairs, "ngram_min_df"),
+    "max_ngrams": (generate_pretrain_pairs, "max_ngrams"),
+    "min_freq": (ingest_corpus, "min_freq"),
+    "per_group_k": (shard_retrieve, "per_group_k"),
+    "merge_mode": (merge_runs, "mode"),
+    "mrr_cutoff": (evaluate, "cutoff"),
+    "eval_ks": (evaluate, "ks"),
+    "run_tag": (write_run, "tag"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_LIBRARY_PARAMS))
+def test_key_default_is_the_library_default(key):
+    # callers that take the library defaults, the benchmark's pair generation
+    # among them, then run the setting the CLI runs by default
+    func, param = _LIBRARY_PARAMS[key]
+    default = inspect.signature(func).parameters[param].default
+    cfg = ExperimentConfig()
+    value = cfg.ks() if key == "eval_ks" else getattr(cfg, key)
+    assert (value, type(value)) == (default, type(default))

@@ -356,6 +356,7 @@ MUTATIONS = {
     "swapped-keys": (lambda ln: json.dumps(dict(reversed(json.loads(ln).items())), separators=(",", ":")) + "\n",
                      None),
     "extra-key": (lambda ln: ln.replace("}\n", ',"title":"x"}\n'), None),
+    "extra-float-key": (lambda ln: ln.replace("}\n", ',"score":0.5}\n'), None),
     "u-escape": (lambda ln: ln.replace('"d1"', '"d\\u0031"'), None),
     "integer-docid": (lambda ln: ln.replace('"d1"', "41"), None),
     "raw-utf8-docid": (lambda ln: ln.replace('"d1"', '"dé"'), None),

@@ -19,7 +19,7 @@ from paramdex.pairs import (
     weighted_sample_without_replacement,
 )
 
-from conftest import corpus_from_texts
+from conftest import corpus_from_texts, corpus_from_token_lists
 
 
 class TestSegmentPassages:
@@ -238,6 +238,19 @@ def test_save_load_roundtrip(tmp_path, tiny_corpus):
     path = tmp_path / "pairs.tsv"
     save_pairs(path, out, tiny_corpus)
     loaded = load_pairs(path, tiny_corpus)
+    assert [(p.tokens, p.target, p.task) for p in loaded] == [(p.tokens, p.target, p.task) for p in out]
+
+
+def test_document_without_tokens_has_no_pairs_and_the_file_reads_back(tmp_path, tiny_corpus):
+    # load_corpus takes "token_ids": [], and load_pairs rejects an empty pair
+    token_lists = [d.tokens.tolist() for d in tiny_corpus.docs]
+    corp = corpus_from_token_lists(token_lists[:1] + [[]] + token_lists[1:], ["d0", "empty", "d1", "d2"],
+                                   [0] * 4, tiny_corpus.vocab)
+    out = generate_pretrain_pairs(corp, window=3, m_samples=2, seed=1)
+    assert {p.target for p in out} == {0, 2, 3}
+    path = tmp_path / "pairs.tsv"
+    save_pairs(path, out, corp)
+    loaded = load_pairs(path, corp)
     assert [(p.tokens, p.target, p.task) for p in loaded] == [(p.tokens, p.target, p.task) for p in out]
 
 

@@ -1,6 +1,7 @@
 """The rules every line reader shares: corpus.text_lines skips blank and
 whitespace-only lines, rejects invalid UTF-8, and every error names
-``<path> line <n>``; both docs.jsonl readers check docid and clicks alike."""
+``<path> line <n>``; both docs.jsonl readers check docid, clicks, unknown keys
+and a file without documents alike."""
 
 import json
 import re
@@ -81,9 +82,7 @@ READERS = {
 def test_clicks_must_be_a_nonnegative_integer(tmp_path, reader, clicks):
     read, write = READERS[reader]
     path = write(tmp_path, {"docid": "b", "clicks": clicks})
-    # a float is refused by load_corpus's decoder, before the field check
-    message = "number 1.5 is not an integer" if reader == "load" and clicks == 1.5 else \
-        re.escape(f"clicks must be a non-negative integer, got {clicks!r}")
+    message = re.escape(f"clicks must be a non-negative integer, got {clicks!r}")
     with pytest.raises(ValueError, match=_named(path, 2, message)):
         read(path)
 
@@ -91,13 +90,15 @@ def test_clicks_must_be_a_nonnegative_integer(tmp_path, reader, clicks):
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_clicks_integer_and_integer_docid_load(tmp_path, reader):
     read, write = READERS[reader]
-    corp = read(write(tmp_path, {"docid": 7, "clicks": 4}))
+    # a key other than docid, the body and clicks is ignored, whatever its JSON type
+    corp = read(write(tmp_path, {"docid": 7, "clicks": 4, "score": 0.5}))
     assert (corp.docs[1].external_id, corp.docs[1].click_count) == ("7", 4)
     assert corp.docs[0].click_count == 0
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
-@pytest.mark.parametrize("docid", [["a"], {"a": 1}, True, None], ids=["list", "object", "bool", "null"])
+@pytest.mark.parametrize("docid", [["a"], {"a": 1}, True, None, 1.5],
+                         ids=["list", "object", "bool", "null", "float"])
 def test_docid_must_be_a_string_or_an_integer(tmp_path, reader, docid):
     read, write = READERS[reader]
     path = write(tmp_path, {"docid": docid})
@@ -112,6 +113,15 @@ def test_duplicate_docid_names_the_line(tmp_path, reader):
     first = {"ingest": "a", "load": "d0"}[reader]  # the docid on line 1
     path = write(tmp_path, {"docid": first})
     with pytest.raises(ValueError, match=_named(path, 2, f"duplicate docid '{first}'$")):
+        read(path)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_file_without_documents_names_the_file(tmp_path, reader):
+    read, write = READERS[reader]
+    path = write(tmp_path, {"docid": "b"})
+    path.write_text("\n  \n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no documents$"):
         read(path)
 
 
