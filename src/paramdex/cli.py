@@ -33,7 +33,7 @@ from .nn import Encoder, finite_diff_check, forward_backward
 from .pairs import TrainingPair
 from .retriever import DocidRetriever, init_overdense, train_overdense, train_vanilla
 from .runfiles import read_run, write_run
-from .synth import generate as synth_generate
+from .synth import generate as synth_generate, query_counts
 from .training import format_logs
 
 log = logging.getLogger(__name__)
@@ -95,7 +95,7 @@ def _load_retriever(path, corp, n_docs: int, what: str) -> DocidRetriever:
 def _pretrain_pairs(corp, cfg: ExperimentConfig, seed: int) -> list[TrainingPair]:
     return pairs_mod.generate_pretrain_pairs(
         corp, window=cfg.window, m_samples=cfg.m_samples, ngram_n=cfg.ngram_n,
-        ngram_min_df=cfg.ngram_min_df, max_ngrams=cfg.max_ngrams, seed=seed,
+        max_ngrams=cfg.max_ngrams, seed=seed,
     )
 
 
@@ -111,8 +111,12 @@ def cmd_synth(args, cfg, out) -> int:
                                ("--heldout-queries", args.heldout_queries, 0)):
         if count is not None and count < least:
             raise ValueError(f"synth {flag} must be >= {least}")
-    paths = synth_generate(out, n_docs=args.docs, n_train=args.train_queries,
-                           n_heldout=args.heldout_queries, seed=cfg.seed)
+    n_train, n_heldout = query_counts(args.docs, args.train_queries, args.heldout_queries)
+    if n_train + n_heldout > args.docs:
+        raise ValueError(f"synth --train-queries {n_train} + --heldout-queries {n_heldout} exceed "
+                         f"--docs {args.docs} (unset, they are --docs // 2 and --docs // 5)")
+    paths = synth_generate(out, n_docs=args.docs, n_train=n_train, n_heldout=n_heldout,
+                           seed=cfg.seed)
     _meta(paths["docs"], cfg, "synth", n_docs=args.docs)
     return _done(*paths.values())
 

@@ -4,11 +4,14 @@ A config file is ``key = value`` lines (``#`` starts a comment). Every key
 is listed in FIELDS below with its type, default and valid range (a float
 must also be finite); unknown keys are rejected. Each field of TrainConfig,
 and of EncoderConfig but vocab_size, is the key of the same name and
-default. Input paths are flags, not config keys. The flags --seed,
---skip-pretrain and --skip-finetune override file values (the last two as
-pretrain_epochs = 0 and finetune_epochs = 0). The resolved config hashes
-to a short hex digest that is stamped into every artifact's sidecar, so
-artifacts are traceable to the exact settings and seed that produced them.
+default. AdamW's betas and epsilon (nn.BETA1, BETA2, ADAM_EPS), the n-gram
+document-frequency floor (pairs.NGRAM_MIN_DF) and the uniform pre-training
+task mix are constants, not keys. Input paths are flags, not config keys.
+The flags --seed, --skip-pretrain and --skip-finetune override file values
+(the last two as pretrain_epochs = 0 and finetune_epochs = 0). The resolved
+config hashes to a short hex digest that is stamped into every artifact's
+sidecar, so artifacts are traceable to the exact settings and seed that
+produced them.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ def _nonneg(x):  # >= 0
     return x >= 0
 
 
-def _unit(x):  # [0, 1)
-    return 0.0 <= x < 1.0
-
-
 # Encoder and training defaults are the dataclasses' own (class attributes).
 _E, _T = EncoderConfig, TrainConfig
 
@@ -58,15 +57,8 @@ FIELDS: dict[str, tuple] = {
     "window": (int, 128, _pos, "passage window size"),
     "m_samples": (int, 10, _pos, "term-set samples per document"),
     "ngram_n": (int, 3, _pos, "n-gram order"),
-    "ngram_min_df": (int, 2, _pos, "minimum n-gram document frequency"),
     "max_ngrams": (int, 0, _nonneg, "n-gram cap (0 = 10 * corpus size)"),
-    "weight_passage": (float, _T.weight_passage, _nonneg, "passage task sampling weight"),
-    "weight_terms": (float, _T.weight_terms, _nonneg, "term-set task sampling weight"),
-    "weight_ngram": (float, _T.weight_ngram, _nonneg, "n-gram task sampling weight"),
     "lr": (float, _T.lr, _pos, "AdamW learning rate"),
-    "beta1": (float, _T.beta1, _unit, "AdamW beta1"),
-    "beta2": (float, _T.beta2, _unit, "AdamW beta2"),
-    "adam_eps": (float, _T.adam_eps, _pos, "AdamW epsilon"),
     "weight_decay": (float, _T.weight_decay, _nonneg, "decoupled weight decay"),
     "batch_size": (int, _T.batch_size, _pos, "training batch size"),
     "pretrain_epochs": (int, _T.pretrain_epochs, _nonneg, "max pre-training epochs"),

@@ -64,6 +64,7 @@ from .training import TrainConfig
 
 LN_EPS = 1e-5
 FD_STEP = 1e-4  # finite_diff_check's central-difference step
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # adamw_step's: Adam's published defaults
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
 
@@ -514,15 +515,15 @@ def adamw_step(
     cfg: TrainConfig,
 ) -> None:
     """One decoupled-weight-decay Adam update with bias correction, using
-    cfg's lr, beta1, beta2, adam_eps and weight_decay.
+    cfg's lr and weight_decay and the constants BETA1, BETA2 and ADAM_EPS.
 
     Runs in place: the arrays in params, state.m and state.v are updated and
     state.step advances. Each gradient must have its parameter's key, shape
     and dtype; all of them are checked before anything is updated, so a
     rejected call changes nothing. The operation order is that of
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        p = p - lr * ((m / c1) / (sqrt(v / c2) + adam_eps) + weight_decay * p)
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * g * g
+        p = p - lr * ((m / c1) / (sqrt(v / c2) + ADAM_EPS) + weight_decay * p)
     """
     if set(grads) != set(params):
         raise ValueError("gradient keys do not match parameter keys")
@@ -533,20 +534,20 @@ def adamw_step(
         if g.dtype != p.dtype:
             raise ValueError(f"gradient dtype {g.dtype} for '{k}' differs from its parameter's {p.dtype}")
     state.step += 1
-    c1 = 1.0 - cfg.beta1 ** state.step
-    c2 = 1.0 - cfg.beta2 ** state.step
+    c1 = 1.0 - BETA1 ** state.step
+    c2 = 1.0 - BETA2 ** state.step
     for k, p in params.items():
         gk, m, v = grads[k], state.m[k], state.v[k]
-        tmp = np.multiply(gk, 1.0 - cfg.beta1)
-        m *= cfg.beta1
+        tmp = np.multiply(gk, 1.0 - BETA1)
+        m *= BETA1
         m += tmp
-        np.multiply(gk, 1.0 - cfg.beta2, out=tmp)
+        np.multiply(gk, 1.0 - BETA2, out=tmp)
         tmp *= gk
-        v *= cfg.beta2
+        v *= BETA2
         v += tmp
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += cfg.adam_eps
+        tmp += ADAM_EPS
         update = m / c1
         update /= tmp
         np.multiply(p, cfg.weight_decay, out=tmp)

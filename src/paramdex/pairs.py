@@ -26,6 +26,9 @@ PRETRAIN_TASKS = ("passage", "terms", "ngram")
 MIN_TERM_SAMPLE = 10
 MAX_TERM_SAMPLE = 512
 
+# documents an n-gram must occur in to be paired
+NGRAM_MIN_DF = 2
+
 
 @dataclass
 class TrainingPair:
@@ -128,13 +131,11 @@ def sample_term_sets(
     return pairs
 
 
-def extract_ngram_pairs(
-    corpus: Corpus, n: int, min_df: int, max_ngrams: int
-) -> list[TrainingPair]:
+def extract_ngram_pairs(corpus: Corpus, n: int, max_ngrams: int) -> list[TrainingPair]:
     """Select shared n-grams and pair each with every document containing it.
 
     Keeps up to max_ngrams distinct n-grams with document frequency >=
-    min_df, preferring higher document frequency (ties broken by the
+    NGRAM_MIN_DF, preferring higher document frequency (ties broken by the
     lexicographic order of the n-gram's token strings). An n-gram found in
     m documents yields m pairs.
     """
@@ -149,7 +150,7 @@ def extract_ngram_pairs(
         for g in grams:
             containing.setdefault(g, []).append(doc.internal_id)
     vocab = corpus.vocab
-    eligible = [(g, docs) for g, docs in containing.items() if len(docs) >= min_df]
+    eligible = [(g, docs) for g, docs in containing.items() if len(docs) >= NGRAM_MIN_DF]
     eligible.sort(key=lambda e: (-len(e[1]), tuple(vocab.token(t) for t in e[0])))
     pairs: list[TrainingPair] = []
     for g, docs in eligible[:max_ngrams]:
@@ -179,7 +180,6 @@ def generate_pretrain_pairs(
     window: int = 128,
     m_samples: int = 10,
     ngram_n: int = 3,
-    ngram_min_df: int = 2,
     max_ngrams: int = 0,
     seed: int = 0,
 ) -> list[TrainingPair]:
@@ -187,8 +187,9 @@ def generate_pretrain_pairs(
 
     Term-set sampling uses a per-document generator seeded from
     (seed, internal_id), so generation is order-independent and
-    reproducible. max_ngrams caps the distinct n-grams kept, as the config
-    key of that name does: 0 means 10 * |D|.
+    reproducible. An n-gram is kept only if NGRAM_MIN_DF documents share
+    it, and max_ngrams caps the distinct n-grams kept, as the config key of
+    that name does: 0 means 10 * |D|.
     """
     max_ngrams = max_ngrams or 10 * len(corpus)
     df = document_frequencies(corpus)
@@ -198,7 +199,7 @@ def generate_pretrain_pairs(
         pairs.extend(segment_passages(tokens, doc.internal_id, window))
         rng = np.random.default_rng(np.random.SeedSequence([seed, doc.internal_id]))
         pairs.extend(sample_term_sets(doc.internal_id, m_samples, term_importance(tokens, len(corpus), df), rng))
-    pairs.extend(extract_ngram_pairs(corpus, ngram_n, ngram_min_df, max_ngrams))
+    pairs.extend(extract_ngram_pairs(corpus, ngram_n, max_ngrams))
     return pairs
 
 

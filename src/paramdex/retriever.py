@@ -37,7 +37,7 @@ from .nn import (
     adamw_step,
     forward_backward,
 )
-from .pairs import TrainingPair, query_pairs
+from .pairs import PRETRAIN_TASKS, TrainingPair, query_pairs
 from .training import (
     EpochLog,
     TrainConfig,
@@ -212,17 +212,22 @@ def train_vanilla(
     cfg: TrainConfig,
 ) -> tuple[Encoder, np.ndarray, list[EpochLog]]:
     """Random init, self-supervised pre-training, then query-docid fine-tuning.
-    Both stages are checked before pre-training starts; the logs are the
-    pre-training epochs' followed by the fine-tuning epochs'."""
+    Both stages, and every pre-training pair's task, are checked before
+    pre-training starts; the logs are the pre-training epochs' followed by
+    the fine-tuning epochs'."""
     fine_pairs = query_pairs(queries, qrels)
     _check_stage("pretrain", pretrain_pairs, cfg.pretrain_epochs, len(corpus))
     _check_stage("finetune", fine_pairs, cfg.finetune_epochs, len(corpus))
+    for p in pretrain_pairs:
+        if p.task not in PRETRAIN_TASKS:
+            raise ValueError(f"pretrain: pair task '{p.task}' is not a pre-training task "
+                             f"{PRETRAIN_TASKS}")
     encoder = Encoder.init(enc_cfg, np.random.SeedSequence([cfg.seed, 0]))
     w_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     w_doc = w_rng.normal(0.0, 0.02, size=(enc_cfg.d_model, len(corpus))).astype(np.float32)
     logs = _train_docid(
         "pretrain", encoder, w_doc,
-        lambda ep: mixed_task_epoch(pretrain_pairs, cfg, stage_rng(cfg.seed, 2, ep)),
+        lambda ep: mixed_task_epoch(pretrain_pairs, stage_rng(cfg.seed, 2, ep)),
         cfg.pretrain_epochs, cfg,
     )
     return encoder, w_doc, logs + _finetune(encoder, w_doc, fine_pairs, cfg)

@@ -38,6 +38,12 @@ def _topic_word(t: int, j: int) -> str:
     return f"t{t:02d}w{j:02d}"
 
 
+def query_counts(n_docs: int, n_train: int | None, n_heldout: int | None) -> tuple[int, int]:
+    """The train and held-out query counts; None is the default, n_docs // 2 and n_docs // 5."""
+    return (n_docs // 2 if n_train is None else n_train,
+            n_docs // 5 if n_heldout is None else n_heldout)
+
+
 def generate(
     out_dir: str | Path,
     n_docs: int = 1000,
@@ -58,8 +64,7 @@ def generate(
     if n_docs < 2:
         raise ValueError("n_docs must be >= 2")
     n_topics = n_topics if n_topics is not None else max(4, n_docs // 50)
-    n_train = n_train if n_train is not None else n_docs // 2
-    n_heldout = n_heldout if n_heldout is not None else n_docs // 5
+    n_train, n_heldout = query_counts(n_docs, n_train, n_heldout)
     for name, count, least in (("n_topics", n_topics, 1), ("n_train", n_train, 0), ("n_heldout", n_heldout, 0)):
         if count < least:
             raise ValueError(f"{name} must be >= {least}")

@@ -15,9 +15,6 @@ from .pairs import PRETRAIN_TASKS, TrainingPair
 @dataclass
 class TrainConfig:
     lr: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.01
     batch_size: int = 32
     pretrain_epochs: int = 10
@@ -25,10 +22,6 @@ class TrainConfig:
     plateau_patience: int = 3
     plateau_min_delta: float = 1e-4
     seed: int = 0
-    # relative sampling weights of the pre-training tasks
-    weight_passage: float = 1.0
-    weight_terms: float = 1.0
-    weight_ngram: float = 1.0
     freeze_encoder: bool = False
     separate_towers: bool = False  # two-tower baseline: untie the towers' weights
 
@@ -45,28 +38,19 @@ def batches(items: Sequence, size: int) -> Iterator[list]:
         yield list(items[i : i + size])
 
 
-def mixed_task_epoch(
-    pairs: Sequence[TrainingPair],
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-) -> list[TrainingPair]:
-    """Draw an epoch's worth of pre-training pairs, tasks mixed by weight.
+def mixed_task_epoch(pairs: Sequence[TrainingPair], rng: np.random.Generator) -> list[TrainingPair]:
+    """Draw an epoch's worth of pre-training pairs, one draw per pair.
 
-    Each draw picks a task with probability proportional to its weight
-    (cfg.weight_passage, weight_terms, weight_ngram; tasks with no pairs
-    are dropped) and then a pair uniformly within the task, with
-    replacement. There is one draw per available pair.
+    Each draw picks a task uniformly among the tasks that have pairs and
+    then a pair uniformly within the task, with replacement. pairs must not
+    be empty and every pair's task must be one of PRETRAIN_TASKS, as
+    train_vanilla checks before pre-training.
     """
     by_task: dict[str, list[TrainingPair]] = {}
     for p in pairs:
         by_task.setdefault(p.task, []).append(p)
-    w = {"passage": cfg.weight_passage, "terms": cfg.weight_terms, "ngram": cfg.weight_ngram}
-    tasks = [t for t in PRETRAIN_TASKS if by_task.get(t) and w[t] > 0]
-    if not tasks:
-        raise ValueError("no pre-training pairs available under the given task weights")
-    probs = np.array([w[t] for t in tasks], dtype=np.float64)
-    probs /= probs.sum()
-    task_draws = rng.choice(len(tasks), size=len(pairs), p=probs)
+    tasks = [t for t in PRETRAIN_TASKS if t in by_task]
+    task_draws = rng.choice(len(tasks), size=len(pairs), p=np.full(len(tasks), 1.0 / len(tasks)))
     out = []
     for t_idx in task_draws:
         bucket = by_task[tasks[int(t_idx)]]

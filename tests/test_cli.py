@@ -285,6 +285,17 @@ def test_rejected_synth_names_the_flag_and_leaves_no_out_dir(tmp_path, capsys, a
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("argv, counts", [
+    (("--train-queries", 150, "--heldout-queries", 100), "--train-queries 150 + --heldout-queries 100"),
+    (("--train-queries", 170), "--train-queries 170 + --heldout-queries 40"),  # 200 // 5
+], ids=["both_given", "default_heldout"])
+def test_synth_queries_exceeding_docs_names_the_flags(tmp_path, capsys, argv, counts):
+    out = tmp_path / "new"
+    assert run_cli("synth", "--docs", 200, *argv, "--out-dir", out) == 1
+    assert capsys.readouterr().err.startswith(f"error: synth {counts} exceed --docs 200 ")
+    assert not out.exists()
+
+
 def test_synth_without_training_queries(tmp_path):
     assert run_cli("synth", "--docs", 10, "--train-queries", 0, "--heldout-queries", 2,
                    "--out-dir", tmp_path) == 0
@@ -653,4 +664,6 @@ def test_ci_console_script(tmp_path):
                           timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "max relative error" in proc.stdout and "gradcheck --coords 0 passed" not in proc.stdout
+    assert "unknown config key 'beta1'" in proc.stderr
+    assert (tmp_path / "vanilla-eval" / "report.csv").stat().st_size > 0
     assert (tmp_path / "merged" / "merged.run").stat().st_size > 0

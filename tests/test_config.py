@@ -52,6 +52,19 @@ def test_input_paths_are_flags_not_config_keys(tmp_path, key):
         load_config(path)
 
 
+# keys that became constants (nn.BETA1, BETA2, ADAM_EPS, pairs.NGRAM_MIN_DF,
+# the uniform task mix), each set here to its old default
+@pytest.mark.parametrize("key, value", [
+    ("beta1", "0.9"), ("beta2", "0.999"), ("adam_eps", "1e-8"), ("weight_passage", "1.0"),
+    ("weight_terms", "1.0"), ("weight_ngram", "1.0"), ("ngram_min_df", "2"),
+])
+def test_removed_key_rejected(tmp_path, key, value):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("key, value, shown", [
     ("lr", "-1", "-1.0"),
     ("d_model", "abc", "'abc'"),
@@ -66,7 +79,7 @@ def test_invalid_value_rejected(key, value, shown):
 
 @pytest.mark.parametrize("key", [k for k, field in FIELDS.items() if field[0] is float])
 def test_float_value_must_be_finite(key):
-    # inf passes the range checks of lr, adam_eps and the weights
+    # inf passes the range checks of lr, weight_decay and plateau_min_delta
     with pytest.raises(ValueError, match=f"^config key '{key}' has invalid value inf$"):
         ExperimentConfig({key: "inf"})
 
@@ -111,7 +124,7 @@ def test_derived_configs():
     enc = cfg.encoder_config(vocab_size=100)
     assert enc.d_model == 32 and enc.vocab_size == 100
     tc = cfg.train_config()
-    assert tc.lr == 0.01 and (tc.weight_passage, tc.weight_terms, tc.weight_ngram) == (1.0, 1.0, 1.0)
+    assert tc.lr == 0.01 and tc.weight_decay == 0.01
 
 
 # a valid value other than the default, by the default's type
@@ -141,7 +154,6 @@ _LIBRARY_PARAMS = {
     "window": (generate_pretrain_pairs, "window"),
     "m_samples": (generate_pretrain_pairs, "m_samples"),
     "ngram_n": (generate_pretrain_pairs, "ngram_n"),
-    "ngram_min_df": (generate_pretrain_pairs, "ngram_min_df"),
     "max_ngrams": (generate_pretrain_pairs, "max_ngrams"),
     "min_freq": (ingest_corpus, "min_freq"),
     "per_group_k": (shard_retrieve, "per_group_k"),

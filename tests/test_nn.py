@@ -8,6 +8,9 @@ import pytest
 from paramdex import nn
 from paramdex.corpus import CLS_ID, PAD_ID
 from paramdex.nn import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     LN_EPS,
     AdamWState,
     Encoder,
@@ -134,11 +137,11 @@ def textbook_attention_softmax_backward(att, datt, scale):
 
 
 def textbook_adamw(p, g, m, v, step, cfg):
-    c1 = 1.0 - cfg.beta1 ** step
-    c2 = 1.0 - cfg.beta2 ** step
-    m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-    update = (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps) + cfg.weight_decay * p
+    c1 = 1.0 - BETA1 ** step
+    c2 = 1.0 - BETA2 ** step
+    m = BETA1 * m + (1.0 - BETA1) * g
+    v = BETA2 * v + (1.0 - BETA2) * g * g
+    update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS) + cfg.weight_decay * p
     return p - cfg.lr * update, m, v
 
 
@@ -464,8 +467,9 @@ class TestAdamW:
 
     def test_hand_executed_first_step(self):
         # scalar w=1, g=0.5: m=0.05, v=0.00025, mhat=0.5, vhat=0.25
-        # w' = 1 - lr*(0.5/(0.5+eps)) - lr*wd*1
-        hyper = TrainConfig(lr=1e-3, beta1=0.9, beta2=0.999, adam_eps=1e-8, weight_decay=0.01)
+        # w' = 1 - lr*(0.5/(0.5+eps)) - lr*wd*1, under Adam's defaults
+        assert (BETA1, BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
+        hyper = TrainConfig(lr=1e-3, weight_decay=0.01)
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([0.5])}
         adamw_step(params, grads, adamw_init(params), hyper)

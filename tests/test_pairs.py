@@ -178,14 +178,14 @@ class TestNgramPairs:
             "noise words here",
             "prefix alpha beta gamma",
         ])
-        out = extract_ngram_pairs(corp, 3, min_df=2, max_ngrams=10)
+        out = extract_ngram_pairs(corp, 3, max_ngrams=10)
         gram = [corp.vocab.lookup(t) for t in ("alpha", "beta", "gamma")]
         matching = [p for p in out if p.tokens == gram]
         assert [p.target for p in matching] == [0, 2]
 
     def test_distinct_docs_yield_nothing(self):
         corp = corpus_from_texts(["one two three", "four five six"])
-        assert extract_ngram_pairs(corp, 3, min_df=2, max_ngrams=10) == []
+        assert extract_ngram_pairs(corp, 3, max_ngrams=10) == []
 
     def test_max_ngrams_cap_prefers_high_df(self):
         corp = corpus_from_texts([
@@ -193,7 +193,7 @@ class TestNgramPairs:
             "x y z common1 common2 common3",
             "x y z other tokens here",
         ])
-        out = extract_ngram_pairs(corp, 3, min_df=2, max_ngrams=1)
+        out = extract_ngram_pairs(corp, 3, max_ngrams=1)
         grams = {tuple(p.tokens) for p in out}
         assert len(grams) == 1
         # the kept trigram must have the top document frequency (3)

@@ -258,6 +258,19 @@ class TestTrainVanilla:
         with pytest.raises(ValueError, match="pretrain: pair targets docid 99 outside"):
             train_vanilla(corp, bad, queries, qrels, enc_cfg, TrainConfig())
 
+    @pytest.mark.parametrize("pretrain_epochs", [1, 0])
+    def test_rejects_pair_whose_task_pretraining_does_not_draw(self, monkeypatch, pretrain_epochs):
+        # such pairs were once counted as draws of the other tasks: 2 passage
+        # pairs and 8 query pairs made an epoch of 10 passage draws
+        corp, queries, qrels, enc_cfg = _toy_training_setup()
+        pairs = [TrainingPair([3, 4], 0, "passage")] * 2 + [TrainingPair([5], 1, "query")] * 8
+        inits = []
+        monkeypatch.setattr(retriever.Encoder, "init", lambda *a: inits.append(a))
+        tcfg = TrainConfig(batch_size=8, pretrain_epochs=pretrain_epochs, finetune_epochs=1, seed=0)
+        with pytest.raises(ValueError, match="^pretrain: pair task 'query' is not a pre-training task"):
+            train_vanilla(corp, pairs, queries, qrels, enc_cfg, tcfg)
+        assert inits == []
+
     @pytest.mark.parametrize("stage, pretrain_epochs, finetune_epochs", [
         ("pretrain", 2, 0), ("finetune", 2, 3), ("finetune", 0, 3),
     ])
