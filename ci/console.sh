@@ -10,8 +10,9 @@
 # round trip that loads the saved docs.jsonl through load_corpus's bulk
 # reader, a subset that keeps its part's qrels, a synth corpus without
 # training queries, the paper's pipeline (pairs, train-vanilla, retrieve with
-# the model, eval) and the two-tower path (train-dense, overdense shards and
-# their merge) on a tiny encoder.
+# the model, eval) and the two-tower path (train-dense, train-overdense from
+# its model and retrieve with the result, overdense shards, their merge and
+# the per-group score report) on a tiny encoder.
 set -euo pipefail
 : "${PARAMDEX:?set PARAMDEX to the paramdex command}"
 read -r -a paramdex <<< "$PARAMDEX"
@@ -33,5 +34,8 @@ printf 'd_model = 16\nn_layers = 1\npretrain_epochs = 1\nfinetune_epochs = 2\n' 
 "${paramdex[@]}" retrieve --corpus-dir corpus --queries synth/heldout_queries.tsv --model vanilla/model.ckpt --out-dir vanilla-run --config tiny.cfg
 "${paramdex[@]}" eval --run vanilla-run/run.txt --qrels synth/heldout_qrels.tsv --out-dir vanilla-eval
 "${paramdex[@]}" train-dense --corpus-dir corpus --queries synth/train_queries.tsv --qrels synth/train_qrels.tsv --out-dir dense --config tiny.cfg
+"${paramdex[@]}" train-overdense --corpus-dir corpus --queries synth/train_queries.tsv --qrels synth/train_qrels.tsv --dense-dir dense --out-dir overdense --config tiny.cfg
+"${paramdex[@]}" retrieve --corpus-dir corpus --queries synth/heldout_queries.tsv --model overdense/model.ckpt --out-dir overdense-run --config tiny.cfg
 "${paramdex[@]}" shard-train --strategy overdense --corpus-dir corpus --queries synth/train_queries.tsv --qrels synth/train_qrels.tsv --out-dir shards --config tiny.cfg
 "${paramdex[@]}" shard-merge --shards-dir shards --corpus-dir corpus --queries synth/heldout_queries.tsv --out-dir merged --config tiny.cfg
+"${paramdex[@]}" diag-scores --runs-dir merged --out-dir diag --config tiny.cfg

@@ -156,15 +156,16 @@ def train_two_tower(
     pairs of pairs.query_pairs for cfg.finetune_epochs (with plateau
     stopping), each batch one two_tower_step. The pairs pass the stage rule
     of the docid trainers (every target a docid of the corpus) before the
-    towers are built, and there must be at least 2 of them. A trailing
+    towers are built. A stage that runs an epoch also needs batch_size >= 2
+    and at least 2 pairs; one that runs none needs neither. A trailing
     batch of one pair is folded into the previous batch, since a single
     pair has no in-batch negatives.
     """
-    if cfg.batch_size < 2:
+    if cfg.finetune_epochs > 0 and cfg.batch_size < 2:
         raise ValueError("in-batch negatives need batch_size >= 2")
     pairs = query_pairs(queries, qrels)
     _check_stage("two_tower", pairs, cfg.finetune_epochs, len(corpus))
-    if len(pairs) < 2:
+    if cfg.finetune_epochs > 0 and len(pairs) < 2:
         raise ValueError("two-tower training needs at least 2 labeled queries")
     q_enc = Encoder.init(enc_cfg, np.random.SeedSequence([cfg.seed, 10]))
     if cfg.separate_towers:

@@ -5,13 +5,15 @@ Layout (all little-endian):
     magic "DYNR" | uint32 version | uint32 d_model, n_layers, n_heads,
     vocab_size, max_len, n_docs | payload | uint64 checksum
 
-The payload is float32 arrays in param_shapes() order plus the slot (see
-_payload_layout), then the docid matrix (d_model x n_docs) when n_docs > 0.
-The header has no d_ff: the payload size is affine in d_ff, so load_model
-solves for it from the layout's sizes at d_ff = 1 and 2, and rejects a
-payload whose size no d_ff >= 1 gives. The checksum is an 8-byte blake2b
-of the payload. The dense baseline is stored as such a model: its query
-tower plus the transposed dense index as the docid matrix.
+Every checkpoint is a retriever: an encoder plus its docid matrix. The
+payload is float32 arrays in param_shapes() order plus the slot (see
+_payload_layout), then the docid matrix (d_model x n_docs, n_docs >= 1).
+save_model rejects any other matrix, and load_model a header with 0 layers
+or with n_docs = 0. The header has no d_ff: the payload size is affine in
+d_ff, so load_model solves for it from the layout's sizes at d_ff = 1 and
+2, and rejects a payload whose size no d_ff >= 1 gives. The checksum is an
+8-byte blake2b of the payload. The dense baseline is stored as such a
+model: its query tower plus the transposed dense index as the docid matrix.
 
 write_meta gives an artifact a deterministic sidecar ``<path>.meta.json``
 recording the config hash and seed that produced it (no timestamps, so
@@ -92,29 +94,26 @@ def _payload_layout(cfg: EncoderConfig):
             yield None, (cfg.d_model,)
 
 
-def save_model(
-    path: str | Path,
-    cfg: EncoderConfig,
-    params: dict[str, np.ndarray],
-    w_doc: np.ndarray | None = None,
-) -> None:
-    """Write encoder parameters (and the docid matrix, if any) as float32."""
+def save_model(path: str | Path, cfg: EncoderConfig, params: dict[str, np.ndarray],
+               w_doc: np.ndarray) -> None:
+    """Write the encoder parameters and the d_model x n_docs docid matrix
+    (n_docs >= 1) as float32; any other matrix is rejected before the file
+    is created."""
+    if w_doc.ndim != 2 or w_doc.shape[0] != cfg.d_model or w_doc.shape[1] < 1:
+        raise ValueError(f"docid matrix has shape {w_doc.shape}; a checkpoint needs "
+                         f"{cfg.d_model} x n_docs with n_docs >= 1")
     arrays = [params[name] if name else np.zeros(shape) for name, shape in _payload_layout(cfg)]
-    n_docs = 0
-    if w_doc is not None:
-        if w_doc.shape[0] != cfg.d_model:
-            raise ValueError("docid matrix rows must equal d_model")
-        arrays.append(w_doc)
-        n_docs = w_doc.shape[1]
-    fields = (cfg.d_model, cfg.n_layers, cfg.n_heads, cfg.vocab_size, cfg.max_len, n_docs)
-    _write(Path(path), fields, arrays)
+    fields = (cfg.d_model, cfg.n_layers, cfg.n_heads, cfg.vocab_size, cfg.max_len, w_doc.shape[1])
+    _write(Path(path), fields, [*arrays, w_doc])
 
 
-def load_model(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray], np.ndarray | None]:
+def load_model(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray], np.ndarray]:
     fields, payload = _read(Path(path))
     d_model, n_layers, n_heads, vocab_size, max_len, n_docs = fields
     if n_layers == 0:
         raise ValueError(f"{path}: header has 0 encoder layers; not a model checkpoint")
+    if n_docs == 0:
+        raise ValueError(f"{path}: header has no docid matrix; not a retriever checkpoint")
     try:
         cfg = EncoderConfig(
             vocab_size=vocab_size, d_model=d_model, n_layers=n_layers,
@@ -139,8 +138,7 @@ def load_model(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray], 
         if name:
             params[name] = data[off : off + size].reshape(shape)
         off += size
-    w_doc = data[off:].reshape(d_model, n_docs) if n_docs > 0 else None
-    return cfg, params, w_doc
+    return cfg, params, data[off:].reshape(d_model, n_docs)
 
 
 def write_meta(artifact_path: str | Path, **fields) -> Path:

@@ -1,15 +1,17 @@
 """Command-line entry point wiring the modules into experiment pipelines.
 
 Every subcommand reads declared inputs, writes its artifacts under
---out-dir, stamps its main artifact with the resolved config hash and seed
-via a ``.meta.json`` sidecar, and prints the paths it wrote. Reruns with the
-same inputs, config and seed reproduce artifacts byte for byte.
+--out-dir under fixed names, stamps its main artifact with the resolved
+config hash and seed via a ``.meta.json`` sidecar, and prints the paths it
+wrote. Reruns with the same inputs, config and seed reproduce artifacts
+byte for byte. Every checkpoint a command writes or reads is a retriever,
+``model.ckpt``: an encoder plus its docid matrix (see checkpoint).
 
 main resolves the config once: the --config file overlaid with --seed, and
 with --skip-pretrain / --skip-finetune as pretrain_epochs = 0 /
 finetune_epochs = 0, so the sidecar hash records an ablation. It creates
 --out-dir and passes both to the subcommand's handler. When the command
-fails, main removes the directories it made that are still empty. A
+ends, main removes the directories it made that are still empty. A
 pipeline step that several subcommands run has one helper: _pretrain_pairs
 (pairs, shard-train), _train_dense (train-dense, shard-train --strategy
 overdense) and _load_retriever (retrieve, train-overdense, shard-merge).
@@ -82,8 +84,6 @@ def _load_retriever(path, corp, n_docs: int, what: str) -> DocidRetriever:
     """The retriever in checkpoint `path`, checked against the corpus
     vocabulary and a docid space of n_docs; errors name it `what`."""
     ck_cfg, params, w_doc = checkpoint.load_model(path)
-    if w_doc is None:
-        raise ValueError(f"{what} {path} has no docid matrix; not a retriever checkpoint")
     if ck_cfg.vocab_size != len(corp.vocab):
         raise ValueError(f"{what} vocabulary does not match the corpus")
     if w_doc.shape[1] != n_docs:
@@ -100,10 +100,11 @@ def _pretrain_pairs(corp, cfg: ExperimentConfig, seed: int) -> list[TrainingPair
 
 
 def _train_dense(corp, queries, qrels, cfg: ExperimentConfig, tcfg):
-    """Two-tower training, then the corpus encoded by the document tower."""
+    """Two-tower training, then the corpus encoded by the document tower:
+    the query tower, the n_docs x d_model index and the epoch logs."""
     q_enc, d_enc, logs = baselines.train_two_tower(
         corp, queries, qrels, cfg.encoder_config(len(corp.vocab)), tcfg)
-    return q_enc, d_enc, baselines.dense_encode_corpus(d_enc, corp, batch_size=cfg.batch_size), logs
+    return q_enc, baselines.dense_encode_corpus(d_enc, corp, batch_size=cfg.batch_size), logs
 
 
 def cmd_synth(args, cfg, out) -> int:
@@ -165,13 +166,10 @@ def _save_retriever(out: Path, enc: Encoder, w_doc, cfg, command, logs) -> list[
 
 def cmd_train_dense(args, cfg, out) -> int:
     corp, queries, qrels = _load_corpus_queries(args)
-    q_enc, d_enc, index, logs = _train_dense(corp, queries, qrels, cfg, cfg.train_config())
-    d_path = out / "doc_tower.ckpt"
-    checkpoint.save_model(d_path, d_enc.cfg, d_enc.params)
-    _meta(d_path, cfg, "train-dense")
+    q_enc, index, logs = _train_dense(corp, queries, qrels, cfg, cfg.train_config())
     # the dense baseline as a retriever: query tower + transposed index
-    written = _save_retriever(out, q_enc, init_overdense(index, len(corp)), cfg, "train-dense", logs)
-    return _done(d_path, *written)
+    w_doc = init_overdense(index, len(corp))
+    return _done(*_save_retriever(out, q_enc, w_doc, cfg, "train-dense", logs))
 
 
 def cmd_train_vanilla(args, cfg, out) -> int:
@@ -198,7 +196,7 @@ def cmd_retrieve(args, cfg, out) -> int:
     clock = _StageClock()
     corp = corpus_mod.load_corpus(args.corpus_dir)
     queries = corpus_mod.load_queries(args.queries, corp.vocab)
-    run_path = Path(args.run) if args.run else out / "run.txt"
+    run_path = out / "run.txt"
     if args.method == "bm25":
         index = baselines.build_inverted_index(corp)
         clock.done("load")
@@ -244,7 +242,7 @@ def cmd_shard_train(args, cfg, out) -> int:
                 enc, w_doc, logs = train_vanilla(sub, _pretrain_pairs(sub, cfg, tcfg.seed), queries,
                                                  sub_qrels, cfg.encoder_config(len(corp.vocab)), tcfg)
             else:
-                q_enc, _, index, logs = _train_dense(sub, queries, sub_qrels, cfg, tcfg)
+                q_enc, index, logs = _train_dense(sub, queries, sub_qrels, cfg, tcfg)
                 enc, w_doc, ft_logs = train_overdense(sub, index, q_enc, queries, sub_qrels, tcfg)
                 logs += ft_logs
         except (ValueError, FloatingPointError) as e:
@@ -416,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", help="retriever checkpoint (required for --method model, "
                     "rejected with --method bm25)")
     sp.add_argument("--method", choices=("model", "bm25"), default="model")
-    sp.add_argument("--run", help="output run file path (default <out-dir>/run.txt)")
 
     _command(sub, "eval", cmd_eval, "score a run file against qrels", "--run", "--qrels")
 
@@ -462,11 +459,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         status = 1
-    if status:
-        # a failed run leaves behind no empty directory that it made, deepest first
-        for d in made:
-            with contextlib.suppress(OSError):
-                d.rmdir()
+    # no run leaves behind an empty directory that it made, deepest first
+    for d in made:
+        with contextlib.suppress(OSError):
+            d.rmdir()
     return status
 
 

@@ -42,10 +42,12 @@ def mixed_task_epoch(pairs: Sequence[TrainingPair], rng: np.random.Generator) ->
     """Draw an epoch's worth of pre-training pairs, one draw per pair.
 
     Each draw picks a task uniformly among the tasks that have pairs and
-    then a pair uniformly within the task, with replacement. pairs must not
-    be empty and every pair's task must be one of PRETRAIN_TASKS, as
-    train_vanilla checks before pre-training.
+    then a pair uniformly within the task, with replacement. Empty pairs
+    are a ValueError, raised before any draw. Every pair's task must be one
+    of PRETRAIN_TASKS, as train_vanilla checks before pre-training.
     """
+    if not pairs:
+        raise ValueError("mixed_task_epoch: no pre-training pairs to draw from")
     by_task: dict[str, list[TrainingPair]] = {}
     for p in pairs:
         by_task.setdefault(p.task, []).append(p)

@@ -248,6 +248,18 @@ class TestTwoTower:
         with pytest.raises(ValueError, match="batch_size >= 2"):
             train_two_tower(corp, queries, qrels, cfg, TrainConfig(batch_size=1))
 
+    @pytest.mark.parametrize("n_labeled, batch_size", [(0, 8), (1, 8), (4, 1)])
+    def test_stage_without_epochs_needs_no_pairs_nor_batch_of_two(self, n_labeled, batch_size):
+        # _check_stage's rule: a stage that runs no epoch needs no pairs
+        corp, queries, qrels, cfg = _two_tower_data()
+        qrels = dict(list(qrels.items())[:n_labeled])
+        tcfg = TrainConfig(batch_size=batch_size, finetune_epochs=0, seed=0)
+        q_enc, d_enc, logs = train_two_tower(corp, queries, qrels, cfg, tcfg)
+        assert logs == [] and q_enc is d_enc
+        untrained = Encoder.init(cfg, np.random.SeedSequence([0, 10]))
+        for k, v in untrained.params.items():
+            assert np.array_equal(q_enc.params[k], v), k
+
     def test_identical_text_wins_its_batch_row(self):
         # frozen random shared tower: when query text == doc text, the matching
         # dot product should top its row far more often than chance

@@ -30,15 +30,6 @@ def test_model_roundtrip_with_docid_matrix(tmp_path):
     assert np.array_equal(w2, w_doc)
 
 
-def test_encoder_only_roundtrip(tmp_path):
-    enc = Encoder.init(CFG, seed=3)
-    path = tmp_path / "tower.ckpt"
-    save_model(path, CFG, enc.params)
-    cfg2, params2, w2 = load_model(path)
-    assert w2 is None and cfg2 == CFG
-    assert np.array_equal(params2["tok_emb"], enc.params["tok_emb"])
-
-
 def test_zero_slot_follows_each_key_weight(tmp_path):
     # version 1 keeps d_model floats after each attn.wk, where older builds
     # stored a key bias; they are written as zeros
@@ -99,10 +90,39 @@ def test_zero_layer_header_rejected(tmp_path):
         load_model(path)
 
 
+def rewrite_header(path, **values) -> None:
+    """Set header fields of a saved checkpoint; the checksum covers only the payload."""
+    raw = path.read_bytes()
+    magic, version, *fields = checkpoint._HEADER.unpack_from(raw)
+    for field, value in values.items():
+        fields[("d_model", "n_layers", "n_heads", "vocab_size", "max_len", "n_docs").index(field)] = value
+    path.write_bytes(checkpoint._HEADER.pack(magic, version, *fields) + raw[checkpoint._HEADER.size :])
+
+
+def test_header_without_docid_matrix_rejected_naming_the_file(tmp_path):
+    # a retriever whose header claims n_docs = 0, as an encoder-only file would
+    path = tmp_path / "model.ckpt"
+    save_model(path, CFG, Encoder.init(CFG, seed=15).params, np.ones((16, 7), dtype=np.float32))
+    rewrite_header(path, n_docs=0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: header has no docid matrix; not a retriever checkpoint")):
+        load_model(path)
+
+
+@pytest.mark.parametrize("shape", [(16, 0), (15, 7), (17, 7), (16,)],
+                         ids=["no_columns", "short", "tall", "one_dimensional"])
+def test_save_rejects_docid_matrix_of_wrong_shape_before_creating_the_file(tmp_path, shape):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match=re.escape(
+            f"docid matrix has shape {shape}; a checkpoint needs 16 x n_docs with n_docs >= 1")):
+        save_model(path, CFG, Encoder.init(CFG, seed=16).params, np.ones(shape, dtype=np.float32))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_header_rejected_naming_the_file(tmp_path):
     # one layer but 0 heads: a ValueError naming the file, not a ZeroDivisionError
     path = tmp_path / "model.ckpt"
-    checkpoint._write(path, (16, 1, 0, 10, 8, 0), [np.zeros(100, dtype=np.float32)])
+    checkpoint._write(path, (16, 1, 0, 10, 8, 1), [np.zeros(100, dtype=np.float32)])
     with pytest.raises(ValueError, match=re.escape(f"{path}: bad header: n_heads must be >= 1")):
         load_model(path)
 
@@ -114,10 +134,7 @@ def test_header_that_disagrees_with_the_payload_rejected(tmp_path, field, value)
     # the checksum covers the payload only, so it passes a wrong header value
     path = tmp_path / "model.ckpt"
     save_model(path, CFG, Encoder.init(CFG, seed=10).params, np.ones((16, 7), dtype=np.float32))
-    raw = path.read_bytes()
-    magic, version, *fields = checkpoint._HEADER.unpack_from(raw)
-    fields[("d_model", "n_layers", "n_heads", "vocab_size", "max_len", "n_docs").index(field)] = value
-    path.write_bytes(checkpoint._HEADER.pack(magic, version, *fields) + raw[checkpoint._HEADER.size :])
+    rewrite_header(path, **{field: value})
     with pytest.raises(ValueError, match=re.escape(f"{path}: payload size does not match header")):
         load_model(path)
 
@@ -128,10 +145,7 @@ def test_huge_layer_count_rejected_before_walking_the_layout(tmp_path, monkeypat
     # (param_shapes builds every layer's entries before the first is yielded)
     path = tmp_path / "model.ckpt"
     save_model(path, CFG, Encoder.init(CFG, seed=12).params, np.ones((16, 7), dtype=np.float32))
-    raw = path.read_bytes()
-    magic, version, d_model, _, *rest = checkpoint._HEADER.unpack_from(raw)
-    path.write_bytes(checkpoint._HEADER.pack(magic, version, d_model, 2**32 - 1, *rest)
-                     + raw[checkpoint._HEADER.size :])
+    rewrite_header(path, n_layers=2**32 - 1)
     layout = checkpoint._payload_layout
 
     def bounded_layout(cfg):
@@ -146,7 +160,7 @@ def test_huge_layer_count_rejected_before_walking_the_layout(tmp_path, monkeypat
 
 def test_payload_of_partial_floats_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_model(path, CFG, Encoder.init(CFG, seed=11).params)
+    save_model(path, CFG, Encoder.init(CFG, seed=11).params, np.ones((16, 3), dtype=np.float32))
     raw = path.read_bytes()
     payload = raw[checkpoint._HEADER.size : -8] + b"\x00\x00"  # 4k + 2 bytes
     checksum = struct.pack("<Q", checkpoint.payload_checksum(payload))
@@ -158,7 +172,7 @@ def test_payload_of_partial_floats_rejected(tmp_path):
 def test_corruption_detected(tmp_path):
     enc = Encoder.init(CFG, seed=4)
     path = tmp_path / "model.ckpt"
-    save_model(path, CFG, enc.params)
+    save_model(path, CFG, enc.params, np.ones((16, 3), dtype=np.float32))
     raw = bytearray(path.read_bytes())
     raw[100] ^= 0xFF
     path.write_bytes(bytes(raw))
@@ -211,15 +225,16 @@ def test_adamw_step_updates_a_loaded_model(tmp_path):
 
 def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     first = Encoder.init(CFG, seed=6)
+    w_doc = np.ones((16, 3), dtype=np.float32)
     path = tmp_path / "model.ckpt"
-    save_model(path, CFG, first.params)
+    save_model(path, CFG, first.params, w_doc)
 
     def fail(payload):
         raise OSError("disk full")
 
     monkeypatch.setattr(checkpoint, "payload_checksum", fail)
     with pytest.raises(OSError, match="disk full"):
-        save_model(path, CFG, Encoder.init(CFG, seed=7).params)
+        save_model(path, CFG, Encoder.init(CFG, seed=7).params, w_doc)
     monkeypatch.undo()
     _, params, _ = load_model(path)
     for k in first.params:
@@ -237,8 +252,9 @@ def test_bad_magic_rejected(tmp_path):
 def test_save_is_deterministic(tmp_path):
     enc = Encoder.init(CFG, seed=5)
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_model(a, CFG, enc.params)
-    save_model(b, CFG, enc.params)
+    w_doc = np.random.default_rng(5).normal(size=(16, 4)).astype(np.float32)
+    save_model(a, CFG, enc.params, w_doc)
+    save_model(b, CFG, enc.params, w_doc)
     assert a.read_bytes() == b.read_bytes()
 
 

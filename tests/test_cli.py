@@ -15,8 +15,10 @@ import paramdex
 from paramdex import checkpoint
 from paramdex.cli import build_parser, main
 from paramdex.corpus import load_corpus
-from paramdex.distributed import partition, write_manifest
+from paramdex.distributed import partition, read_manifest, write_manifest
 from paramdex.nn import Encoder, EncoderConfig
+
+from test_checkpoint import rewrite_header
 
 
 def run_cli(*argv) -> int:
@@ -150,7 +152,7 @@ def test_dense_then_overdense_zero_shot_identity(workspace, tmp_path):
                    "--qrels", workspace["data"] / "train_qrels.tsv",
                    "--out-dir", dense_dir, "--config", workspace["cfg"]) == 0
     written = {p.name for p in dense_dir.iterdir() if not p.name.endswith(".meta.json")}
-    assert written == {"doc_tower.ckpt", "model.ckpt", "loss_log.txt"}
+    assert written == {"model.ckpt", "loss_log.txt"}
 
     od_dir = tmp_path / "overdense0"
     assert run_cli("train-overdense", "--corpus-dir", workspace["corpus"],
@@ -301,6 +303,13 @@ def test_synth_without_training_queries(tmp_path):
                    "--out-dir", tmp_path) == 0
     assert (tmp_path / "train_queries.tsv").read_text() == ""
     assert len((tmp_path / "heldout_qrels.tsv").read_text().splitlines()) == 2
+
+
+def test_run_that_writes_nothing_leaves_no_out_dir(tmp_path, capsys):
+    # gradcheck writes no file, so the directories it made are empty when it ends
+    assert run_cli("gradcheck", "--coords", 1, "--out-dir", tmp_path / "made" / "sub") == 0
+    assert "max relative error" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_run_keeps_an_out_dir_it_did_not_make(tmp_path):
@@ -544,20 +553,22 @@ def test_shard_pipeline_overdense(workspace80, tmp_path, separate_towers):
 
 
 _BAD_CHECKPOINT = {
-    "query_tower": "has no docid matrix; not a retriever checkpoint",
+    "query_tower": "header has no docid matrix; not a retriever checkpoint",
     "corpus_size": "model docid matrix has 41 columns but there are 40 documents to rank",
     "vocabulary": "model vocabulary does not match the corpus",
 }
 
 
 def _save_checkpoint_for_other_data(path, corpus_dir, case) -> None:
-    """A checkpoint that `case` (a _BAD_CHECKPOINT key) makes unfit for the corpus."""
+    """A checkpoint that `case` (a _BAD_CHECKPOINT key) makes unfit for the
+    corpus; a query_tower is a retriever whose header claims no docid matrix."""
     corp = load_corpus(corpus_dir)
     cfg = EncoderConfig(vocab_size=len(corp.vocab) + (case == "vocabulary"), d_model=16,
                         n_layers=1, n_heads=2, d_ff=32, max_len=32)
     w_doc = np.zeros((cfg.d_model, len(corp) + (case == "corpus_size")), dtype=np.float32)
-    checkpoint.save_model(path, cfg, Encoder.init(cfg, 0).params,
-                          None if case == "query_tower" else w_doc)
+    checkpoint.save_model(path, cfg, Encoder.init(cfg, 0).params, w_doc)
+    if case == "query_tower":
+        rewrite_header(path, n_docs=0)
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_CHECKPOINT))
@@ -567,13 +578,16 @@ def test_retrieve_rejects_checkpoint_for_other_data(workspace, tmp_path, capsys,
     assert run_cli("retrieve", "--corpus-dir", workspace["corpus"],
                    "--queries", workspace["data"] / "train_queries.tsv", "--model", path,
                    "--out-dir", tmp_path / "run", "--config", workspace["cfg"]) == 1
-    assert _BAD_CHECKPOINT[case] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert _BAD_CHECKPOINT[case] in err
+    if case == "query_tower":
+        assert err.startswith(f"error: {path}: {_BAD_CHECKPOINT[case]}\n")
     assert not (tmp_path / "run" / "run.txt").exists()
 
 
 def test_retrieve_rejects_checkpoint_with_bad_header(workspace, tmp_path, capsys):
     path = tmp_path / "model.ckpt"
-    checkpoint._write(path, (16, 1, 0, 10, 8, 0), [np.zeros(100, dtype=np.float32)])
+    checkpoint._write(path, (16, 1, 0, 10, 8, 1), [np.zeros(100, dtype=np.float32)])
     assert run_cli("retrieve", "--corpus-dir", workspace["corpus"],
                    "--queries", workspace["data"] / "train_queries.tsv", "--model", path,
                    "--out-dir", tmp_path / "run", "--config", workspace["cfg"]) == 1
@@ -606,7 +620,7 @@ FLAGS = {
     "train-dense": (_CQQ, ()),
     "train-vanilla": (_CQQ, ("--pairs", "--skip-pretrain", "--skip-finetune")),
     "train-overdense": ((*_CQQ, "--dense-dir"), ("--skip-finetune",)),
-    "retrieve": (("--corpus-dir", "--queries"), ("--model", "--method", "--run")),
+    "retrieve": (("--corpus-dir", "--queries"), ("--model", "--method")),
     "eval": (("--run", "--qrels"), ()),
     "shard-train": (_CQQ, ("--strategy",)),
     "shard-merge": (("--shards-dir", "--corpus-dir", "--queries"), ()),
@@ -667,3 +681,18 @@ def test_ci_console_script(tmp_path):
     assert "unknown config key 'beta1'" in proc.stderr
     assert (tmp_path / "vanilla-eval" / "report.csv").stat().st_size > 0
     assert (tmp_path / "merged" / "merged.run").stat().st_size > 0
+    assert (tmp_path / "overdense-run" / "run.txt").stat().st_size > 0
+    assert (tmp_path / "diag" / "score_stats.csv").stat().st_size > 0
+    assert {p.name for p in (tmp_path / "dense").iterdir()} == {
+        "model.ckpt", "model.ckpt.meta.json", "loss_log.txt"}
+    # every checkpoint is a retriever: one docid column per document of its
+    # corpus, or of its group for a shard
+    corp = load_corpus(tmp_path / "corpus")
+    groups = read_manifest(tmp_path / "shards" / "shards.tsv", corp).groups
+    n_docs = {f"{name}/model.ckpt": len(corp) for name in ("vanilla", "dense", "overdense")}
+    n_docs.update({f"shards/group{gid:02d}/model.ckpt": len(m) for gid, m in enumerate(groups)})
+    written = {p.relative_to(tmp_path).as_posix(): p for p in tmp_path.rglob("*.ckpt")}
+    assert sorted(written) == sorted(n_docs)
+    for name, path in written.items():
+        _, _, w_doc = checkpoint.load_model(path)
+        assert w_doc.shape[1] == n_docs[name], name

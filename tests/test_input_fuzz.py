@@ -83,7 +83,7 @@ def ws(tmp_path_factory):
     assert run_cli("ingest", "--docs", data / "docs.jsonl", "--out-dir", corpus_dir, "--config", cfg) == 0
     assert run_cli("pairs", "--corpus-dir", corpus_dir, "--out-dir", ws / "pairs", "--config", cfg) == 0
     assert run_cli("retrieve", "--corpus-dir", corpus_dir, "--queries", data / "train_queries.tsv",
-                   "--method", "bm25", "--run", ws / "run.txt", "--out-dir", ws, "--config", cfg) == 0
+                   "--method", "bm25", "--out-dir", ws, "--config", cfg) == 0
     corp = load_corpus(corpus_dir)
     plan = partition(len(corp), 2, seed=0)
     shards = ws / "shards"

@@ -16,6 +16,13 @@ def _positions(pairs, drawn) -> list[int]:
 
 
 class TestMixedTaskEpoch:
+    def test_empty_pairs_rejected_before_any_draw(self):
+        rng = stage_rng(0, 2, 0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^mixed_task_epoch: no pre-training pairs to draw from$"):
+            mixed_task_epoch([], rng)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("tasks", [["passage"], ["terms", "ngram"] * 3,
                                        ["passage"] * 5 + ["terms"] + ["ngram"] * 2])
     def test_one_draw_per_pair(self, tasks):
