@@ -5,12 +5,11 @@ postings of token t are positions indptr[t]:indptr[t + 1] of the docid,
 term-frequency and weight arrays, sorted by docid. Each posting's BM25
 contribution is computed once, at build time. A query adds each distinct
 term's weights into a dense score array and ranks the matched documents
-with retriever.top_order. The dense baseline is a two-tower encoder pair
-(shared weights unless TrainConfig.separate_towers) trained with softmax
-cross-entropy over in-batch negatives. Its step is the docid step,
-nn.forward_backward, with the batch's encoded positives as the docid
-matrix; each step encodes the batch's distinct positive documents once.
-It has no retriever of its own:
+with retriever.top_order. The dense baseline is a two-tower model whose
+towers are one shared encoder, trained with softmax cross-entropy over
+in-batch negatives. Its step is the docid step, nn.forward_backward, with
+the batch's encoded positives as the docid matrix; each step encodes the
+batch's distinct positive documents once. It has no retriever of its own:
 retriever.init_overdense turns its encoded corpus into a docid matrix, so
 dense retrieval is DocidRetriever(query tower, init_overdense(index, n_docs)),
 the model that init-from-dense fine-tuning starts from.
@@ -114,33 +113,31 @@ def bm25_retrieve(index: InvertedIndex, query: Query, k: int) -> RankedList:
 
 
 def two_tower_step(
-    q_enc: Encoder,
-    d_enc: Encoder,
+    enc: Encoder,
     corpus: Corpus,
     batch: list[TrainingPair],
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean in-batch softmax loss of one batch and its gradients, keyed by
-    "q." and "d." plus the parameter name; "q." alone when d_enc is q_enc.
+    the parameter names of enc, the encoder both towers share.
 
     This is the docid step, nn.forward_backward, with the batch's document
-    vectors as the docid matrix. The document tower runs once over the
+    vectors as the docid matrix. The document side runs once over the
     batch's distinct positives, and the matrix gathers their vectors back
     into batch order: query i's positive is column i, and any other copy of
     that document in the batch is one of its negatives. The gradients of a
-    document's copies are summed before its backward pass.
+    document's copies are summed before its backward pass, whose gradients
+    are then added to the query side's.
     """
     docs, slot = np.unique([p.target for p in batch], return_inverse=True)
-    u_vec, d_cache = d_enc.forward_batch([corpus.doc(t).tokens for t in docs.tolist()])
-    loss, gq = forward_backward(q_enc, u_vec[slot].T,
-                                [TrainingPair(p.tokens, i, p.task) for i, p in enumerate(batch)])
+    u_vec, d_cache = enc.forward_batch([corpus.doc(t).tokens for t in docs.tolist()])
+    loss, grads = forward_backward(enc, u_vec[slot].T,
+                                   [TrainingPair(p.tokens, i, p.task) for i, p in enumerate(batch)])
     d_grad = np.zeros_like(u_vec)
-    np.add.at(d_grad, slot, gq.pop("w_doc").T)
-    gd = d_enc.backward_batch(d_cache, d_grad)
-    if d_enc is q_enc:
-        for k, g in gq.items():
-            g += gd[k]
-        return loss, {"q." + k: g for k, g in gq.items()}
-    return loss, {**{"q." + k: g for k, g in gq.items()}, **{"d." + k: g for k, g in gd.items()}}
+    np.add.at(d_grad, slot, grads.pop("w_doc").T)
+    gd = enc.backward_batch(d_cache, d_grad)
+    for k, g in grads.items():
+        g += gd[k]
+    return loss, grads
 
 
 def train_two_tower(
@@ -150,16 +147,17 @@ def train_two_tower(
     enc_cfg: EncoderConfig,
     cfg: TrainConfig,
 ) -> tuple[Encoder, Encoder, list[EpochLog]]:
-    """Train query/document towers with in-batch softmax cross entropy.
+    """Train the shared query/document encoder with in-batch softmax cross
+    entropy; returns (query tower, document tower, logs), the one encoder
+    twice.
 
-    The towers are one encoder unless cfg.separate_towers. Trains on the
-    pairs of pairs.query_pairs for cfg.finetune_epochs (with plateau
-    stopping), each batch one two_tower_step. The pairs pass the stage rule
-    of the docid trainers (every target a docid of the corpus) before the
-    towers are built. A stage that runs an epoch also needs batch_size >= 2
-    and at least 2 pairs; one that runs none needs neither. A trailing
-    batch of one pair is folded into the previous batch, since a single
-    pair has no in-batch negatives.
+    Trains on the pairs of pairs.query_pairs for cfg.finetune_epochs (with
+    plateau stopping), each batch one two_tower_step. The pairs pass the
+    stage rule of the docid trainers (every target a docid of the corpus)
+    before the encoder is built. A stage that runs an epoch also needs
+    batch_size >= 2 and at least 2 pairs; one that runs none needs neither.
+    A trailing batch of one pair is folded into the previous batch, since a
+    single pair has no in-batch negatives.
     """
     if cfg.finetune_epochs > 0 and cfg.batch_size < 2:
         raise ValueError("in-batch negatives need batch_size >= 2")
@@ -167,13 +165,7 @@ def train_two_tower(
     _check_stage("two_tower", pairs, cfg.finetune_epochs, len(corpus))
     if cfg.finetune_epochs > 0 and len(pairs) < 2:
         raise ValueError("two-tower training needs at least 2 labeled queries")
-    q_enc = Encoder.init(enc_cfg, np.random.SeedSequence([cfg.seed, 10]))
-    if cfg.separate_towers:
-        d_enc = Encoder.init(enc_cfg, np.random.SeedSequence([cfg.seed, 11]))
-        towers = {"q.": q_enc, "d.": d_enc}
-    else:
-        d_enc, towers = q_enc, {"q.": q_enc}
-    trainable = {p + k: v for p, enc in towers.items() for k, v in enc.params.items()}
+    enc = Encoder.init(enc_cfg, np.random.SeedSequence([cfg.seed, 10]))
 
     def epoch_batches(epoch):
         order = stage_rng(cfg.seed, 1, epoch).permutation(len(pairs))
@@ -182,10 +174,10 @@ def train_two_tower(
             chunks[-2] += chunks.pop()
         return chunks
 
-    logs = run_stage("two_tower", trainable, epoch_batches,
-                     lambda batch: two_tower_step(q_enc, d_enc, corpus, batch),
+    logs = run_stage("two_tower", enc.params, epoch_batches,
+                     lambda batch: two_tower_step(enc, corpus, batch),
                      cfg.finetune_epochs, cfg)
-    return q_enc, d_enc, logs
+    return enc, enc, logs
 
 
 def dense_encode_corpus(doc_encoder: Encoder, corpus: Corpus, batch_size: int = 32) -> np.ndarray:

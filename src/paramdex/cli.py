@@ -100,11 +100,11 @@ def _pretrain_pairs(corp, cfg: ExperimentConfig, seed: int) -> list[TrainingPair
 
 
 def _train_dense(corp, queries, qrels, cfg: ExperimentConfig, tcfg):
-    """Two-tower training, then the corpus encoded by the document tower:
-    the query tower, the n_docs x d_model index and the epoch logs."""
-    q_enc, d_enc, logs = baselines.train_two_tower(
+    """Two-tower training, then the corpus encoded by the shared encoder:
+    the encoder, the n_docs x d_model index and the epoch logs."""
+    enc, _, logs = baselines.train_two_tower(
         corp, queries, qrels, cfg.encoder_config(len(corp.vocab)), tcfg)
-    return q_enc, baselines.dense_encode_corpus(d_enc, corp, batch_size=cfg.batch_size), logs
+    return enc, baselines.dense_encode_corpus(enc, corp, batch_size=cfg.batch_size), logs
 
 
 def cmd_synth(args, cfg, out) -> int:

@@ -6,7 +6,9 @@ must also be finite); unknown keys are rejected. Each field of TrainConfig,
 and of EncoderConfig but vocab_size, is the key of the same name and
 default. AdamW's betas and epsilon (nn.BETA1, BETA2, ADAM_EPS), the n-gram
 document-frequency floor (pairs.NGRAM_MIN_DF) and the uniform pre-training
-task mix are constants, not keys. Input paths are flags, not config keys.
+task mix are constants, not keys, and so is the training setup: every
+docid stage trains the encoder with the docid matrix, and the two-tower
+towers are one shared encoder. Input paths are flags, not config keys.
 The flags --seed, --skip-pretrain and --skip-finetune override file values
 (the last two as pretrain_epochs = 0 and finetune_epochs = 0). The resolved
 config hashes to a short hex digest that is stamped into every artifact's
@@ -24,15 +26,6 @@ from pathlib import Path
 from .corpus import text_lines, valid_id
 from .nn import EncoderConfig
 from .training import TrainConfig
-
-
-def _bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: '{s}'")
 
 
 def _pos(x):  # > 0
@@ -73,8 +66,6 @@ FIELDS: dict[str, tuple] = {
     "k": (int, 100, _pos, "retrieval depth"),
     "mrr_cutoff": (int, 100, _pos, "MRR rank cutoff"),
     "eval_ks": (str, "1,20,100", None, "comma-separated recall cutoffs"),
-    "freeze_encoder": (_bool, _T.freeze_encoder, None, "train only the docid matrix"),
-    "separate_towers": (_bool, _T.separate_towers, None, "untie the two-tower weights"),
     "run_tag": (str, "paramdex", valid_id, "tag column for run files"),
 }
 

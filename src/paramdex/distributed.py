@@ -173,7 +173,8 @@ def write_manifest(path: str | Path, plan: ShardPlan, corpus: Corpus) -> None:
 
 def read_manifest(path: str | Path, corpus: Corpus) -> ShardPlan:
     """Read a write_manifest file: each document of corpus in exactly one of
-    g nonempty groups. Bad input raises ValueError naming the line or group."""
+    g nonempty groups. Bad input raises ValueError naming the line, group or
+    document."""
     lines = text_lines(path)
     where, header = next(lines, (f"{path} line 1", ""))
     header = header.strip()
@@ -198,8 +199,7 @@ def read_manifest(path: str | Path, corpus: Corpus) -> ShardPlan:
             if owner[doc] >= 0:
                 raise ValueError(f"{at}: docid '{ext}' is already in group {owner[doc]}")
             owner[doc] = gid
-        group_of = np.array(owner, dtype=np.int64)
-        if (group_of < 0).any():
-            raise ValueError(f"{path}: manifest does not cover the corpus")
-        return group_of
+        if -1 in owner:
+            raise ValueError(f"{path}: docid '{corpus.external_id(owner.index(-1))}' is in no group")
+        return np.array(owner, dtype=np.int64)
     return _plan(where, len(corpus), g, seed, owners)

@@ -465,14 +465,12 @@ def forward_backward(
     encoder: Encoder,
     w_doc: np.ndarray,
     batch: Sequence,
-    freeze_encoder: bool = False,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean negative log-likelihood of the targets under the docid softmax.
 
     batch items carry .tokens and .target (a TrainingPair works), and w_doc
-    has the encoder's dtype. Gradients cover every encoder parameter plus the
-    docid matrix under key "w_doc"; with freeze_encoder only "w_doc" is
-    produced.
+    has the encoder's dtype. Gradients cover every encoder parameter, under
+    its own name, then the docid matrix under key "w_doc".
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
@@ -480,15 +478,10 @@ def forward_backward(
     targets = np.array([p.target for p in batch], dtype=np.int64)
     if targets.min() < 0 or targets.max() >= n_docs:
         raise ValueError("batch targets a docid outside the corpus")
-    cls_vec, cache = encoder.forward_batch(
-        [p.tokens for p in batch], need_cache=not freeze_encoder
-    )
+    cls_vec, cache = encoder.forward_batch([p.tokens for p in batch])
     loss, dlogits = softmax_xent(cls_vec @ w_doc, targets)
     gw = cls_vec.T @ dlogits
-    if freeze_encoder:
-        grads: dict[str, np.ndarray] = {}
-    else:
-        grads = encoder.backward_batch(cache, dlogits @ w_doc.T)
+    grads = encoder.backward_batch(cache, dlogits @ w_doc.T)
     grads["w_doc"] = gw
     return loss, grads
 

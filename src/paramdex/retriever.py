@@ -182,12 +182,11 @@ def run_stage(
 def _train_docid(stage: str, encoder: Encoder, w_doc: np.ndarray, epoch_pairs, n_epochs: int,
                  cfg: TrainConfig) -> list[EpochLog]:
     """run_stage on the docid loss over the pairs epoch_pairs(epoch) gives;
-    trains w_doc, and the encoder unless cfg.freeze_encoder, in place."""
-    freeze = cfg.freeze_encoder
+    trains the encoder and w_doc together, in place."""
     return run_stage(
-        stage, {"w_doc": w_doc} if freeze else dict(encoder.params, w_doc=w_doc),
+        stage, dict(encoder.params, w_doc=w_doc),
         lambda ep: batches(epoch_pairs(ep), cfg.batch_size),
-        lambda batch: forward_backward(encoder, w_doc, batch, freeze_encoder=freeze),
+        lambda batch: forward_backward(encoder, w_doc, batch),
         n_epochs, cfg,
     )
 

@@ -93,10 +93,6 @@ def generate(
                 w = _topic_word(topic, j)
                 words.append(w)
                 counts[w] = counts.get(w, 0) + 1
-        if not counts:  # force at least one topic word
-            j = int(rng.choice(TOPIC_VOCAB, p=theta))
-            words.append(_topic_word(topic, j))
-            counts[_topic_word(topic, j)] = 1
         doc_tokens.append(words)
         doc_topic_counts.append(counts)
 

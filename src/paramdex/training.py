@@ -1,6 +1,7 @@
 """Shared training-loop plumbing: the training config, batching and the
 pre-training task mix. Each TrainConfig field is the config key
-(config.FIELDS) of the same name and default."""
+(config.FIELDS) of the same name and default. No field selects what
+trains: every stage trains all of its model's parameters."""
 
 from __future__ import annotations
 
@@ -22,8 +23,6 @@ class TrainConfig:
     plateau_patience: int = 3
     plateau_min_delta: float = 1e-4
     seed: int = 0
-    freeze_encoder: bool = False
-    separate_towers: bool = False  # two-tower baseline: untie the towers' weights
 
 
 def stage_rng(seed: int, stage: int, epoch: int) -> np.random.Generator:

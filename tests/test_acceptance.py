@@ -385,6 +385,8 @@ per_group_k = 5
 
 
 def _run_pipeline(root: Path, cfg: Path) -> dict[str, bytes]:
+    """Run the pipeline's commands under root; the bytes of every file they
+    write, sidecars included, keyed by its path relative to root."""
     data = root / "data"
     corpus_dir = root / "corpus"
     steps = [
@@ -428,21 +430,7 @@ def _run_pipeline(root: Path, cfg: Path) -> dict[str, bytes]:
     ]
     for argv in steps:
         assert cli_main(argv) == 0, f"pipeline step failed: {argv[0]}"
-    artifacts = [
-        data / "docs.jsonl",
-        corpus_dir / "docs.jsonl", corpus_dir / "vocab.tsv",
-        root / "pairs" / "pairs.tsv",
-        root / "vanilla" / "model.ckpt", root / "vanilla" / "loss_log.txt",
-        root / "dense" / "model.ckpt",
-        root / "overdense" / "model.ckpt",
-        root / "run" / "run.txt",
-        root / "eval" / "report.csv", root / "eval" / "report.txt",
-        root / "shards" / "shards.tsv",
-        root / "shards" / "group00" / "model.ckpt",
-        root / "merged" / "merged.run", root / "merged" / "group00.run",
-        root / "diag" / "score_stats.csv",
-    ]
-    return {str(p.relative_to(root)): p.read_bytes() for p in artifacts}
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def test_criterion_8_determinism(tmp_path):

@@ -279,16 +279,20 @@ class TestTwoTower:
         tcfg = TrainConfig(lr=1e-3, batch_size=8, finetune_epochs=1, seed=0)
         q_enc, d_enc, _ = train_two_tower(corp, queries, qrels, cfg, tcfg)
         assert q_enc is d_enc
-        tcfg = TrainConfig(lr=1e-3, batch_size=8, finetune_epochs=1, seed=0, separate_towers=True)
-        q2, d2, _ = train_two_tower(corp, queries, qrels, cfg, tcfg)
-        assert q2 is not d2
-        assert not np.array_equal(q2.params["tok_emb"], d2.params["tok_emb"])
 
     def test_shared_tower_gradients_match_finite_differences(self):
-        _check_step_gradients(separate=False)
+        # positives 0 and 2 repeat: their copies' gradients are summed
+        enc = _step_encoder(np.float64, seed=8)
+        rng = np.random.default_rng(8)
+        batch = [TrainingPair(list(rng.integers(3, len(_STEP_CORPUS.vocab), size=4)), t, "query")
+                 for t in (0, 1, 0, 2, 0)]
 
-    def test_separate_tower_gradients_match_finite_differences(self):
-        _check_step_gradients(separate=True)
+        def fn(params):
+            return two_tower_step(Encoder(enc.cfg, params), _STEP_CORPUS, batch)
+
+        worst, _ = finite_diff_check(fn, dict(enc.params), max_coords_per_param=3,
+                                     rng=np.random.default_rng(1))
+        assert worst < 1e-4
 
     def test_document_tower_encodes_a_repeated_positive_once(self, monkeypatch):
         corp, queries, _, cfg = _two_tower_data()
@@ -316,19 +320,17 @@ class TestTwoTower:
             train_two_tower(corp, queries, qrels, cfg, TrainConfig(batch_size=8, finetune_epochs=1, seed=0))
         assert seen == []
 
-    @pytest.mark.parametrize("separate", [False, True])
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
-    def test_step_equals_per_row_reference(self, separate, data):
+    def test_step_equals_per_row_reference(self, data):
         n_docs = len(_STEP_CORPUS)
         targets = data.draw(st.lists(st.integers(0, n_docs - 1), min_size=2, max_size=9))
         lens = data.draw(st.lists(st.integers(1, 9), min_size=len(targets), max_size=len(targets)))
-        _check_step_against_per_row(separate, targets, lens)
+        _check_step_against_per_row(targets, lens)
 
-    @pytest.mark.parametrize("separate", [False, True])
-    def test_step_with_one_distinct_positive_equals_per_row_reference(self, separate):
-        # the document tower encodes one row here, the reference two
-        _check_step_against_per_row(separate, targets=[1, 1], lens=[1, 1])
+    def test_step_with_one_distinct_positive_equals_per_row_reference(self):
+        # the document side encodes one row here, the reference two
+        _check_step_against_per_row(targets=[1, 1], lens=[1, 1])
 
     def test_training_holds_no_document_activations_between_steps(self, monkeypatch):
         corp, queries, qrels, cfg = _long_doc_data()
@@ -336,7 +338,7 @@ class TestTwoTower:
         seen = []
         step = baselines.two_tower_step
         monkeypatch.setattr(baselines, "two_tower_step",
-                            lambda q, d, c, batch: seen.append(batch) or step(q, d, c, batch))
+                            lambda enc, c, batch: seen.append(batch) or step(enc, c, batch))
         train_two_tower(corp, queries, qrels, cfg, tcfg)
         monkeypatch.undo()
         assert len(seen) >= 3
@@ -352,7 +354,7 @@ class TestTwoTower:
                 del kept
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                two_tower_step(enc, enc, corp, batch)
+                two_tower_step(enc, corp, batch)
                 step_peak = max(step_peak, tracemalloc.get_traced_memory()[1] - base)
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -374,14 +376,14 @@ _STEP_CORPUS = corpus_from_texts([
 ])
 
 
-def _check_step_against_per_row(separate, targets, lens):
+def _check_step_against_per_row(targets, lens):
     rng = np.random.default_rng(len(targets))
     batch = [TrainingPair(list(rng.integers(3, len(_STEP_CORPUS.vocab), size=n)), t, "query")
              for n, t in zip(lens, targets)]
     for dtype in (np.float32, np.float64):
-        q_enc, d_enc = _step_towers(dtype, separate, seed=len(targets))
-        loss, grads = two_tower_step(q_enc, d_enc, _STEP_CORPUS, batch)
-        ref_loss, ref_grads = _per_row_step(q_enc, d_enc, _STEP_CORPUS, batch)
+        enc = _step_encoder(dtype, seed=len(targets))
+        loss, grads = two_tower_step(enc, _STEP_CORPUS, batch)
+        ref_loss, ref_grads = _per_row_step(enc, _STEP_CORPUS, batch)
         assert grads.keys() == ref_grads.keys()
         if dtype == np.float32:
             assert loss == ref_loss
@@ -399,44 +401,21 @@ def _check_step_against_per_row(separate, targets, lens):
             np.testing.assert_allclose(grads[k], g, rtol=1e-10, atol=1e-12, err_msg=k)
 
 
-def _step_towers(dtype, separate, seed):
-    """Query and document towers over _STEP_CORPUS; d_enc is q_enc unless separate."""
+def _step_encoder(dtype, seed):
+    """The shared encoder over _STEP_CORPUS."""
     cfg = EncoderConfig(vocab_size=len(_STEP_CORPUS.vocab), d_model=8, n_layers=2, n_heads=2,
                         d_ff=16, max_len=12)
-    rng = np.random.default_rng(seed)
-    q_enc = Encoder.init(cfg, rng, dtype=dtype)
-    return q_enc, (Encoder.init(cfg, rng, dtype=dtype) if separate else q_enc)
+    return Encoder.init(cfg, np.random.default_rng(seed), dtype=dtype)
 
 
-def _check_step_gradients(separate):
-    # positives 0 and 2 repeat: their copies' gradients are summed
-    q_enc, d_enc = _step_towers(np.float64, separate, seed=8)
-    rng = np.random.default_rng(8)
-    batch = [TrainingPair(list(rng.integers(3, len(_STEP_CORPUS.vocab), size=4)), t, "query")
-             for t in (0, 1, 0, 2, 0)]
-    towers = {"q.": q_enc, "d.": d_enc} if separate else {"q.": q_enc}
-    params = {p + k: v for p, enc in towers.items() for k, v in enc.params.items()}
-
-    def fn(params):
-        q, d = (Encoder(q_enc.cfg, {k[2:]: v for k, v in params.items() if k.startswith(p)})
-                for p in ("q.", "d."))
-        return two_tower_step(q, d if separate else q, _STEP_CORPUS, batch)
-
-    worst, _ = finite_diff_check(fn, params, max_coords_per_param=3,
-                                 rng=np.random.default_rng(1))
-    assert worst < 1e-4
-
-
-def _per_row_step(q_enc, d_enc, corpus, batch):
-    """Reference step: one document-tower row per batch row, repeats included."""
-    q_vec, q_cache = q_enc.forward_batch([p.tokens for p in batch])
-    d_vec, d_cache = d_enc.forward_batch([corpus.doc(p.target).tokens for p in batch])
+def _per_row_step(enc, corpus, batch):
+    """Reference step: one document row per batch row, repeats included."""
+    q_vec, q_cache = enc.forward_batch([p.tokens for p in batch])
+    d_vec, d_cache = enc.forward_batch([corpus.doc(p.target).tokens for p in batch])
     loss, dscores = softmax_xent(q_vec @ d_vec.T, np.arange(len(batch)))
-    gq = q_enc.backward_batch(q_cache, dscores @ d_vec)
-    gd = d_enc.backward_batch(d_cache, dscores.T @ q_vec)
-    if d_enc is not q_enc:
-        return loss, {**{"q." + k: v for k, v in gq.items()}, **{"d." + k: v for k, v in gd.items()}}
-    return loss, {"q." + k: gq[k] + gd[k] for k in gq}
+    gq = enc.backward_batch(q_cache, dscores @ d_vec)
+    gd = enc.backward_batch(d_cache, dscores.T @ q_vec)
+    return loss, {k: gq[k] + gd[k] for k in gq}
 
 
 class TestDenseIndex:

@@ -242,6 +242,23 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
+def test_file_shorter_than_header_and_checksum_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(checkpoint.MAGIC + b"\x00" * (checkpoint._HEADER.size + 8 - 5))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: file too short to be a checkpoint")):
+        load_model(path)
+
+
+def test_other_format_version_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_model(path, CFG, Encoder.init(CFG, seed=17).params, np.ones((16, 3), dtype=np.float32))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, len(checkpoint.MAGIC), 2)
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unsupported format version 2")):
+        load_model(path)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -18,6 +19,7 @@ from paramdex.corpus import load_corpus
 from paramdex.distributed import partition, read_manifest, write_manifest
 from paramdex.nn import Encoder, EncoderConfig
 
+from test_acceptance import ACCEPT_CFG, _run_pipeline
 from test_checkpoint import rewrite_header
 
 
@@ -524,10 +526,9 @@ def workspace80(tmp_path_factory):
     return {"data": data, "corpus": ws / "corpus"}
 
 
-@pytest.mark.parametrize("separate_towers", [0, 1])
-def test_shard_pipeline_overdense(workspace80, tmp_path, separate_towers):
+def test_shard_pipeline_overdense(workspace80, tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(TINY_CFG + f"separate_towers = {separate_towers}\n")
+    cfg.write_text(TINY_CFG)
     queries = workspace80["data"] / "train_queries.tsv"
     shards_dir = tmp_path / "shards"
     assert run_cli("shard-train", "--corpus-dir", workspace80["corpus"], "--queries", queries,
@@ -696,3 +697,16 @@ def test_ci_console_script(tmp_path):
     for name, path in written.items():
         _, _, w_doc = checkpoint.load_model(path)
         assert w_doc.shape[1] == n_docs[name], name
+
+
+def test_pipeline_sums_script_lists_the_files_criterion_8_compares(tmp_path):
+    # the script runs in its own process; every path and digest must match
+    script = Path(__file__).resolve().parents[1] / "ci" / "pipeline_sums.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    listed = [line.split("  ", 1)[::-1] for line in proc.stdout.splitlines()]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(ACCEPT_CFG)
+    compared = _run_pipeline(tmp_path / "pipeline", cfg)
+    assert [path for path, _ in listed] == sorted(compared)
+    assert dict(listed) == {path: hashlib.sha256(data).hexdigest() for path, data in compared.items()}

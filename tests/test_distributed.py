@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -330,6 +332,16 @@ def test_manifest_docid_in_two_groups_rejected(tmp_path):
     path, corp = _edited_manifest(tmp_path, lambda lines: [*lines, "1\t" + lines[1].split("\t")[1]])
     first = path.read_text().splitlines()[1].split("\t")[1]
     with pytest.raises(ValueError, match=rf"line 12: docid '{first}' is already in group 0"):
+        read_manifest(path, corp)
+
+
+def test_manifest_that_leaves_documents_out_names_the_first(tmp_path):
+    # lines 3 and 6 dropped: their two documents are in no group
+    path, corp = _edited_manifest(tmp_path, lambda lines: [*lines[:2], *lines[3:5], *lines[6:]])
+    listed = {line.split("\t")[1] for line in path.read_text().splitlines()[1:]}
+    left_out = [ext for ext in corp.external_ids if ext not in listed]
+    assert len(left_out) == 2
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: docid '{left_out[0]}' is in no group$"):
         read_manifest(path, corp)
 
 

@@ -419,13 +419,6 @@ class TestForwardBackward:
         with pytest.raises(ValueError, match="nonempty"):
             forward_backward(enc, np.zeros((TINY.d_model, 2), dtype=np.float32), [])
 
-    def test_freeze_encoder_only_returns_w_doc(self):
-        enc = tiny_encoder()
-        w_doc = np.zeros((TINY.d_model, 4), dtype=np.float32)
-        _, grads = forward_backward(enc, w_doc, random_batch(np.random.default_rng(2), 4),
-                                    freeze_encoder=True)
-        assert set(grads) == {"w_doc"}
-
 
 class TestGradients:
     def test_full_model_matches_finite_differences(self):

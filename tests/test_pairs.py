@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 
@@ -5,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paramdex.corpus import UNK_ID, load_corpus, save_corpus
+from paramdex.corpus import UNK_ID, Query, load_corpus, save_corpus
 from paramdex.pairs import (
     TrainingPair,
     document_frequencies,
     extract_ngram_pairs,
     generate_pretrain_pairs,
     load_pairs,
+    query_pairs,
     sample_term_sets,
     save_pairs,
     segment_passages,
@@ -305,3 +307,13 @@ def test_load_keeps_the_literal_unk_token(tmp_path, tiny_corpus):
     assert path.read_text() == f"terms\t{tiny_corpus.external_id(1)}\t<unk> apple\n"
     [pair] = load_pairs(path, tiny_corpus)
     assert (pair.tokens, pair.target, pair.task) == ([UNK_ID, tiny_corpus.vocab.lookup("apple")], 1, "terms")
+
+
+def test_query_pairs_skip_labeled_queries_without_tokens_and_log_the_count(caplog):
+    # q3 has no tokens and no label: it is not a labeled query, so not counted
+    queries = [Query("q1", [3, 4]), Query("q2", []), Query("q3", []), Query("q4", [5]), Query("q5", [])]
+    qrels = {"q1": 0, "q2": 1, "q4": 2, "q5": 0}
+    with caplog.at_level(logging.WARNING, logger="paramdex.pairs"):
+        pairs = query_pairs(queries, qrels)
+    assert [(p.tokens, p.target, p.task) for p in pairs] == [([3, 4], 0, "query"), ([5], 2, "query")]
+    assert caplog.messages == ["2 labeled queries had no in-vocabulary tokens, skipped"]

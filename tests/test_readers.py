@@ -5,6 +5,7 @@ and a file without documents alike."""
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -125,6 +126,22 @@ def test_file_without_documents_names_the_file(tmp_path, reader):
         read(path)
 
 
+# Python 3.11 on caps int <-> str conversion (4300 digits by default), and
+# json.loads raises ValueError past the cap; 0 where there is no cap
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGITS, reason="this Python converts integers of any length")
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_integer_beyond_the_digit_limit_names_the_line(tmp_path, reader):
+    body = {"ingest": '"text": "gamma"', "load": '"token_ids": [3]'}[reader]
+    line = f'{{"docid": {"1" * (_INT_DIGITS + 1)}, {body}}}'
+    path = {"ingest": _raw_docs, "load": _tokenized_docs}[reader](tmp_path, line)
+    message = re.escape(f"Exceeds the limit ({_INT_DIGITS} digits) for integer string conversion")
+    with pytest.raises(ValueError, match=_named(path, 2, message)):
+        READERS[reader][0](path)
+
+
 @pytest.mark.parametrize("line", ["5", "null", '"text"', "[1, 2]", '{"docid": "b"}', '{"text": "x"}',
                                   '{"docid": "b", "text": null}'])
 def test_ingest_line_must_be_a_record_with_docid_and_text(tmp_path, line):
@@ -163,6 +180,15 @@ class TestVocab:
         lines[5] = lines[3]
         vocab.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=_named(vocab, 6, f"token '{lines[3]}' is already on line 4$")):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("order", [(1, 0, 2), (0, 2, 1), (0, 1, 3)], ids=["pad", "cls", "missing"])
+    def test_reserved_tokens_must_lead_in_order(self, tmp_path, order):
+        vocab = self._corpus_dir(tmp_path)
+        lines = vocab.read_text().splitlines()
+        vocab.write_text("\n".join([lines[i] for i in order] + lines[4:]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(vocab))}: lines 1-3 must be "
+                                             f"the reserved tokens <pad> <unk> <cls>$"):
             load_corpus(tmp_path)
 
     def test_blank_token_line_keeps_its_position(self, tmp_path):
