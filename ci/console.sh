@@ -6,7 +6,8 @@
 #
 # $PARAMDEX is split into words, so it may be a command with arguments. The
 # commands: gradients (a check of no coordinate must fail, and so must a
-# config naming the removed key beta1, with exit status 1), then a corpus
+# config naming the removed key beta1 or run_tag, with exit status 1, and the
+# removed flag --seed, with argparse's exit status 2), then a corpus
 # round trip that loads the saved docs.jsonl through load_corpus's bulk
 # reader, a subset that keeps its part's qrels, a synth corpus without
 # training queries, the paper's pipeline (pairs, train-vanilla, retrieve with
@@ -22,6 +23,11 @@ if "${paramdex[@]}" gradcheck --coords 0; then echo "gradcheck --coords 0 passed
 printf 'beta1 = 0.9\n' > removed-key.cfg
 status=0; "${paramdex[@]}" gradcheck --coords 2 --config removed-key.cfg || status=$?
 if [[ $status != 1 ]]; then echo "a config naming beta1 exited $status, not 1"; exit 1; fi
+printf 'run_tag = paramdex\n' > removed-run-tag.cfg
+status=0; "${paramdex[@]}" gradcheck --coords 2 --config removed-run-tag.cfg || status=$?
+if [[ $status != 1 ]]; then echo "a config naming run_tag exited $status, not 1"; exit 1; fi
+status=0; "${paramdex[@]}" gradcheck --seed 1 || status=$?
+if [[ $status != 2 ]]; then echo "gradcheck --seed 1 exited $status, not 2"; exit 1; fi
 "${paramdex[@]}" synth --docs 300 --out-dir synth
 "${paramdex[@]}" ingest --docs synth/docs.jsonl --out-dir corpus
 "${paramdex[@]}" retrieve --method bm25 --corpus-dir corpus --queries synth/heldout_queries.tsv --out-dir bm25

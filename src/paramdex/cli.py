@@ -7,14 +7,15 @@ wrote. Reruns with the same inputs, config and seed reproduce artifacts
 byte for byte. Every checkpoint a command writes or reads is a retriever,
 ``model.ckpt``: an encoder plus its docid matrix (see checkpoint).
 
-main resolves the config once: the --config file overlaid with --seed, and
-with --skip-pretrain / --skip-finetune as pretrain_epochs = 0 /
-finetune_epochs = 0, so the sidecar hash records an ablation. It creates
---out-dir and passes both to the subcommand's handler. When the command
-ends, main removes the directories it made that are still empty. A
-pipeline step that several subcommands run has one helper: _pretrain_pairs
-(pairs, shard-train), _train_dense (train-dense, shard-train --strategy
-overdense) and _load_retriever (retrieve, train-overdense, shard-merge).
+main resolves the config once, from the --config file alone: a flag sets
+no config key, so the seed and an ablation (pretrain_epochs = 0 or
+finetune_epochs = 0) are set in that file and the sidecar hash records
+them. It creates --out-dir and passes both to the subcommand's handler.
+When the command ends, main removes the directories it made that are
+still empty. Every run file carries the tag RUN_TAG. A pipeline step that
+several subcommands run has one helper: _pretrain_pairs (pairs,
+shard-train), _train_dense (train-dense, shard-train --strategy overdense)
+and _load_retriever (retrieve, train-overdense, shard-merge).
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .synth import generate as synth_generate, query_counts
 from .training import format_logs
 
 log = logging.getLogger(__name__)
+
+RUN_TAG = "paramdex"  # the tag column of every run file a command writes
 
 
 def _done(*paths: Path) -> int:
@@ -94,9 +97,7 @@ def _load_retriever(path, corp, n_docs: int, what: str) -> DocidRetriever:
 
 def _pretrain_pairs(corp, cfg: ExperimentConfig, seed: int) -> list[TrainingPair]:
     return pairs_mod.generate_pretrain_pairs(
-        corp, window=cfg.window, m_samples=cfg.m_samples, ngram_n=cfg.ngram_n,
-        max_ngrams=cfg.max_ngrams, seed=seed,
-    )
+        corp, window=cfg.window, m_samples=cfg.m_samples, seed=seed)
 
 
 def _train_dense(corp, queries, qrels, cfg: ExperimentConfig, tcfg):
@@ -123,7 +124,7 @@ def cmd_synth(args, cfg, out) -> int:
 
 
 def cmd_ingest(args, cfg, out) -> int:
-    corp = corpus_mod.ingest_corpus(args.docs, min_freq=cfg.min_freq)
+    corp = corpus_mod.ingest_corpus(args.docs)
     written = corpus_mod.save_corpus(corp, out)
     _meta(written["docs"], cfg, "ingest", n_docs=len(corp), vocab_size=len(corp.vocab))
     print(f"ingested {len(corp)} documents, vocabulary {len(corp.vocab)}", file=sys.stderr)
@@ -206,7 +207,7 @@ def cmd_retrieve(args, cfg, out) -> int:
         clock.done("load")
         ranked = model.retrieve_all(queries, cfg.k)
     clock.done("retrieve")
-    write_run(run_path, ranked, corp.external_id, tag=cfg.run_tag)
+    write_run(run_path, ranked, corp.external_id, tag=RUN_TAG)
     _meta(run_path, cfg, "retrieve", method=args.method, k=cfg.k)
     clock.done("write")
     clock.log(f"retrieve ({args.method})", len(queries), ("retrieve",))
@@ -283,10 +284,10 @@ def cmd_shard_merge(args, cfg, out) -> int:
     for gid in range(plan.n_groups):
         gpath = out / f"group{gid:02d}.run"
         # shard_retrieve returns one run per group, in group order
-        write_run(gpath, [r[gid].ranked for r in runs], corp.external_id, tag=f"{cfg.run_tag}-g{gid}")
+        write_run(gpath, [r[gid].ranked for r in runs], corp.external_id, tag=f"{RUN_TAG}-g{gid}")
         written.append(gpath)
     merged_path = out / "merged.run"
-    write_run(merged_path, merged, corp.external_id, tag=f"{cfg.run_tag}-{cfg.merge_mode}")
+    write_run(merged_path, merged, corp.external_id, tag=f"{RUN_TAG}-{cfg.merge_mode}")
     _meta(merged_path, cfg, "shard-merge", mode=cfg.merge_mode)
     written.append(merged_path)
     clock.done("write")
@@ -364,7 +365,7 @@ def cmd_gradcheck(args, cfg, out) -> int:
 
 def _command(sub, name: str, func, help: str, *required: str) -> argparse.ArgumentParser:
     """Subcommand `name` running func(args, cfg, out), with the given
-    required flags; build_parser adds --config, --seed and --out-dir last."""
+    required flags; build_parser adds --config and --out-dir last."""
     sp = sub.add_parser(name, help=help)
     for flag in required:
         sp.add_argument(flag, required=True)
@@ -401,13 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _command(sub, "train-vanilla", cmd_train_vanilla, "train the retriever from scratch",
                   *corpus_queries_qrels)
     sp.add_argument("--pairs", help="pre-training pairs tsv")
-    sp.add_argument("--skip-pretrain", action="store_true", help="same as pretrain_epochs = 0")
-    sp.add_argument("--skip-finetune", action="store_true", help="same as finetune_epochs = 0")
 
     sp = _command(sub, "train-overdense", cmd_train_overdense,
                   "initialize from the dense baseline and fine-tune", *corpus_queries_qrels)
     sp.add_argument("--dense-dir", required=True, help="train-dense output directory")
-    sp.add_argument("--skip-finetune", action="store_true", help="same as finetune_epochs = 0")
 
     sp = _command(sub, "retrieve", cmd_retrieve, "write a run file for a query set",
                   "--corpus-dir", "--queries")
@@ -432,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         sp.add_argument("--config", help="experiment config file (key = value lines)")
-        sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--out-dir", default=".", help="directory for output artifacts")
     return ap
 
@@ -443,15 +440,9 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
-    # the ablation flags are config overrides, so the sidecar hash records them
-    overrides = {"seed": args.seed}
-    if getattr(args, "skip_pretrain", False):
-        overrides["pretrain_epochs"] = 0
-    if getattr(args, "skip_finetune", False):
-        overrides["finetune_epochs"] = 0
     made: list[Path] = []
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config)
         out = Path(args.out_dir)
         made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)

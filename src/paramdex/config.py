@@ -1,17 +1,18 @@
 """Flat key/value experiment configuration.
 
-A config file is ``key = value`` lines (``#`` starts a comment). Every key
-is listed in FIELDS below with its type, default and valid range (a float
-must also be finite); unknown keys are rejected. Each field of TrainConfig,
-and of EncoderConfig but vocab_size, is the key of the same name and
-default. AdamW's betas and epsilon (nn.BETA1, BETA2, ADAM_EPS), the n-gram
-document-frequency floor (pairs.NGRAM_MIN_DF) and the uniform pre-training
-task mix are constants, not keys, and so is the training setup: every
-docid stage trains the encoder with the docid matrix, and the two-tower
-towers are one shared encoder. Input paths are flags, not config keys.
-The flags --seed, --skip-pretrain and --skip-finetune override file values
-(the last two as pretrain_epochs = 0 and finetune_epochs = 0). The resolved
-config hashes to a short hex digest that is stamped into every artifact's
+A config file is ``key = value`` lines (``#`` starts a comment), and it is
+the only way to set a key: no command-line flag overrides one. Every key is
+listed in FIELDS below with its type, default and valid range (a float must
+also be finite); unknown keys are rejected. Each field of TrainConfig, and
+of EncoderConfig but vocab_size, is the key of the same name and default.
+AdamW's betas, epsilon and weight decay (nn.BETA1, BETA2, ADAM_EPS,
+WEIGHT_DECAY), the n-gram order and document-frequency floor
+(pairs.NGRAM_N, NGRAM_MIN_DF), the uniform pre-training task mix and the
+run files' tag (cli.RUN_TAG) are constants, not keys, and so is the
+training setup: ingest keeps every token, every docid stage trains the
+encoder with the docid matrix, and the two-tower towers are one shared
+encoder. Input paths are flags, not config keys. The resolved config
+hashes to a short hex digest that is stamped into every artifact's
 sidecar, so artifacts are traceable to the exact settings and seed that
 produced them.
 """
@@ -23,7 +24,7 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
-from .corpus import text_lines, valid_id
+from .corpus import text_lines
 from .nn import EncoderConfig
 from .training import TrainConfig
 
@@ -46,13 +47,9 @@ FIELDS: dict[str, tuple] = {
     "n_heads": (int, _E.n_heads, _pos, "attention heads (must divide d_model)"),
     "d_ff": (int, _E.d_ff, _pos, "feed-forward width"),
     "max_len": (int, _E.max_len, lambda x: x > 1, "max sequence length incl. CLS"),
-    "min_freq": (int, 1, _pos, "vocabulary frequency threshold"),
     "window": (int, 128, _pos, "passage window size"),
     "m_samples": (int, 10, _pos, "term-set samples per document"),
-    "ngram_n": (int, 3, _pos, "n-gram order"),
-    "max_ngrams": (int, 0, _nonneg, "n-gram cap (0 = 10 * corpus size)"),
     "lr": (float, _T.lr, _pos, "AdamW learning rate"),
-    "weight_decay": (float, _T.weight_decay, _nonneg, "decoupled weight decay"),
     "batch_size": (int, _T.batch_size, _pos, "training batch size"),
     "pretrain_epochs": (int, _T.pretrain_epochs, _nonneg, "max pre-training epochs"),
     "finetune_epochs": (int, _T.finetune_epochs, _nonneg, "max fine-tuning epochs"),
@@ -66,21 +63,16 @@ FIELDS: dict[str, tuple] = {
     "k": (int, 100, _pos, "retrieval depth"),
     "mrr_cutoff": (int, 100, _pos, "MRR rank cutoff"),
     "eval_ks": (str, "1,20,100", None, "comma-separated recall cutoffs"),
-    "run_tag": (str, "paramdex", valid_id, "tag column for run files"),
 }
 
 
 class ExperimentConfig:
-    """Resolved configuration: file values overlaid with CLI overrides."""
+    """Resolved configuration: the defaults overlaid with a config file's values."""
 
     def __init__(self, values: dict | None = None):
         for name, (_, default, _, _) in FIELDS.items():
             setattr(self, name, default)
-        if values:
-            self.update(values)
-
-    def update(self, values: dict) -> None:
-        for key, value in values.items():
+        for key, value in (values or {}).items():
             if key not in FIELDS:
                 raise ValueError(f"unknown config key '{key}'")
             if isinstance(value, str):
@@ -138,8 +130,5 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def load_config(path: str | Path | None, overrides: dict | None = None) -> ExperimentConfig:
-    cfg = ExperimentConfig(parse_config_file(path) if path else None)
-    if overrides:
-        cfg.update({k: v for k, v in overrides.items() if v is not None})
-    return cfg
+def load_config(path: str | Path | None) -> ExperimentConfig:
+    return ExperimentConfig(parse_config_file(path) if path else None)

@@ -81,15 +81,12 @@ class Vocabulary:
         return self.id_to_token[idx]
 
 
-def build_vocabulary(token_docs: Iterable[Sequence[str]], min_freq: int = 1) -> Vocabulary:
-    """Build a vocabulary from tokenized documents.
+def build_vocabulary(token_docs: Iterable[Sequence[str]]) -> Vocabulary:
+    """Build a vocabulary of every token of the tokenized documents.
 
-    Keeps every token with corpus frequency >= min_freq. Index order is
-    frequency descending, ties broken lexicographically, so the mapping is
-    deterministic for a given corpus.
+    Index order is frequency descending, ties broken lexicographically, so
+    the mapping is deterministic for a given corpus.
     """
-    if min_freq < 1:
-        raise ValueError("min_freq must be >= 1")
     counts: Counter = Counter()
     n_docs = 0
     for tokens in token_docs:
@@ -97,11 +94,7 @@ def build_vocabulary(token_docs: Iterable[Sequence[str]], min_freq: int = 1) -> 
         counts.update(tokens)
     if n_docs == 0:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    kept = sorted(
-        (t for t, c in counts.items() if c >= min_freq),
-        key=lambda t: (-counts[t], t),
-    )
-    return Vocabulary(kept)
+    return Vocabulary(sorted(counts, key=lambda t: (-counts[t], t)))
 
 
 @dataclass
@@ -209,12 +202,13 @@ def _doc_fields(rec: dict, where: str, seen: dict[str, str]) -> tuple[str, int]:
     return ext, clicks
 
 
-def ingest_corpus(path: str | Path, min_freq: int = 1) -> Corpus:
+def ingest_corpus(path: str | Path) -> Corpus:
     """Read a JSONL document file, tokenize, and build the corpus vocabulary.
 
-    Documents get internal ids in file order. Documents that tokenize to
-    nothing are skipped with a warning; duplicate or missing fields, and a
-    file left without documents, raise.
+    The vocabulary holds every token of the documents, so no token of the
+    corpus maps to UNK_ID. Documents get internal ids in file order.
+    Documents that tokenize to nothing are skipped with a warning; duplicate
+    or missing fields, and a file left without documents, raise.
     """
     records: list[tuple[str, list[str], int]] = []
     seen: dict[str, str] = {}
@@ -228,9 +222,9 @@ def ingest_corpus(path: str | Path, min_freq: int = 1) -> Corpus:
         records.append((ext, tokens, clicks))
     if not records:
         raise ValueError(f"{path}: no documents")
-    vocab = build_vocabulary((toks for _, toks, _ in records), min_freq=min_freq)
+    vocab = build_vocabulary(toks for _, toks, _ in records)
     external_ids, token_docs, clicks = zip(*records)
-    tokens = np.array([vocab.lookup(t) for toks in token_docs for t in toks], dtype=np.int32)
+    tokens = np.array([vocab.token_to_id[t] for toks in token_docs for t in toks], dtype=np.int32)
     return Corpus(tokens, list(map(len, token_docs)), list(external_ids), list(clicks), vocab)
 
 

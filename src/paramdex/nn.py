@@ -65,6 +65,7 @@ from .training import TrainConfig
 LN_EPS = 1e-5
 FD_STEP = 1e-4  # finite_diff_check's central-difference step
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # adamw_step's: Adam's published defaults
+WEIGHT_DECAY = 0.01  # adamw_step's decoupled weight decay
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
 
@@ -508,7 +509,7 @@ def adamw_step(
     cfg: TrainConfig,
 ) -> None:
     """One decoupled-weight-decay Adam update with bias correction, using
-    cfg's lr and weight_decay and the constants BETA1, BETA2 and ADAM_EPS.
+    cfg's lr and the constants BETA1, BETA2, ADAM_EPS and WEIGHT_DECAY.
 
     Runs in place: the arrays in params, state.m and state.v are updated and
     state.step advances. Each gradient must have its parameter's key, shape
@@ -516,7 +517,7 @@ def adamw_step(
     rejected call changes nothing. The operation order is that of
         m = BETA1 * m + (1 - BETA1) * g
         v = BETA2 * v + (1 - BETA2) * g * g
-        p = p - lr * ((m / c1) / (sqrt(v / c2) + ADAM_EPS) + weight_decay * p)
+        p = p - lr * ((m / c1) / (sqrt(v / c2) + ADAM_EPS) + WEIGHT_DECAY * p)
     """
     if set(grads) != set(params):
         raise ValueError("gradient keys do not match parameter keys")
@@ -543,7 +544,7 @@ def adamw_step(
         tmp += ADAM_EPS
         update = m / c1
         update /= tmp
-        np.multiply(p, cfg.weight_decay, out=tmp)
+        np.multiply(p, WEIGHT_DECAY, out=tmp)
         update += tmp
         update *= cfg.lr
         p -= update

@@ -26,7 +26,8 @@ PRETRAIN_TASKS = ("passage", "terms", "ngram")
 MIN_TERM_SAMPLE = 10
 MAX_TERM_SAMPLE = 512
 
-# documents an n-gram must occur in to be paired
+# the n-gram order, and the documents an n-gram must occur in to be paired
+NGRAM_N = 3
 NGRAM_MIN_DF = 2
 
 
@@ -131,22 +132,20 @@ def sample_term_sets(
     return pairs
 
 
-def extract_ngram_pairs(corpus: Corpus, n: int, max_ngrams: int) -> list[TrainingPair]:
-    """Select shared n-grams and pair each with every document containing it.
+def extract_ngram_pairs(corpus: Corpus, max_ngrams: int) -> list[TrainingPair]:
+    """Select shared NGRAM_N-grams and pair each with every document containing it.
 
     Keeps up to max_ngrams distinct n-grams with document frequency >=
     NGRAM_MIN_DF, preferring higher document frequency (ties broken by the
     lexicographic order of the n-gram's token strings). An n-gram found in
     m documents yields m pairs.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if max_ngrams < 0:
         raise ValueError("max_ngrams must be >= 0")
     containing: dict[tuple[int, ...], list[int]] = {}
     for doc in corpus.docs:
         toks = doc.tokens.tolist()
-        grams = {tuple(toks[i : i + n]) for i in range(len(toks) - n + 1)}
+        grams = {tuple(toks[i : i + NGRAM_N]) for i in range(len(toks) - NGRAM_N + 1)}
         for g in grams:
             containing.setdefault(g, []).append(doc.internal_id)
     vocab = corpus.vocab
@@ -179,7 +178,6 @@ def generate_pretrain_pairs(
     corpus: Corpus,
     window: int = 128,
     m_samples: int = 10,
-    ngram_n: int = 3,
     max_ngrams: int = 0,
     seed: int = 0,
 ) -> list[TrainingPair]:
@@ -187,9 +185,8 @@ def generate_pretrain_pairs(
 
     Term-set sampling uses a per-document generator seeded from
     (seed, internal_id), so generation is order-independent and
-    reproducible. An n-gram is kept only if NGRAM_MIN_DF documents share
-    it, and max_ngrams caps the distinct n-grams kept, as the config key of
-    that name does: 0 means 10 * |D|.
+    reproducible. An NGRAM_N-gram is kept only if NGRAM_MIN_DF documents
+    share it, and max_ngrams caps the distinct n-grams kept: 0 means 10 * |D|.
     """
     max_ngrams = max_ngrams or 10 * len(corpus)
     df = document_frequencies(corpus)
@@ -199,7 +196,7 @@ def generate_pretrain_pairs(
         pairs.extend(segment_passages(tokens, doc.internal_id, window))
         rng = np.random.default_rng(np.random.SeedSequence([seed, doc.internal_id]))
         pairs.extend(sample_term_sets(doc.internal_id, m_samples, term_importance(tokens, len(corpus), df), rng))
-    pairs.extend(extract_ngram_pairs(corpus, ngram_n, max_ngrams))
+    pairs.extend(extract_ngram_pairs(corpus, max_ngrams))
     return pairs
 
 

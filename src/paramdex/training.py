@@ -1,7 +1,8 @@
 """Shared training-loop plumbing: the training config, batching and the
 pre-training task mix. Each TrainConfig field is the config key
-(config.FIELDS) of the same name and default. No field selects what
-trains: every stage trains all of its model's parameters."""
+(config.FIELDS) of the same name and default; AdamW's weight decay is the
+constant nn.WEIGHT_DECAY. No field selects what trains: every stage trains
+all of its model's parameters."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from .pairs import PRETRAIN_TASKS, TrainingPair
 @dataclass
 class TrainConfig:
     lr: float = 5e-5
-    weight_decay: float = 0.01
     batch_size: int = 32
     pretrain_epochs: int = 10
     finetune_epochs: int = 20

@@ -14,11 +14,11 @@ def corpus_from_token_lists(token_lists, external_ids, clicks, vocab) -> Corpus:
     return Corpus(tokens, [len(t) for t in token_lists], list(external_ids), list(clicks), vocab)
 
 
-def corpus_from_texts(texts, clicks=None, min_freq=1) -> Corpus:
+def corpus_from_texts(texts, clicks=None) -> Corpus:
     """Small in-memory corpus for tests; external ids are d0, d1, ..."""
     token_lists = [tokenize(t) for t in texts]
-    vocab = build_vocabulary(token_lists, min_freq=min_freq)
-    return corpus_from_token_lists([[vocab.lookup(t) for t in toks] for toks in token_lists],
+    vocab = build_vocabulary(token_lists)
+    return corpus_from_token_lists([[vocab.token_to_id[t] for t in toks] for toks in token_lists],
                                    [f"d{i}" for i in range(len(texts))], clicks or [0] * len(texts), vocab)
 
 

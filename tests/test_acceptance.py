@@ -248,8 +248,7 @@ def test_criterion_6_ablation_direction(tmp_path):
     hqr = load_qrels(paths["heldout_qrels"], corp)
     enc_cfg = EncoderConfig(vocab_size=len(corp.vocab), d_model=32, n_layers=1,
                             n_heads=2, d_ff=128, max_len=64)
-    pairs = generate_pretrain_pairs(corp, window=32, m_samples=3, ngram_n=3,
-                                    max_ngrams=2 * len(corp), seed=0)
+    pairs = generate_pretrain_pairs(corp, window=32, m_samples=3, max_ngrams=2 * len(corp), seed=0)
 
     enc0 = Encoder.init(enc_cfg, np.random.default_rng(np.random.SeedSequence([0, 0])))
     w0 = np.random.default_rng(np.random.SeedSequence([0, 1])).normal(

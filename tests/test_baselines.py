@@ -14,13 +14,13 @@ from paramdex.baselines import (
     train_two_tower,
     two_tower_step,
 )
-from paramdex.corpus import UNK_ID, Query
+from paramdex.corpus import UNK_ID, Query, build_vocabulary
 from paramdex.nn import Encoder, EncoderConfig, finite_diff_check, softmax_xent
 from paramdex.pairs import TrainingPair
 from paramdex.retriever import DocidRetriever, init_overdense, train_overdense
 from paramdex.training import TrainConfig
 
-from conftest import corpus_from_texts
+from conftest import corpus_from_texts, corpus_from_token_lists
 
 
 def _bm25_oracle(corpus, query_tokens, docid, k1=1.2, b=0.75):
@@ -75,8 +75,10 @@ class TestInvertedIndex:
                 assert tf == sum(1 for x in corp.doc(docid).tokens if x == t)
 
     def test_unk_is_not_indexed(self):
-        corp = corpus_from_texts(["a b rare", "a b"], min_freq=2)  # "rare" falls out of the vocabulary
-        assert corp.doc(0).tokens.tolist()[2] == UNK_ID
+        # a saved docs.jsonl may hold UNK_ID, though ingest maps no token to it
+        vocab = build_vocabulary([["a", "b"]])
+        a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
+        corp = corpus_from_token_lists([[a, b, UNK_ID], [a, b]], ["d0", "d1"], [0, 0], vocab)
         index = build_inverted_index(corp)
         assert _postings(index, UNK_ID) == []
         assert index.doc_len[0] == 3  # UNK still counts toward the document length

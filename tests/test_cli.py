@@ -27,32 +27,11 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-TINY_CFG = """
-d_model = 16
-n_layers = 1
-n_heads = 2
-d_ff = 32
-max_len = 32
-window = 16
-m_samples = 2
-lr = 0.003
-batch_size = 8
-pretrain_epochs = 2
-finetune_epochs = 3
-plateau_patience = 10
-k = 10
-eval_ks = 1,5,10
-mrr_cutoff = 10
-n_groups = 2
-per_group_k = 5
-"""
-
-
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     ws = tmp_path_factory.mktemp("ws")
     cfg = ws / "exp.cfg"
-    cfg.write_text(TINY_CFG)
+    cfg.write_text(ACCEPT_CFG)
     data = ws / "data"
     assert run_cli("synth", "--docs", 40, "--train-queries", 20, "--heldout-queries", 8,
                    "--out-dir", data, "--config", cfg) == 0
@@ -157,11 +136,13 @@ def test_dense_then_overdense_zero_shot_identity(workspace, tmp_path):
     assert written == {"model.ckpt", "loss_log.txt"}
 
     od_dir = tmp_path / "overdense0"
+    no_finetune = tmp_path / "no-finetune.cfg"
+    no_finetune.write_text(re.sub(r"^finetune_epochs = \d+$", "finetune_epochs = 0", ACCEPT_CFG, flags=re.M))
     assert run_cli("train-overdense", "--corpus-dir", workspace["corpus"],
                    "--queries", workspace["data"] / "train_queries.tsv",
                    "--qrels", workspace["data"] / "train_qrels.tsv",
-                   "--dense-dir", dense_dir, "--skip-finetune",
-                   "--out-dir", od_dir, "--config", workspace["cfg"]) == 0
+                   "--dense-dir", dense_dir,
+                   "--out-dir", od_dir, "--config", no_finetune) == 0
 
     # zero fine-tuning: the two model checkpoints retrieve identically
     for model in (dense_dir / "model.ckpt", od_dir / "model.ckpt"):
@@ -228,7 +209,7 @@ def test_shard_train_error_names_the_failing_group(workspace, tmp_path, capsys, 
     lines = (workspace["data"] / "train_qrels.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
     qrels.write_text("".join(lines[:3]), encoding="utf-8")
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(TINY_CFG.replace("n_groups = 2", "n_groups = 4"))
+    cfg.write_text(ACCEPT_CFG.replace("n_groups = 2", "n_groups = 4"))
     shards_dir = tmp_path / "shards"
     assert run_cli("shard-train", "--corpus-dir", workspace["corpus"],
                    "--queries", workspace["data"] / "train_queries.tsv", "--qrels", qrels,
@@ -495,21 +476,22 @@ def _train_vanilla_cli(workspace, out, cfg, *flags) -> None:
                    *flags, "--out-dir", out, "--config", cfg) == 0
 
 
-@pytest.mark.parametrize("flag,key", [("--skip-pretrain", "pretrain_epochs"),
-                                      ("--skip-finetune", "finetune_epochs")])
-def test_skip_flag_is_the_zero_epoch_config(workspace, tmp_path, flag, key):
+@pytest.mark.parametrize("key,stage", [("pretrain_epochs", "pretrain"), ("finetune_epochs", "finetune")])
+def test_zero_epoch_config_ablates_its_stage(workspace, tmp_path, key, stage):
     zero_cfg = tmp_path / "zero.cfg"
-    zero_cfg.write_text(re.sub(rf"^{key} = \d+$", f"{key} = 0", TINY_CFG, flags=re.M))
-    # with pre-training off, neither way needs --pairs
+    zero_cfg.write_text(re.sub(rf"^{key} = \d+$", f"{key} = 0", ACCEPT_CFG, flags=re.M))
+    # with pre-training off, train-vanilla needs no --pairs
     pairs = [] if key == "pretrain_epochs" else ["--pairs", workspace["pairs"]]
-    _train_vanilla_cli(workspace, tmp_path / "flag", workspace["cfg"], flag, *pairs)
     _train_vanilla_cli(workspace, tmp_path / "zero", zero_cfg, *pairs)
     _train_vanilla_cli(workspace, tmp_path / "full", workspace["cfg"], "--pairs", workspace["pairs"])
-    model = {d: (tmp_path / d / "model.ckpt").read_bytes() for d in ("flag", "zero", "full")}
+    model = {d: (tmp_path / d / "model.ckpt").read_bytes() for d in ("zero", "full")}
     meta = {d: json.loads((tmp_path / d / "model.ckpt.meta.json").read_text())["config_hash"]
-            for d in ("flag", "zero", "full")}
-    assert model["flag"] == model["zero"] != model["full"]
-    assert meta["flag"] == meta["zero"] != meta["full"]
+            for d in ("zero", "full")}
+    stages = {d: {line.split("\t")[0] for line in (tmp_path / d / "loss_log.txt").read_text().splitlines()}
+              for d in ("zero", "full")}
+    assert model["zero"] != model["full"]
+    assert meta["zero"] != meta["full"]  # an ablated model never carries a full run's hash
+    assert stages["full"] - stages["zero"] == {stage}
 
 
 @pytest.fixture(scope="module")
@@ -517,7 +499,7 @@ def workspace80(tmp_path_factory):
     """Enough labeled queries per shard for two-tower training."""
     ws = tmp_path_factory.mktemp("ws80")
     cfg = ws / "exp.cfg"
-    cfg.write_text(TINY_CFG)
+    cfg.write_text(ACCEPT_CFG)
     data = ws / "data"
     assert run_cli("synth", "--docs", 80, "--train-queries", 60, "--heldout-queries", 8,
                    "--out-dir", data, "--config", cfg) == 0
@@ -528,7 +510,7 @@ def workspace80(tmp_path_factory):
 
 def test_shard_pipeline_overdense(workspace80, tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(TINY_CFG)
+    cfg.write_text(ACCEPT_CFG)
     queries = workspace80["data"] / "train_queries.tsv"
     shards_dir = tmp_path / "shards"
     assert run_cli("shard-train", "--corpus-dir", workspace80["corpus"], "--queries", queries,
@@ -612,15 +594,15 @@ def test_train_overdense_rejects_dense_model_for_other_data(workspace, tmp_path,
 # every subcommand's required flags, then its optional ones, in parser order;
 # each also takes -h/--help before them and COMMON after them
 _CQQ = ("--corpus-dir", "--queries", "--qrels")
-COMMON = ("--config", "--seed", "--out-dir")
+COMMON = ("--config", "--out-dir")
 FLAGS = {
     "synth": ((), ("--docs", "--train-queries", "--heldout-queries")),
     "ingest": (("--docs",), ()),
     "subset": (("--corpus-dir", "--qrels", "--strategy", "--size"), ()),
     "pairs": (("--corpus-dir",), ()),
     "train-dense": (_CQQ, ()),
-    "train-vanilla": (_CQQ, ("--pairs", "--skip-pretrain", "--skip-finetune")),
-    "train-overdense": ((*_CQQ, "--dense-dir"), ("--skip-finetune",)),
+    "train-vanilla": (_CQQ, ("--pairs",)),
+    "train-overdense": ((*_CQQ, "--dense-dir"), ()),
     "retrieve": (("--corpus-dir", "--queries"), ("--model", "--method")),
     "eval": (("--run", "--qrels"), ()),
     "shard-train": (_CQQ, ("--strategy",)),
@@ -650,7 +632,7 @@ def test_parser_table_lists_every_subcommand():
         assert [a.option_strings[0] for a in actions if a.required] == list(required)
         args = ap.parse_args(_required_argv(command))
         assert args.command == command
-        assert (args.config, args.seed, args.out_dir) == (None, None, ".")
+        assert (args.config, args.out_dir) == (None, ".")
 
 
 @pytest.mark.parametrize("command,flag", [(c, f) for c, (required, _) in FLAGS.items() for f in required])
@@ -680,6 +662,8 @@ def test_ci_console_script(tmp_path):
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "max relative error" in proc.stdout and "gradcheck --coords 0 passed" not in proc.stdout
     assert "unknown config key 'beta1'" in proc.stderr
+    assert "unknown config key 'run_tag'" in proc.stderr
+    assert "unrecognized arguments: --seed 1" in proc.stderr
     assert (tmp_path / "vanilla-eval" / "report.csv").stat().st_size > 0
     assert (tmp_path / "merged" / "merged.run").stat().st_size > 0
     assert (tmp_path / "overdense-run" / "run.txt").stat().st_size > 0

@@ -4,12 +4,10 @@ import inspect
 import pytest
 
 from paramdex.config import FIELDS, ExperimentConfig, load_config, parse_config_file
-from paramdex.corpus import ingest_corpus
 from paramdex.distributed import merge_runs, shard_retrieve
 from paramdex.evalkit import evaluate
 from paramdex.nn import EncoderConfig
 from paramdex.pairs import generate_pretrain_pairs
-from paramdex.runfiles import write_run
 from paramdex.training import TrainConfig
 
 
@@ -23,18 +21,22 @@ def test_defaults_are_valid():
 
 
 def test_parse_file_and_override(tmp_path):
+    # the file's values override the defaults; the file is the only way to set a key
     path = tmp_path / "exp.cfg"
     path.write_text(
         "# experiment\n"
         "lr = 0.001\n"
         "batch_size = 8   # small\n"
         "merge_mode = zscore\n"
+        "seed = 42\n"
     )
-    cfg = load_config(path, {"seed": 42})
+    cfg = load_config(path)
     assert cfg.lr == 0.001
     assert cfg.batch_size == 8
     assert cfg.merge_mode == "zscore"
     assert cfg.seed == 42
+    assert cfg.resolved() == dict(ExperimentConfig().resolved(), lr=0.001, batch_size=8,
+                                  merge_mode="zscore", seed=42)
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -52,13 +54,15 @@ def test_input_paths_are_flags_not_config_keys(tmp_path, key):
         load_config(path)
 
 
-# keys that became constants (nn.BETA1, BETA2, ADAM_EPS, pairs.NGRAM_MIN_DF,
-# the uniform task mix, the encoder always training, the shared two-tower
-# encoder), each set here to its old default
+# keys that became constants (nn.BETA1, BETA2, ADAM_EPS, WEIGHT_DECAY,
+# pairs.NGRAM_MIN_DF, NGRAM_N, the uniform task mix, the encoder always
+# training, the shared two-tower encoder, ingest keeping every token, the
+# default n-gram cap, cli.RUN_TAG), each set here to its old default
 @pytest.mark.parametrize("key, value", [
     ("beta1", "0.9"), ("beta2", "0.999"), ("adam_eps", "1e-8"), ("weight_passage", "1.0"),
     ("weight_terms", "1.0"), ("weight_ngram", "1.0"), ("ngram_min_df", "2"),
-    ("freeze_encoder", "false"), ("separate_towers", "false"),
+    ("freeze_encoder", "false"), ("separate_towers", "false"), ("weight_decay", "0.01"),
+    ("ngram_n", "3"), ("min_freq", "1"), ("max_ngrams", "0"), ("run_tag", "paramdex"),
 ])
 def test_removed_key_rejected(tmp_path, key, value):
     path = tmp_path / "exp.cfg"
@@ -80,7 +84,7 @@ def test_invalid_value_rejected(key, value, shown):
 
 @pytest.mark.parametrize("key", [k for k, field in FIELDS.items() if field[0] is float])
 def test_float_value_must_be_finite(key):
-    # inf passes the range checks of lr, weight_decay and plateau_min_delta
+    # inf passes the range checks of lr and plateau_min_delta
     with pytest.raises(ValueError, match=f"^config key '{key}' has invalid value inf$"):
         ExperimentConfig({key: "inf"})
 
@@ -106,18 +110,15 @@ def test_bad_line_rejected(tmp_path):
 
 def test_hash_is_stable_and_sensitive():
     a = ExperimentConfig()
-    b = ExperimentConfig()
-    assert a.config_hash() == b.config_hash()
-    b.update({"seed": 1})
-    assert a.config_hash() != b.config_hash()
+    assert a.config_hash() == ExperimentConfig().config_hash()
+    assert a.config_hash() != ExperimentConfig({"seed": 1}).config_hash()
 
 
 def test_derived_configs():
     cfg = ExperimentConfig({"d_model": "32", "n_heads": "2", "lr": "0.01"})
     enc = cfg.encoder_config(vocab_size=100)
     assert enc.d_model == 32 and enc.vocab_size == 100
-    tc = cfg.train_config()
-    assert tc.lr == 0.01 and tc.weight_decay == 0.01
+    assert cfg.train_config() == TrainConfig(lr=0.01)
 
 
 # a valid value other than the default, by the default's type
@@ -146,14 +147,10 @@ def test_dataclass_fields_are_config_keys(cls, build):
 _LIBRARY_PARAMS = {
     "window": (generate_pretrain_pairs, "window"),
     "m_samples": (generate_pretrain_pairs, "m_samples"),
-    "ngram_n": (generate_pretrain_pairs, "ngram_n"),
-    "max_ngrams": (generate_pretrain_pairs, "max_ngrams"),
-    "min_freq": (ingest_corpus, "min_freq"),
     "per_group_k": (shard_retrieve, "per_group_k"),
     "merge_mode": (merge_runs, "mode"),
     "mrr_cutoff": (evaluate, "cutoff"),
     "eval_ks": (evaluate, "ks"),
-    "run_tag": (write_run, "tag"),
 }
 
 

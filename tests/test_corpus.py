@@ -21,10 +21,15 @@ from paramdex.corpus import (
     load_qrels,
     load_queries,
     read_qrels_file,
+    resolve_qrels,
     sample_subset,
     save_corpus,
     tokenize,
 )
+
+from paramdex.distributed import merge_runs
+from paramdex.pairs import extract_ngram_pairs, sample_term_sets
+from paramdex.training import batches
 
 from conftest import corpus_from_texts, corpus_from_token_lists
 
@@ -53,21 +58,17 @@ class TestVocabulary:
         assert vocab.token(0) == "<pad>"
         assert vocab.lookup("a") == 3
 
-    def test_min_freq_threshold(self):
-        vocab = build_vocabulary([["a", "a", "b"]], min_freq=2)
-        assert "a" in vocab.token_to_id and "b" not in vocab.token_to_id
-
-    def test_min_freq_one_keeps_all(self):
-        vocab = build_vocabulary([["a", "b"], ["c"]], min_freq=1)
+    def test_keeps_every_token(self):
+        vocab = build_vocabulary([["a", "b"], ["c"]])
         assert all(t in vocab.token_to_id for t in "abc")
 
     def test_equal_frequency_tie_is_lexicographic(self):
-        vocab = build_vocabulary([["zeta", "alpha"]], min_freq=1)
+        vocab = build_vocabulary([["zeta", "alpha"]])
         assert vocab.lookup("alpha") < vocab.lookup("zeta")
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
-            build_vocabulary([], min_freq=1)
+            build_vocabulary([])
 
 
 class TestIngest:
@@ -402,3 +403,25 @@ def test_bulk_reader_declines_what_save_corpus_does_not_write(tmp_path, mutation
 ])
 def test_malformed_ids(joined, width, malformed):
     assert corpus_mod._malformed_ids(joined, width) is malformed
+
+
+# a public function's own precondition, which a direct library call reaches
+# though every CLI caller checks the value first; each call breaks one
+LIBRARY_GUARDS = {
+    "vocabulary": (lambda c: Vocabulary(["a", "a"]), "vocabulary contains duplicate tokens"),
+    "resolve_qrels": (lambda c: resolve_qrels({"q1": "nope"}, c), r"qrels: unknown docids \['nope'\]"),
+    "sample_term_sets": (lambda c: sample_term_sets(0, 0, {3: 1.0}, np.random.default_rng(0)),
+                         "m must be >= 1"),
+    "extract_ngram_pairs": (lambda c: extract_ngram_pairs(c, max_ngrams=-1), "max_ngrams must be >= 0"),
+    "batches": (lambda c: list(batches([1, 2], 0)), "batch_size must be >= 1"),
+    "merge_runs": (lambda c: merge_runs([], 0), "k must be >= 1"),  # top_order is not reached
+    "sample_subset": (lambda c: sample_subset(c, {"q1": 0}, "bogus", 1),
+                      "unknown subset strategy 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(LIBRARY_GUARDS))
+def test_library_guard_rejects_its_bad_argument(tiny_corpus, guard):
+    call, message = LIBRARY_GUARDS[guard]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(tiny_corpus)

@@ -77,6 +77,8 @@ def ws(tmp_path_factory):
     ws = tmp_path_factory.mktemp("fuzz")
     cfg = ws / "exp.cfg"
     cfg.write_text(CFG)
+    no_epochs = ws / "no-epochs.cfg"  # train-vanilla then reads its pairs and trains nothing
+    no_epochs.write_text(CFG + "pretrain_epochs = 0\nfinetune_epochs = 0\n")
     data, corpus_dir = ws / "data", ws / "corpus"
     assert run_cli("synth", "--docs", 24, "--train-queries", 12, "--heldout-queries", 4,
                    "--out-dir", data, "--config", cfg) == 0
@@ -95,7 +97,8 @@ def ws(tmp_path_factory):
         checkpoint.save_model(shards / f"group{gid:02d}" / "model.ckpt", enc_cfg,
                               Encoder.init(enc_cfg, gid).params,
                               np.zeros((16, len(members)), dtype=np.float32))
-    return {"ws": ws, "cfg": cfg, "data": data, "corpus": corpus_dir, "shards": shards}
+    return {"ws": ws, "cfg": cfg, "no_epochs": no_epochs, "data": data, "corpus": corpus_dir,
+            "shards": shards}
 
 
 def _inputs(w):
@@ -123,7 +126,7 @@ def _inputs(w):
         "pairs": (w["ws"] / "pairs" / "pairs.tsv", 1, "\t", ("task", "docid", "text"),
                   ("train-vanilla", "--corpus-dir", c, "--queries", d / "train_queries.tsv",
                    "--qrels", d / "train_qrels.tsv", "--pairs", w["ws"] / "pairs" / "pairs.tsv",
-                   "--skip-pretrain", "--skip-finetune", *tail)),
+                   "--out-dir", out, "--config", w["no_epochs"])),
     }
 
 

@@ -12,6 +12,7 @@ from paramdex.nn import (
     BETA1,
     BETA2,
     LN_EPS,
+    WEIGHT_DECAY,
     AdamWState,
     Encoder,
     EncoderConfig,
@@ -141,7 +142,7 @@ def textbook_adamw(p, g, m, v, step, cfg):
     c2 = 1.0 - BETA2 ** step
     m = BETA1 * m + (1.0 - BETA1) * g
     v = BETA2 * v + (1.0 - BETA2) * g * g
-    update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS) + cfg.weight_decay * p
+    update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS) + WEIGHT_DECAY * p
     return p - cfg.lr * update, m, v
 
 
@@ -352,7 +353,7 @@ class TestKernelsMatchTextbookExactly:
     def test_adamw_step(self, rng, dtype):
         shapes = {"w": (64, 96), "b": (96,), "s": (3, 4, 5)}
         params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
-        cfg = TrainConfig(lr=3e-3, weight_decay=0.05)
+        cfg = TrainConfig(lr=3e-3)
         state = adamw_init(params)
         want_p = {k: a.copy() for k, a in params.items()}
         want_m = {k: a.copy() for k, a in state.m.items()}
@@ -448,21 +449,23 @@ class TestGradients:
 
 
 class TestAdamW:
-    def test_zero_gradient_zero_decay_is_identity(self):
+    def test_zero_gradient_moves_p_by_the_decay_alone(self):
+        # m = v = 0, so the Adam term is 0 / (0 + ADAM_EPS) and only the decay moves p
         params = {"w": np.array([1.0, -2.0, 3.0], dtype=np.float32)}
         grads = {"w": np.zeros(3, dtype=np.float32)}
-        hyper = TrainConfig(lr=1e-3, weight_decay=0.0)
+        hyper = TrainConfig(lr=1e-3)
         before = params["w"].copy()
         state = adamw_init(params)
         adamw_step(params, grads, state, hyper)
-        assert np.array_equal(params["w"], before)
+        assert np.array_equal(params["w"], before - before * WEIGHT_DECAY * hyper.lr)
+        assert not np.array_equal(params["w"], before)
         assert state.step == 1
 
     def test_hand_executed_first_step(self):
         # scalar w=1, g=0.5: m=0.05, v=0.00025, mhat=0.5, vhat=0.25
-        # w' = 1 - lr*(0.5/(0.5+eps)) - lr*wd*1, under Adam's defaults
-        assert (BETA1, BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
-        hyper = TrainConfig(lr=1e-3, weight_decay=0.01)
+        # w' = 1 - lr*(0.5/(0.5+eps)) - lr*wd*1, under Adam's defaults and wd = 0.01
+        assert (BETA1, BETA2, ADAM_EPS, WEIGHT_DECAY) == (0.9, 0.999, 1e-8, 0.01)
+        hyper = TrainConfig(lr=1e-3)
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([0.5])}
         adamw_step(params, grads, adamw_init(params), hyper)

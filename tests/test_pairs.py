@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from paramdex.corpus import UNK_ID, Query, load_corpus, save_corpus
 from paramdex.pairs import (
+    NGRAM_N,
     TrainingPair,
     document_frequencies,
     extract_ngram_pairs,
@@ -180,14 +181,14 @@ class TestNgramPairs:
             "noise words here",
             "prefix alpha beta gamma",
         ])
-        out = extract_ngram_pairs(corp, 3, max_ngrams=10)
+        out = extract_ngram_pairs(corp, max_ngrams=10)
         gram = [corp.vocab.lookup(t) for t in ("alpha", "beta", "gamma")]
         matching = [p for p in out if p.tokens == gram]
         assert [p.target for p in matching] == [0, 2]
 
     def test_distinct_docs_yield_nothing(self):
         corp = corpus_from_texts(["one two three", "four five six"])
-        assert extract_ngram_pairs(corp, 3, max_ngrams=10) == []
+        assert extract_ngram_pairs(corp, max_ngrams=10) == []
 
     def test_max_ngrams_cap_prefers_high_df(self):
         corp = corpus_from_texts([
@@ -195,7 +196,7 @@ class TestNgramPairs:
             "x y z common1 common2 common3",
             "x y z other tokens here",
         ])
-        out = extract_ngram_pairs(corp, 3, max_ngrams=1)
+        out = extract_ngram_pairs(corp, max_ngrams=1)
         grams = {tuple(p.tokens) for p in out}
         assert len(grams) == 1
         # the kept trigram must have the top document frequency (3)
@@ -208,10 +209,12 @@ class TestGeneratePairs:
         b = generate_pretrain_pairs(tiny_corpus, window=3, m_samples=4, seed=7)
         assert [(p.tokens, p.target, p.task) for p in a] == [(p.tokens, p.target, p.task) for p in b]
 
-    def test_tokens_are_python_ints(self, tiny_corpus):
+    def test_tokens_are_python_ints(self):
         # the corpus holds numpy int32 views; pairs take Python ints from them
-        out = generate_pretrain_pairs(tiny_corpus, window=2, m_samples=2, ngram_n=2, seed=0)
+        corp = corpus_from_texts(["apple banana cherry date", "fig apple banana cherry"])
+        out = generate_pretrain_pairs(corp, window=2, m_samples=2, seed=0)
         assert {p.task for p in out} == {"passage", "terms", "ngram"}
+        assert all(len(p.tokens) == NGRAM_N == 3 for p in out if p.task == "ngram")
         assert all(type(t) is int for p in out for t in p.tokens)
 
     def test_targets_exist(self, tiny_corpus):
