@@ -41,6 +41,13 @@ operations and their order of the plain expressions in their docstrings,
 so their results are bit-identical to those expressions. adamw_step
 updates the model's own arrays, once every gradient has passed its checks.
 
+An activation is held only while something still reads it. The forward
+pass adds the biases and the FFN residual into the product they follow,
+and GELU runs in its input's buffer in row blocks, so no layer makes a
+second full-size array for them. The backward pass consumes its cache:
+each layer's activations are freed as soon as their gradients are taken,
+so a cache serves one backward pass. Nothing is recomputed to save memory.
+
 No dropout: training is deterministic by construction. Training runs in
 float32; gradient checks construct float64 models.
 
@@ -68,6 +75,7 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # adamw_step's: Adam's published defa
 WEIGHT_DECAY = 0.01  # adamw_step's decoupled weight decay
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
+GELU_BLOCK_ROWS = 256  # _gelu's block: its scratch is this many rows of its input
 
 # mallopt(3) parameters (glibc's malloc.h) and the values steady_heap sets
 M_TRIM_THRESHOLD = -1
@@ -137,37 +145,43 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
 def _gelu(x: np.ndarray, need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """tanh-approximated GELU of x, and with need_grad its derivative (else None).
 
-    x is overwritten: it serves as scratch space, so pass an array that
-    nothing else reads. One tanh serves both results. In the operation order of
+    h is computed in x's own buffer, and x is returned as h: pass an array
+    that nothing else reads. The work runs in blocks of GELU_BLOCK_ROWS along
+    x's first axis, so its scratch is two block-sized arrays and the
+    derivative is the only new array of x's size. One tanh serves both
+    results. In the operation order of
         h  = 0.5 * x * (1 + tanh(K * (x + C * x * x * x)))
         h' = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * K * (1 + 3 * C * x * x)
     with t that tanh, so results are bit-identical to those expressions.
     """
-    t = _GELU_C * x
-    t *= x
-    t *= x
-    t += x
-    t *= _GELU_K
-    np.tanh(t, out=t)
-    if need_grad:
-        poly = np.multiply(x, 3.0 * _GELU_C)
-        poly *= x
-        poly += 1.0
-    x *= 0.5  # from here on x holds 0.5 * x
-    if not need_grad:
-        t += 1.0
-        t *= x
-        return t, None
-    h = t + 1.0
-    t *= t
-    np.subtract(1.0, t, out=t)
-    t *= x
-    t *= _GELU_K
-    t *= poly
-    grad = np.multiply(h, 0.5, out=poly)
-    grad += t
-    h *= x
-    return h, grad
+    grad = np.empty_like(x) if need_grad else None
+    for i in range(0, len(x), GELU_BLOCK_ROWS):
+        xb = x[i : i + GELU_BLOCK_ROWS]
+        t = _GELU_C * xb
+        t *= xb
+        t *= xb
+        t += xb
+        t *= _GELU_K
+        np.tanh(t, out=t)
+        if need_grad:
+            gb = grad[i : i + GELU_BLOCK_ROWS]
+            np.multiply(xb, 3.0 * _GELU_C, out=gb)  # gb holds the polynomial
+            gb *= xb
+            gb += 1.0
+            xb *= 0.5  # from here on xb holds 0.5 * x
+            s = np.multiply(t, t)
+            np.subtract(1.0, s, out=s)
+            s *= xb
+            s *= _GELU_K
+            s *= gb
+            t += 1.0
+            np.multiply(t, 0.5, out=gb)
+            gb += s
+        else:
+            xb *= 0.5
+            t += 1.0
+        np.multiply(t, xb, out=xb)
+    return x, grad
 
 
 def _mean_last(x: np.ndarray) -> np.ndarray:
@@ -262,12 +276,16 @@ def _attention(q, k, v, groups, last: bool, n_heads: int):
 
 
 def _attention_backward(dc, per_group, groups, last: bool, n_rows: int, n_heads: int):
-    """(dq, dk, dv) of _attention given dc, the gradient at its context rows."""
+    """(dq, dk, dv) of _attention given dc, the gradient at its context rows.
+
+    Empties per_group: each group's tuple is released once its gradients are taken."""
     scale = 1.0 / math.sqrt(dc.shape[1] // n_heads)
     dq = np.empty_like(dc)
     dk = np.empty((n_rows, dc.shape[1]), dtype=dc.dtype)
     dv = np.empty_like(dk)
-    for (b, _, rows, cls_rows, _), (qh, kh, vh, att) in zip(groups, per_group):
+    per_group.reverse()
+    for b, _, rows, cls_rows, _ in groups:
+        qh, kh, vh, att = per_group.pop()
         qrows = cls_rows if last else rows
         dch = _split_heads(dc[qrows], b, n_heads)
         np.matmul(att.transpose(0, 1, 3, 2), dch, out=_split_heads(dv[rows], b, n_heads))
@@ -325,7 +343,9 @@ class Encoder:
         every group; attention runs on each group's rows viewed as
         (b, n, d_model). Row r0 + j * n of a group is its j-th sequence's
         CLS row. The CLS rows come back in input order. The cache is an
-        opaque tuple for backward_batch; it is None when need_cache is false.
+        opaque tuple for one backward_batch call, which consumes it; it is
+        None when need_cache is false. Biases and the FFN residual are added
+        in place, into the product they follow.
         """
         cfg, p = self.cfg, self.params
         cap = cfg.max_len - 1
@@ -363,19 +383,27 @@ class Encoder:
             sel = heads if last else slice(None)
             a, xhat1, inv1 = _layer_norm(x, p[pre + "ln1.scale"], p[pre + "ln1.shift"])
             aq = a[sel]
-            c, attn = _attention(aq @ p[pre + "attn.wq"] + p[pre + "attn.bq"], a @ p[pre + "attn.wk"],
-                                 a @ p[pre + "attn.wv"] + p[pre + "attn.bv"], groups, last, cfg.n_heads)
+            q = aq @ p[pre + "attn.wq"]
+            q += p[pre + "attn.bq"]
+            v = a @ p[pre + "attn.wv"]
+            v += p[pre + "attn.bv"]
+            c, attn = _attention(q, a @ p[pre + "attn.wk"], v, groups, last, cfg.n_heads)
             x_mid = c @ p[pre + "attn.wo"]
             x_mid += p[pre + "attn.bo"]
             x_mid += x[sel]
             if need_cache:
                 layers.append((a, aq, xhat1, inv1, attn, c))
-            del x, a, aq, xhat1, inv1, attn, c  # the feed-forward block needs none of them
+            del x, a, aq, xhat1, inv1, q, v, attn, c  # the feed-forward block needs none of them
             fin, xhat2, inv2 = _layer_norm(x_mid, p[pre + "ln2.scale"], p[pre + "ln2.shift"])
-            h, gelu_d = _gelu(fin @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"], need_cache)
-            x = x_mid + h @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"]
+            h = fin @ p[pre + "ffn.w1"]
+            h += p[pre + "ffn.b1"]
+            h, gelu_d = _gelu(h, need_cache)  # h is overwritten with its GELU
+            x = h @ p[pre + "ffn.w2"]
+            np.add(x_mid, x, out=x)
+            x += p[pre + "ffn.b2"]
             if need_cache:
                 layers[-1] += (xhat2, inv2, fin, gelu_d, h)
+            del x_mid, fin, xhat2, inv2, h, gelu_d  # the next layer needs only x
         y, xhat_f, inv_f = _layer_norm(x, p["ln_f.scale"], p["ln_f.shift"])
         out = np.empty_like(y)
         out[order] = y
@@ -395,9 +423,16 @@ class Encoder:
         position-wise layer's backward runs once over the stacked rows of
         every length group, so each weight gradient is one product over all
         rows. Returns a dict congruent with the parameter dict.
+
+        The pass consumes the cache: each layer's activations leave it, and
+        are freed, as soon as their gradients are taken, so the working set
+        shrinks layer by layer. A cache serves one backward pass; a second
+        call on it raises ValueError.
         """
         cfg, p = self.cfg, self.params
         ids, groups, order, heads, layers, xhat_f, inv_f = cache
+        if len(layers) != cfg.n_layers:
+            raise ValueError("cache already consumed: a forward cache serves one backward pass")
         g: dict[str, np.ndarray] = {}
         dx, g["ln_f.scale"], g["ln_f.shift"] = _layer_norm_backward(
             d_cls[order].astype(self.dtype, copy=False), xhat_f, inv_f, p["ln_f.scale"]
@@ -406,29 +441,36 @@ class Encoder:
             pre = f"layer{i}."
             last = i == cfg.n_layers - 1
             sel = heads if last else slice(None)
-            a, aq, xhat1, inv1, attn, c, xhat2, inv2, fin, gelu_d, h = layers[i]
-            # feed-forward block
+            a, aq, xhat1, inv1, attn, c, xhat2, inv2, fin, gelu_d, h = layers.pop()
+            # feed-forward block; each activation is dropped once its last use is past
             dh, g[pre + "ffn.w2"], g[pre + "ffn.b2"] = _linear_backward(h, dx, p[pre + "ffn.w2"])
             dh *= gelu_d
+            del h, gelu_d
             dfin, g[pre + "ffn.w1"], g[pre + "ffn.b1"] = _linear_backward(fin, dh, p[pre + "ffn.w1"])
-            del dh
+            del dh, fin
             dln2, g[pre + "ln2.scale"], g[pre + "ln2.shift"] = _layer_norm_backward(
                 dfin, xhat2, inv2, p[pre + "ln2.scale"]
             )
+            del dfin, xhat2, inv2
             dln2 += dx
             dx = dln2
             # attention block
             dc, g[pre + "attn.wo"], g[pre + "attn.bo"] = _linear_backward(c, dx, p[pre + "attn.wo"])
+            del c
             dq, dk, dv = _attention_backward(dc, attn, groups, last, len(a), cfg.n_heads)
+            del dc, attn
             da_q, g[pre + "attn.wq"], g[pre + "attn.bq"] = _linear_backward(aq, dq, p[pre + "attn.wq"])
+            del aq, dq
             da, g[pre + "attn.wk"], _ = _linear_backward(a, dk, p[pre + "attn.wk"])
             da[sel] += da_q  # da_q + da_k + da_v, with da_q on the query rows only
+            del dk, da_q
             da_v, g[pre + "attn.wv"], g[pre + "attn.bv"] = _linear_backward(a, dv, p[pre + "attn.wv"])
             da += da_v
-            del dc, dq, dk, dv, da_q, da_v
+            del a, dv, da_v
             dln1, g[pre + "ln1.scale"], g[pre + "ln1.shift"] = _layer_norm_backward(
                 da, xhat1, inv1, p[pre + "ln1.scale"]
             )
+            del da, xhat1, inv1
             dln1[sel] += dx  # the residual reaches the query rows only
             dx = dln1
         g["tok_emb"] = np.zeros_like(p["tok_emb"])
